@@ -200,9 +200,9 @@ func BenchmarkExecWorstCaseRun(b *testing.B) {
 	b.ReportMetric(float64(wc.Len()), "boxes/run")
 }
 
-// BenchmarkSquareRun measures trace replay throughput through the
+// BenchmarkSquareReplay measures trace replay throughput through the
 // square-semantics cache.
-func BenchmarkSquareRun(b *testing.B) {
+func BenchmarkSquareReplay(b *testing.B) {
 	tr, err := regular.SyntheticTrace(regular.MMScanSpec, profile.Pow(4, 5))
 	if err != nil {
 		b.Fatal(err)
@@ -214,7 +214,7 @@ func BenchmarkSquareRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := paging.SquareRun(tr, src, 0); err != nil {
+		if _, err := paging.PolicyRun(paging.SquareReplayName, tr, src, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func BenchmarkSquareRun(b *testing.B) {
 // BenchmarkSquareStreamEmit measures the full streaming pipeline: the
 // synthetic generator emitting straight into the square cache through the
 // trace.Sink interface, with no materialized trace anywhere. Compare with
-// BenchmarkSquareRun (materialize-then-replay) — the per-access kernel
+// BenchmarkSquareReplay (materialize-then-replay) — the per-access kernel
 // cost is the same, the Θ(T(n)) trace buffer is gone.
 //
 // The old-vs-new kernel comparisons (array-backed LRU/FIFO/OPT against the
@@ -293,7 +293,7 @@ func BenchmarkLRU(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paging.RunLRUFixed(tr, 128); err != nil {
+		if _, err := paging.RunPolicyFixed("lru", tr, 128); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -470,7 +470,7 @@ func BenchmarkFIFO(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paging.RunFIFOFixed(tr, 128); err != nil {
+		if _, err := paging.RunPolicyFixed("fifo", tr, 128); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -485,7 +485,7 @@ func BenchmarkOPT(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paging.RunOPTFixed(tr, 128); err != nil {
+		if _, err := paging.RunPolicyFixed(paging.OPTReplayName, tr, 128); err != nil {
 			b.Fatal(err)
 		}
 	}

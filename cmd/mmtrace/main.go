@@ -11,25 +11,28 @@
 //	mmtrace -alg scan -dim 1024 -stream -worstcase      # same, streaming (no materialized trace)
 //	mmtrace -alg scan -dim 1024 -worstcase -workers 4   # sharded square-partitioned replay
 //
-// With -stream the trace is regenerated into each consumer instead of
-// being built once in memory, so sizes whose materialized trace would not
-// fit stream fine (the -opt replay is the one consumer that inherently
-// needs the full trace and refuses -stream).
+// Without -stream the trace is built once and every consumer replays it
+// (tr.Emit); with -stream it is regenerated into each consumer instead, so
+// sizes whose materialized trace would not fit stream fine. OPT is the one
+// consumer that inherently needs the full trace, so -opt and -policy opt
+// refuse -stream.
 //
-// -policy selects the replacement kernel: any registered paging policy
-// (see paging.PolicyNames) for the -lru fixed-capacity replay, plus
-// "square" (the default cleared-cache square semantics) or "opt"
-// (clairvoyant Belady replay) for the -profile replay. Unknown names are
-// rejected with the accepted list.
+// -policy selects the replay by name (paging.ReplayNames): any registered
+// kernel (paging.PolicyNames) or "opt" (clairvoyant Belady) for the -lru
+// fixed-capacity replay, and any of those or "square" (the default
+// cleared-cache square semantics) for the -profile replay, which runs
+// through paging.Replay. Unknown names are rejected with the accepted
+// list.
 //
-// -workers bounds the engine pool the -worstcase and -profile replays
-// shard onto (square-partitioned replay, DESIGN.md): the replay splits at
-// square boundaries, each shard re-streams its slice against a profile
-// source forked at its starting box, and the merged result is identical
-// to the serial replay at any worker count. Live-kernel profile replays
-// (-policy with a registry name) are inherently serial — the kernel
-// carries residency across box boundaries, so there is no square boundary
-// to fork at; they ignore -workers.
+// -workers bounds the engine pool the square replays shard onto
+// (square-partitioned replay, DESIGN.md): the replay splits at square
+// boundaries, each shard re-streams its slice against a profile source
+// forked at its starting box, and the merged result is identical to the
+// serial replay at any worker count. -worstcase shards at any size; a
+// square -profile replay shards only from 2^22 references, where the
+// planning pass pays for itself. Live-kernel and opt profile replays are
+// inherently serial — the cache carries residency across box boundaries,
+// so there is no square boundary to fork at; they ignore -workers.
 //
 // This is the substrate behind experiments E9 and E11.
 package main
@@ -37,7 +40,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/dp"
@@ -51,7 +56,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mmtrace:", err)
 		os.Exit(1)
 	}
@@ -82,28 +87,40 @@ func (d *distinctSink) AccessRange(lo, count int64) {
 	}
 }
 
-func run() error {
+// run is the whole command behind main: flags in, report lines out on
+// stdout. Taking both explicitly lets the tests drive the real flag and
+// replay paths in-process.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mmtrace", flag.ContinueOnError)
 	var (
-		alg       = flag.String("alg", "scan", "scan | inplace | strassen | fwscan | fwinplace | lcs | mergesort")
-		dim       = flag.Int("dim", 128, "matrix dimension (power of two)")
-		block     = flag.Int64("block", 8, "words per block")
-		stats     = flag.Bool("stats", false, "print trace statistics")
-		lru       = flag.Int64("lru", 0, "replay under a fixed-capacity cache with this many blocks (kernel chosen by -policy, default lru)")
-		policy    = flag.String("policy", "", "replacement policy for the -lru and -profile replays (\"\" = lru / square respectively); one of "+strings.Join(paging.ReplayNames(), ", "))
-		opt       = flag.Bool("opt", false, "also replay under Belady OPT (with -lru; needs a materialized trace)")
-		worstcase = flag.Bool("worstcase", false, "count multiplies completed within the Figure-1 profile")
-		reps      = flag.Int("reps", 16, "repetitions for -worstcase")
-		profPath  = flag.String("profile", "", "replay the trace against a TSV square profile (e.g. from profilegen)")
-		stream    = flag.Bool("stream", false, "stream the trace into each consumer instead of materializing it")
-		workers   = flag.Int("workers", 0, "worker bound for parallel square-partitioned replay (-worstcase, -profile); <1 = all cores, 1 = serial")
+		alg       = fs.String("alg", "scan", "scan | inplace | strassen | fwscan | fwinplace | lcs | mergesort")
+		dim       = fs.Int("dim", 128, "matrix dimension (power of two)")
+		block     = fs.Int64("block", 8, "words per block")
+		stats     = fs.Bool("stats", false, "print trace statistics")
+		lru       = fs.Int64("lru", 0, "replay under a fixed-capacity cache with this many blocks (kernel chosen by -policy, default lru)")
+		policy    = fs.String("policy", "", "replacement policy for the -lru and -profile replays (\"\" = lru / square respectively); one of "+strings.Join(paging.ReplayNames(), ", "))
+		opt       = fs.Bool("opt", false, "also replay under Belady OPT (with -lru; needs a materialized trace)")
+		worstcase = fs.Bool("worstcase", false, "count multiplies completed within the Figure-1 profile")
+		reps      = fs.Int("reps", 16, "repetitions for -worstcase")
+		profPath  = fs.String("profile", "", "replay the trace against a TSV square profile (e.g. from profilegen)")
+		stream    = fs.Bool("stream", false, "stream the trace into each consumer instead of materializing it")
+		workers   = fs.Int("workers", 0, "worker bound for parallel square-partitioned replay (-worstcase, -profile); <1 = all cores, 1 = serial")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	engine.SetSharedWorkers(*workers)
 
-	// Validate -policy up front so a typo fails before any trace is built.
-	if *policy != "" && !paging.HasPolicy(*policy) &&
-		*policy != paging.SquareReplayName && *policy != paging.OPTReplayName {
+	// Validate -policy and the flag combinations up front, so a typo fails
+	// before any trace is built.
+	if *policy != "" && !slices.Contains(paging.ReplayNames(), *policy) {
 		return fmt.Errorf("-policy %q is not an accepted replay policy (have %v)", *policy, paging.ReplayNames())
+	}
+	if *lru > 0 && *policy == paging.SquareReplayName {
+		return fmt.Errorf("-policy square is the cleared-cache profile replay; it has no fixed-capacity form (use -profile)")
+	}
+	if *stream && (*opt || *policy == paging.OPTReplayName) {
+		return fmt.Errorf("opt needs the full trace for the next-use precomputation; drop -stream")
 	}
 
 	var emit func(trace.Sink) error
@@ -126,8 +143,8 @@ func run() error {
 		return fmt.Errorf("unknown algorithm %q", *alg)
 	}
 
-	// Without -stream, materialize once and reuse the trace for every
-	// consumer, exactly as before.
+	// Without -stream, materialize once: every consumer replays the stored
+	// trace through tr.Emit, and the opt replays read it directly.
 	var tr *trace.Trace
 	if !*stream {
 		b := &trace.Builder{}
@@ -135,34 +152,22 @@ func run() error {
 			return err
 		}
 		tr = b.Build()
+		emit = tr.Emit
 	}
-	// measure streams one emission through a counting sink; with a
-	// materialized trace it reads the stored summary instead.
-	measure := func() (refs, leaves, maxBlock int64, err error) {
-		if tr != nil {
-			return int64(tr.Len()), tr.Leaves(), tr.MaxBlock(), nil
-		}
+	// measure streams one emission through a counting sink.
+	measure := func() (*trace.CountingSink, error) {
 		c := &trace.CountingSink{}
-		if err := emit(c); err != nil {
-			return 0, 0, 0, err
-		}
-		return c.Refs, c.Leaves, c.MaxBlock, nil
+		return c, emit(c)
 	}
 
 	did := false
 	if *stats {
-		fmt.Printf("algorithm=%s dim=%d B=%d\n", *alg, *dim, *block)
-		if tr != nil {
-			fmt.Printf("references=%d distinct-blocks=%d base-cases=%d\n",
-				tr.Len(), tr.DistinctBlocks(), tr.Leaves())
-		} else {
-			d := &distinctSink{}
-			if err := emit(d); err != nil {
-				return err
-			}
-			fmt.Printf("references=%d distinct-blocks=%d base-cases=%d\n",
-				d.Refs, d.distinct, d.Leaves)
+		d := &distinctSink{}
+		if err := emit(d); err != nil {
+			return err
 		}
+		fmt.Fprintf(stdout, "algorithm=%s dim=%d B=%d\n", *alg, *dim, *block)
+		fmt.Fprintf(stdout, "references=%d distinct-blocks=%d base-cases=%d\n", d.Refs, d.distinct, d.Leaves)
 		did = true
 	}
 	if *lru > 0 {
@@ -170,47 +175,28 @@ func run() error {
 		if name == "" {
 			name = "lru"
 		}
-		if name == paging.SquareReplayName {
-			return fmt.Errorf("-policy square is the cleared-cache profile replay; it has no fixed-capacity form (use -profile)")
-		}
-		refs, _, _, err := measure()
+		c, err := measure()
 		if err != nil {
 			return err
 		}
 		var misses int64
 		if name == paging.OPTReplayName {
-			if tr == nil {
-				return fmt.Errorf("-policy opt needs the full trace for the next-use precomputation; drop -stream")
-			}
-			misses, err = paging.RunOPTFixed(tr, *lru)
-			if err != nil {
-				return err
-			}
+			misses, err = paging.RunPolicyFixed(name, tr, *lru)
 		} else {
-			p, err := paging.NewReplacementPolicy(name, *lru)
-			if err != nil {
-				return err
-			}
-			if tr != nil {
-				p.Reserve(tr.MaxBlock())
-				trace.Replay(tr, paging.CacheSink{Cache: p})
-			} else if err := emit(paging.CacheSink{Cache: p}); err != nil {
-				return err
-			}
-			misses = p.Misses()
+			misses, err = kernelMisses(name, *lru, c.MaxBlock, emit)
+		}
+		if err != nil {
+			return err
 		}
 		label := strings.ToUpper(name)
-		fmt.Printf("%s(M=%d blocks): %d misses (%.1f%% of references)\n",
-			label, *lru, misses, 100*float64(misses)/float64(refs))
+		fmt.Fprintf(stdout, "%s(M=%d blocks): %d misses (%.1f%% of references)\n",
+			label, *lru, misses, 100*float64(misses)/float64(c.Refs))
 		if *opt && name != paging.OPTReplayName {
-			if tr == nil {
-				return fmt.Errorf("-opt needs the full trace for the next-use precomputation; drop -stream")
-			}
-			om, err := paging.RunOPTFixed(tr, *lru)
+			om, err := paging.RunPolicyFixed(paging.OPTReplayName, tr, *lru)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("OPT(M=%d blocks): %d misses (%s/OPT = %.2f)\n", *lru, om, label, float64(misses)/float64(om))
+			fmt.Fprintf(stdout, "OPT(M=%d blocks): %d misses (%s/OPT = %.2f)\n", *lru, om, label, float64(misses)/float64(om))
 		}
 		did = true
 	}
@@ -247,21 +233,16 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		refs, _, maxBlock, err := measure()
+		c, err := measure()
 		if err != nil {
 			return err
 		}
-		var served int64
-		if tr != nil {
-			served, err = paging.ServedRepeatParallel(tr, boxSrc, nBoxes, *reps, maxBlock+1, 0)
-		} else {
-			served, err = paging.ServedEmitRepeatParallel(emit, refs, maxBlock, boxSrc, nBoxes, *reps, maxBlock+1, 0)
-		}
+		served, err := paging.ServedEmitRepeatParallel(emit, c.Refs, c.MaxBlock, boxSrc, nBoxes, *reps, c.MaxBlock+1, 0)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("worst-case profile: %d boxes, %d I/Os; %s completed %d multiplies\n",
-			nBoxes, duration, *alg, served/refs)
+		fmt.Fprintf(stdout, "worst-case profile: %d boxes, %d I/Os; %s completed %d multiplies\n",
+			nBoxes, duration, *alg, served/c.Refs)
 		did = true
 	}
 	if *profPath != "" {
@@ -285,44 +266,16 @@ func run() error {
 		if name == "" {
 			name = paging.SquareReplayName
 		}
-		var st []paging.BoxStat
-		switch {
-		case name == paging.SquareReplayName && tr != nil:
-			st, err = paging.SquareRunParallel(tr, src, 0, 0)
-		case name == paging.SquareReplayName:
-			refs, _, maxBlock, merr := measure()
-			if merr != nil {
-				return merr
-			}
-			st, err = paging.SquareEmitParallel(emit, refs, maxBlock, src, 0, 0)
-		case tr != nil:
-			// Live kernels and the clairvoyant replay are serial: residency
-			// carries across box boundaries, so there is no square boundary
-			// to shard at.
-			st, err = paging.PolicyRun(name, tr, src, 0)
-		case name == paging.OPTReplayName:
-			return fmt.Errorf("-policy opt needs the full trace for the next-use precomputation; drop -stream")
-		default:
-			p, perr := paging.NewReplacementPolicy(name, 1)
-			if perr != nil {
-				return perr
-			}
-			_, _, maxBlock, merr := measure()
-			if merr != nil {
-				return merr
-			}
-			q := paging.NewPolicyStream(p, src, 0)
-			q.Reserve(maxBlock)
-			if err := emit(q); err != nil {
-				return err
-			}
-			st, err = q.Finish()
-		}
+		c, err := measure()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("custom profile %s (%d boxes, cycled as needed) under %s:\n", *profPath, prof.Len(), name)
-		fmt.Printf("boxes used=%d IOs=%d base-cases completed=%d\n",
+		st, err := paging.Replay(name, emit, c.Refs, c.MaxBlock, src, 0)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "custom profile %s (%d boxes, cycled as needed) under %s:\n", *profPath, prof.Len(), name)
+		fmt.Fprintf(stdout, "boxes used=%d IOs=%d base-cases completed=%d\n",
 			len(st), paging.TotalIOs(st), paging.TotalLeaves(st))
 		did = true
 	}
@@ -330,4 +283,18 @@ func run() error {
 		return fmt.Errorf("nothing to do: pass -stats, -lru, -worstcase, or -profile")
 	}
 	return nil
+}
+
+// kernelMisses replays the stream through the named registry kernel at a
+// fixed capacity and returns its miss count.
+func kernelMisses(name string, capacity, maxBlock int64, emit func(trace.Sink) error) (int64, error) {
+	p, err := paging.NewReplacementPolicy(name, capacity)
+	if err != nil {
+		return 0, err
+	}
+	p.Reserve(maxBlock)
+	if err := emit(paging.CacheSink{Cache: p}); err != nil {
+		return 0, err
+	}
+	return p.Misses(), nil
 }

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"repro/internal/adaptivity"
+	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/sharedcache"
@@ -60,7 +61,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		inp, err := adaptivity.MeasureTrace(regular.MMInPlaceSpec, n, src, 0)
+		inp, err := adaptivity.MeasureTracePolicy(regular.MMInPlaceSpec, n, paging.SquareReplayName, src, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

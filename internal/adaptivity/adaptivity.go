@@ -64,8 +64,8 @@ func (r RunResult) OpGap() float64 {
 // blocks against boxes from src, up to maxBoxes (0 = unbounded). The
 // symbolic backend implements the paper's simplified caching model, which
 // is exact for c = 1; for c < 1 it is pessimistic (boxes are not credited
-// with budget left over after short scans) — use MeasureTrace for faithful
-// c < 1 numbers.
+// with budget left over after short scans) — use MeasureTracePolicy for
+// faithful c < 1 numbers.
 func MeasureSymbolic(spec regular.Spec, n int64, src profile.Source, maxBoxes int64) (RunResult, error) {
 	e, err := regular.NewExec(spec, n)
 	if err != nil {
@@ -95,82 +95,26 @@ func MeasureSymbolicExec(e *regular.Exec, src profile.Source, maxBoxes int64) (R
 	return res, nil
 }
 
-// parallelTraceMinRefs is the stream length below which MeasureTrace does
-// not attempt a sharded replay: the parallel path pays a serial planning
-// pass over the whole stream, which only amortises on long streams.
-const parallelTraceMinRefs = int64(1) << 22
-
-// MeasureTrace streams the canonical synthetic trace for spec on n blocks
-// through the square-semantics cache against boxes from src. This is the
-// ground-truth backend; it is exact for every c. The trace is never
-// materialized — the generator emits straight into the square-cache sink —
-// so memory is O(n) (the residency set) rather than Θ(T(n)), and problem
-// sizes far beyond SyntheticTrace's materialization ceiling stream fine.
+// MeasureTracePolicy streams the canonical synthetic trace for spec on n
+// blocks through the named replay (paging.ReplayNames) against boxes from
+// src. This is the ground-truth backend; it is exact for every c.
 //
-// Long streams from a forkable source run as a parallel
-// square-partitioned replay on the shared engine pool
-// (paging.SquareEmitParallel); the result is byte-identical to the serial
-// replay at any worker count, so callers see only the wall-time
-// difference. Short streams, non-forkable sources, and saturated pools
-// take the plain serial path.
-func MeasureTrace(spec regular.Spec, n int64, src profile.Source, maxBoxes int64) (RunResult, error) {
-	total := int64(spec.IOCost(n))
-	if _, ok := src.(profile.ForkableSource); ok && total >= parallelTraceMinRefs {
-		if shards := paging.DefaultShards(); shards > 1 {
-			emit := func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
-			stats, err := paging.SquareEmitParallel(emit, total, n-1, src, maxBoxes, shards)
-			if err != nil {
-				return RunResult{}, err
-			}
-			return traceResult(spec, n, stats), nil
-		}
-	}
-	q := paging.NewSquareStream(src, maxBoxes)
-	q.Reserve(n - 1)
-	if err := regular.EmitSynthetic(spec, n, q); err != nil {
-		return RunResult{}, err
-	}
-	stats, err := q.Finish()
-	if err != nil {
-		return RunResult{}, err
-	}
-	return traceResult(spec, n, stats), nil
-}
-
-// MeasureTracePolicy is MeasureTrace generalised over the replacement
-// policy: the canonical synthetic trace for spec streams through the named
-// replay — a registered kernel (paging.PolicyNames) replayed live with the
-// box profile driving its capacity, "opt" for the clairvoyant box replay,
-// or "square" (or "") for the cleared-cache square semantics, which routes
-// to MeasureTrace itself. Only the square path shards: the live kernels
-// carry state across box boundaries, so a policy replay cannot be forked
-// mid-stream — it always runs serially. "opt" needs the future, so its
-// trace is materialized (regular.SyntheticTrace's ceiling applies).
+//   - "square" (or "") is the cleared-cache square semantics. The trace is
+//     never materialized, so memory is O(n) (the residency set) and
+//     problem sizes far beyond SyntheticTrace's materialization ceiling
+//     stream fine. Long streams shard across squares on the shared engine
+//     pool with byte-identical results (paging.Replay).
+//   - A registered kernel (paging.PolicyNames) replays live, with the box
+//     profile driving its capacity. Kernels carry state across box
+//     boundaries, so these replays always run serially.
+//   - "opt" is the clairvoyant box replay. It needs the future, so its
+//     trace is materialized under SyntheticTrace's ceiling.
 func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.Source, maxBoxes int64) (RunResult, error) {
-	switch policy {
-	case "", paging.SquareReplayName:
-		return MeasureTrace(spec, n, src, maxBoxes)
-	case paging.OPTReplayName:
-		tr, err := regular.SyntheticTrace(spec, n)
-		if err != nil {
-			return RunResult{}, err
-		}
-		stats, err := paging.OPTRunBoxes(tr, src, maxBoxes)
-		if err != nil {
-			return RunResult{}, err
-		}
-		return traceResult(spec, n, stats), nil
+	if policy == "" {
+		policy = paging.SquareReplayName
 	}
-	p, err := paging.NewReplacementPolicy(policy, 1)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("adaptivity: unknown replay policy %q (have %v)", policy, paging.ReplayNames())
-	}
-	q := paging.NewPolicyStream(p, src, maxBoxes)
-	q.Reserve(n - 1)
-	if err := regular.EmitSynthetic(spec, n, q); err != nil {
-		return RunResult{}, err
-	}
-	stats, err := q.Finish()
+	emit := func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
+	stats, err := paging.Replay(policy, emit, int64(spec.IOCost(n)), n-1, src, maxBoxes)
 	if err != nil {
 		return RunResult{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/stats"
@@ -65,7 +66,7 @@ func TestMeasureTraceMatchesSymbolicOnWorstCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := profile.NewSliceSource(wc)
-	tr, err := MeasureTrace(spec, n, src, 0)
+	tr, err := MeasureTracePolicy(spec, n, paging.SquareReplayName, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,8 @@ func TestMeasureTraceMatchesSymbolicOnWorstCase(t *testing.T) {
 }
 
 func TestMeasureTracePolicySquareRouting(t *testing.T) {
-	// "square" (and "") must hit MeasureTrace itself — identical results,
-	// not merely close ones.
+	// "square" (and "") must stream the synthetic trace into the square
+	// semantics itself — identical results, not merely close ones.
 	spec := regular.MMScanSpec
 	n := int64(64)
 	wc, err := profile.WorstCase(8, 4, n)
@@ -90,10 +91,15 @@ func TestMeasureTracePolicySquareRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := profile.NewSliceSource(wc)
-	want, err := MeasureTrace(spec, n, src, 0)
+	q := paging.NewSquareStream(src, 0)
+	if err := regular.EmitSynthetic(spec, n, q); err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := q.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := traceResult(spec, n, ledger)
 	for _, name := range []string{"square", ""} {
 		src2, _ := profile.NewSliceSource(wc)
 		got, err := MeasureTracePolicy(spec, n, name, src2, 0)
@@ -101,7 +107,7 @@ func TestMeasureTracePolicySquareRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("policy %q: %+v, MeasureTrace %+v", name, got, want)
+			t.Errorf("policy %q: %+v, SquareStream %+v", name, got, want)
 		}
 	}
 }
@@ -123,6 +129,28 @@ func TestMeasureTracePolicyFullBoxes(t *testing.T) {
 		}
 		if res.Boxes != 1 {
 			t.Errorf("%s: used %d boxes, want 1", name, res.Boxes)
+		}
+	}
+}
+
+// TestMeasureTracePolicyProgressIsLeafCount: every replay — live kernel,
+// clairvoyant or square — runs the algorithm to completion, so the leaves
+// credited across its boxes must equal the spec's leaf count.
+func TestMeasureTracePolicyProgressIsLeafCount(t *testing.T) {
+	spec := regular.MMScanSpec
+	n := profile.Pow(4, 4)
+	want := int64(spec.LeafCount(n))
+	for _, name := range paging.ReplayNames() {
+		src, err := profile.NewBoxesSource([]int64{64, 7, 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := MeasureTracePolicy(spec, n, name, src, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Progress != want {
+			t.Errorf("%s: progress %d, want the %d leaves of the algorithm", name, res.Progress, want)
 		}
 	}
 }

@@ -10,10 +10,12 @@ import (
 	"repro/internal/trace"
 )
 
-// measureMaterialized is the pre-refactor MeasureTrace: build the full
-// trace, then replay it through SquareRun.
+// measureMaterialized is the materialize-then-replay reference: build the
+// full trace, then replay it into one SquareStream.
 func measureMaterialized(spec regular.Spec, tr *trace.Trace, src profile.Source) (RunResult, error) {
-	stats, err := paging.SquareRun(tr, src, 0)
+	q := paging.NewSquareStream(src, 0)
+	trace.Replay(tr, q)
+	stats, err := q.Finish()
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -29,8 +31,8 @@ func measureMaterialized(spec regular.Spec, tr *trace.Trace, src profile.Source)
 // TestMeasureTraceBeyondMaterializationCeiling demonstrates the raised
 // size limit the streaming pipeline buys: a (3,2,1)-regular problem of
 // n = 2^17 blocks has T(n) = 3^18 − 2^18 ≈ 3.9·10^8 references, beyond
-// SyntheticTrace's 2^28 materialization ceiling — the old
-// materialize-then-replay MeasureTrace could not run it at all. The
+// SyntheticTrace's 2^28 materialization ceiling — a
+// materialize-then-replay backend could not run it at all. The
 // streaming backend completes it in O(n) memory (a ~1 MB residency array)
 // and the result obeys the Theorem 2 shape (gap ≈ log_b n + 1 on the
 // worst-case profile, bounded sanity here to keep the check cheap).
@@ -50,7 +52,7 @@ func TestMeasureTraceBeyondMaterializationCeiling(t *testing.T) {
 
 	// …while the streaming backend completes it.
 	src := profile.FuncSource(func() int64 { return 4096 })
-	res, err := MeasureTrace(spec, n, src, 0)
+	res, err := MeasureTracePolicy(spec, n, paging.SquareReplayName, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +87,12 @@ func TestMeasureTraceStreamingMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureTrace(spec, n, src1, 0)
+	res, err := MeasureTracePolicy(spec, n, paging.SquareReplayName, src1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Materialized reference: build the trace, replay via SquareRun.
+	// Materialized reference: build the trace, replay via SquareStream.
 	tr, err := regular.SyntheticTrace(spec, n)
 	if err != nil {
 		t.Fatal(err)

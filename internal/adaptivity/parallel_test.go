@@ -4,14 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
 )
 
-// TestMeasureTraceIdenticalAcrossWorkerCounts pins the MeasureTrace
+// shardMinRefs is the stream length from which paging.Replay shards a
+// square replay.
+const shardMinRefs = 1 << 22
+
+// TestMeasureTraceIdenticalAcrossWorkerCounts pins the square replay's
 // determinism contract on a stream long enough to take the sharded path
-// (T(n) >= parallelTraceMinRefs): the full RunResult — including the
-// float accumulations — must be identical at every worker count.
+// (T(n) >= shardMinRefs): the full RunResult — including the float
+// accumulations — must be identical at every worker count.
 func TestMeasureTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-reference stream")
@@ -19,7 +24,7 @@ func TestMeasureTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 	defer engine.SetSharedWorkers(0)
 	spec := regular.MMScanSpec
 	n := profile.Pow(4, 8) // T(n) ~ 17M refs, past the parallel threshold
-	if int64(spec.IOCost(n)) < parallelTraceMinRefs {
+	if int64(spec.IOCost(n)) < shardMinRefs {
 		t.Fatalf("test stream too short to exercise the parallel path")
 	}
 	boxes := []int64{4096, 557, 2048, 31}
@@ -30,7 +35,7 @@ func TestMeasureTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := MeasureTrace(spec, n, src, 0)
+		res, err := MeasureTracePolicy(spec, n, paging.SquareReplayName, src, 0)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -38,7 +43,7 @@ func TestMeasureTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	for i := 1; i < len(results); i++ {
 		if results[i] != results[0] {
-			t.Fatalf("MeasureTrace diverges across worker counts:\nworkers=1: %+v\nother:     %+v", results[0], results[i])
+			t.Fatalf("square replay diverges across worker counts:\nworkers=1: %+v\nother:     %+v", results[0], results[i])
 		}
 	}
 }
@@ -53,13 +58,13 @@ func TestMeasureTraceShortStreamStaysSerial(t *testing.T) {
 	boxes := []int64{64, 7}
 	engine.SetSharedWorkers(1)
 	src, _ := profile.NewBoxesSource(boxes)
-	want, err := MeasureTrace(spec, n, src, 0)
+	want, err := MeasureTracePolicy(spec, n, paging.SquareReplayName, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engine.SetSharedWorkers(8)
 	src, _ = profile.NewBoxesSource(boxes)
-	got, err := MeasureTrace(spec, n, src, 0)
+	got, err := MeasureTracePolicy(spec, n, paging.SquareReplayName, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,11 @@ func runA1(cfg Config) (*Table, error) {
 		}
 		boxes := wc.Boxes()
 		multiplies := func(tr *trace.Trace) (float64, error) {
-			f := paging.NewSquareFinisher(boxes)
+			src, err := profile.NewBoxesSource(boxes)
+			if err != nil {
+				return 0, err
+			}
+			f := paging.NewSquareFinisher(src, int64(len(boxes)))
 			trace.ReplayRepeat(tr, f, 8, tr.MaxBlock()+1)
 			if err := f.Err(); err != nil {
 				return 0, err
@@ -224,7 +228,7 @@ func runA2(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := paging.SquareRun(tr, src, 0)
+		st, err := paging.PolicyRun(paging.SquareReplayName, tr, src, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -88,7 +88,11 @@ func runA5(cfg Config) (*Table, error) {
 		// Stream the fresh-address repetitions straight into the square
 		// finisher for each profile — the repeated trace is never built.
 		countSorts := func(boxes []int64) (int, error) {
-			f := paging.NewSquareFinisher(boxes)
+			src, err := profile.NewBoxesSource(boxes)
+			if err != nil {
+				return 0, err
+			}
+			f := paging.NewSquareFinisher(src, int64(len(boxes)))
 			trace.ReplayRepeat(tr, f, reps, tr.MaxBlock()+1)
 			if err := f.Err(); err != nil {
 				return 0, err

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/gep"
 	"repro/internal/paging"
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -44,7 +45,11 @@ func runA4(cfg Config) (*Table, error) {
 		}
 		boxes := wc.Boxes()
 		count := func(tr *trace.Trace) (int, error) {
-			f := paging.NewSquareFinisher(boxes)
+			src, err := profile.NewBoxesSource(boxes)
+			if err != nil {
+				return 0, err
+			}
+			f := paging.NewSquareFinisher(src, int64(len(boxes)))
 			trace.ReplayRepeat(tr, f, reps, tr.MaxBlock()+1)
 			if err := f.Err(); err != nil {
 				return 0, err

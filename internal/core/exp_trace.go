@@ -192,11 +192,11 @@ func runE11(cfg Config) (*Table, error) {
 	}
 	var logM, logMiss []float64
 	for _, m := range []int64{16, 32, 64, 128, 256, 512, 1024} {
-		lru, err := paging.RunLRUFixed(tr, m)
+		lru, err := paging.RunPolicyFixed("lru", tr, m)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := paging.RunOPTFixed(tr, m)
+		opt, err := paging.RunPolicyFixed(paging.OPTReplayName, tr, m)
 		if err != nil {
 			return nil, err
 		}

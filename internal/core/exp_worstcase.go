@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/adaptivity"
+	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/stats"
@@ -104,7 +105,7 @@ func runE2(cfg Config) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err = adaptivity.MeasureTrace(c.spec, n, src, 0)
+				res, err = adaptivity.MeasureTracePolicy(c.spec, n, paging.SquareReplayName, src, 0)
 				if err != nil {
 					return nil, err
 				}

@@ -196,7 +196,7 @@ func TestTraceLCSCrossValidatesSymbolic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := paging.SquareRun(tr, src, 0)
+	stats, err := paging.PolicyRun(paging.SquareReplayName, tr, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestTraceTempReuse(t *testing.T) {
 func TestTraceSingleBoxServesMultiply(t *testing.T) {
 	scan, _ := TraceMulScan(32, 8)
 	src, _ := profile.NewSliceSource(profile.MustNew([]int64{scan.DistinctBlocks()}))
-	stats, err := paging.SquareRun(scan, src, 0)
+	stats, err := paging.PolicyRun(paging.SquareReplayName, scan, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

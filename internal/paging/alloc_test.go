@@ -177,14 +177,15 @@ func TestSquareStreamZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestSquareFinisherZeroAllocSteadyState: same shape as the stream — one
-// huge box, reserved residency, zero allocations per reference.
+// TestSquareFinisherZeroAllocSteadyState: with reserved residency, serving
+// references allocates nothing — including box advancement, which pulls
+// the next size from the source (the finisher keeps no per-box ledger).
 //
 // allocguard:SquareFinisher.Access
 func TestSquareFinisherZeroAllocSteadyState(t *testing.T) {
 	src := xrand.New(xrand.Split(50, "alloc-squarefin", 0))
 	tr := localTrace(src, 2000, 128)
-	f := NewSquareFinisher([]int64{1 << 40})
+	f := NewSquareFinisher(constSource{8}, 1<<40)
 	f.Reserve(tr.MaxBlock())
 	avg := testing.AllocsPerRun(10, func() {
 		for i := 0; i < tr.Len(); i++ {

@@ -22,7 +22,7 @@ import (
 // p, demotes resident overflow through the standard REPLACE rule, and trims
 // the ghost lists back under the ARC invariants (|T1|+|B1| <= c, total <=
 // 2c). At UnboundedCapacity the kernel never self-evicts and serves as an
-// EvictionPolicy: with no internal evictions there are no ghosts, p stays
+// external-bound policy: with no internal evictions there are no ghosts, p stays
 // 0, and the policy degrades to a two-segment LRU (T1 = seen once, T2 =
 // seen again; T1 drains first) — the honest adapter-mode semantics, since
 // the owning cache recycles IDs and decides evictions itself, which makes
@@ -225,7 +225,7 @@ func (a *ARC) replaceOne(inB2 bool) {
 	a.pushFront(arcB2, int64(lru))
 }
 
-// Touch records a hit for the EvictionPolicy surface: the resident block
+// Touch records a hit for the external-bound surface: the resident block
 // moves to T2's MRU end, exactly the Access hit path without counters.
 func (a *ARC) Touch(id int64) {
 	if !a.Contains(id) {
@@ -235,7 +235,7 @@ func (a *ARC) Touch(id int64) {
 	a.pushFront(arcT2, id)
 }
 
-// Insert admits a new entry for the EvictionPolicy surface: onto T1's MRU
+// Insert admits a new entry for the external-bound surface: onto T1's MRU
 // end, with no eviction — the owning cache decides when to evict. A stale
 // ghost under a recycled ID is forgotten first.
 func (a *ARC) Insert(id int64) {

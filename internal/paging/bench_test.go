@@ -109,7 +109,7 @@ func BenchmarkFIFOReplayOracle(b *testing.B) {
 func BenchmarkOPTReplayKernel(b *testing.B) {
 	tr := benchTrace(b)
 	perAccess(b, tr.Len(), func() {
-		if _, err := RunOPTFixed(tr, benchCapacity); err != nil {
+		if _, err := RunPolicyFixed(OPTReplayName, tr, benchCapacity); err != nil {
 			b.Fatal(err)
 		}
 	})

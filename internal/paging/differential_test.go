@@ -96,7 +96,7 @@ func TestOPTMatchesOracle(t *testing.T) {
 		src := xrand.New(xrand.Split(49, "opt-diff", int64(trial)))
 		tr := localTrace(src, 500, 1+src.Int63n(64))
 		for _, capacity := range []int64{1, 2, 3, 5, 8, 13, 21, 34} {
-			got, err := RunOPTFixed(tr, capacity)
+			got, err := RunPolicyFixed(OPTReplayName, tr, capacity)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func FuzzKernelsMatchOracles(f *testing.F) {
 		if tr.Len() == 0 {
 			return
 		}
-		got, err := RunOPTFixed(tr, capacity)
+		got, err := RunPolicyFixed(OPTReplayName, tr, capacity)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,6 @@
 package paging
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "fmt"
 
 // FIFO is a first-in-first-out page cache with dynamically adjustable
 // capacity — the other classical marking-free policy, included so the
@@ -100,10 +96,10 @@ func (f *FIFO) Contains(block int64) bool {
 func (f *FIFO) Capacity() int64 { return f.capacity }
 
 // Touch is a no-op — not reordering on hits is the definition of FIFO
-// (EvictionPolicy surface).
+// (external-bound surface).
 func (f *FIFO) Touch(int64) {}
 
-// Insert admits a new entry (EvictionPolicy surface). At UnboundedCapacity
+// Insert admits a new entry (external-bound surface). At UnboundedCapacity
 // the kernel never self-evicts, so Access doubles as the fill path.
 func (f *FIFO) Insert(id int64) { f.Access(id) }
 
@@ -201,18 +197,4 @@ func (f *FIFO) evict() {
 	f.resident[f.ring[f.ringHead]] = false
 	f.ringHead = (f.ringHead + 1) % len(f.ring)
 	f.size--
-}
-
-// RunFIFOFixed replays tr through a FIFO of fixed capacity and returns the
-// miss count.
-func RunFIFOFixed(tr *trace.Trace, capacity int64) (int64, error) {
-	f, err := NewFIFO(capacity)
-	if err != nil {
-		return 0, err
-	}
-	f.Reserve(tr.MaxBlock())
-	for i := 0; i < tr.Len(); i++ {
-		f.Access(tr.Block(i))
-	}
-	return f.Misses(), nil
 }

@@ -81,7 +81,7 @@ func TestFIFOSequentialScan(t *testing.T) {
 	b := &trace.Builder{}
 	b.AccessRange(0, 100)
 	tr := b.Build()
-	misses, err := RunFIFOFixed(tr, 10)
+	misses, err := RunPolicyFixed("fifo", tr, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestFIFOAgainstOPTProperty(t *testing.T) {
 		refs := int(refsRaw)%1200 + 10
 		tr := randomTrace(src, refs, 32)
 		capacity := int64(capRaw)%16 + 1
-		fifo, err1 := RunFIFOFixed(tr, capacity)
-		opt, err2 := RunOPTFixed(tr, capacity)
+		fifo, err1 := RunPolicyFixed("fifo", tr, capacity)
+		opt, err2 := RunPolicyFixed(OPTReplayName, tr, capacity)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -186,12 +186,12 @@ func (l *LRU) Contains(block int64) bool {
 	return block >= 0 && block < int64(len(l.slot)) && l.slot[block] != nilNode
 }
 
-// Touch records a use of a resident entry (EvictionPolicy surface). At
+// Touch records a use of a resident entry (external-bound surface). At
 // UnboundedCapacity the kernel never self-evicts, so Access doubles as both
 // Touch (hit path: move to front) and Insert (miss path: push front).
 func (l *LRU) Touch(id int64) { l.Access(id) }
 
-// Insert admits a new entry (EvictionPolicy surface); see Touch.
+// Insert admits a new entry (external-bound surface); see Touch.
 func (l *LRU) Insert(id int64) { l.Access(id) }
 
 // Victim returns the least recently used resident block — the one Access
@@ -221,20 +221,6 @@ func (l *LRU) Remove(block int64) bool {
 	l.free = append(l.free, s)
 	l.size--
 	return true
-}
-
-// RunLRUFixed replays tr through an LRU of fixed capacity and returns the
-// miss count — the DAM-model I/O cost of the trace.
-func RunLRUFixed(tr *trace.Trace, capacity int64) (int64, error) {
-	l, err := NewLRU(capacity)
-	if err != nil {
-		return 0, err
-	}
-	l.Reserve(tr.MaxBlock())
-	for i := 0; i < tr.Len(); i++ {
-		l.Access(tr.Block(i))
-	}
-	return l.Misses(), nil
 }
 
 // RunLRUProfile replays tr through an LRU whose capacity follows the raw

@@ -31,14 +31,14 @@ func randomTrace(src *xrand.Source, refs int, blockRange int64) *trace.Trace {
 	return b.Build()
 }
 
-// --- SquareRun --------------------------------------------------------------
+// --- Square replay (PolicyRun "square") -------------------------------------
 
 func TestSquareRunServesDistinctBlocksPerBox(t *testing.T) {
 	// Trace touching blocks 0..7 once each; boxes of size 4 → exactly two
 	// full boxes.
 	tr := buildTrace([]int64{0, 1, 2, 3, 4, 5, 6, 7}, nil)
 	src, _ := profile.NewSliceSource(profile.MustNew([]int64{4}))
-	stats, err := SquareRun(tr, src, 0)
+	stats, err := PolicyRun(SquareReplayName, tr, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSquareRunHitsAreFree(t *testing.T) {
 	blocks[100] = 1
 	tr := buildTrace(blocks, nil)
 	src, _ := profile.NewSliceSource(profile.MustNew([]int64{2}))
-	stats, err := SquareRun(tr, src, 0)
+	stats, err := PolicyRun(SquareReplayName, tr, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSquareRunClearsBetweenBoxes(t *testing.T) {
 	// 4 boxes.
 	tr := buildTrace([]int64{0, 1, 0, 1}, nil)
 	src, _ := profile.NewSliceSource(profile.MustNew([]int64{1}))
-	stats, err := SquareRun(tr, src, 0)
+	stats, err := PolicyRun(SquareReplayName, tr, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSquareRunClearsBetweenBoxes(t *testing.T) {
 func TestSquareRunLeafAttribution(t *testing.T) {
 	tr := buildTrace([]int64{0, 1, 2, 3}, map[int]bool{1: true, 3: true})
 	src, _ := profile.NewSliceSource(profile.MustNew([]int64{2}))
-	stats, err := SquareRun(tr, src, 0)
+	stats, err := PolicyRun(SquareReplayName, tr, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func TestSquareRunMaxBoxesGuard(t *testing.T) {
 	src2 := xrand.New(1)
 	tr := randomTrace(src2, 10000, 1000)
 	src, _ := profile.NewSliceSource(profile.MustNew([]int64{1}))
-	if _, err := SquareRun(tr, src, 5); err == nil {
+	if _, err := PolicyRun(SquareReplayName, tr, src, 5); err == nil {
 		t.Error("guard did not trip")
 	}
 }
 
 func TestSquareRunEmptyTrace(t *testing.T) {
-	stats, err := SquareRun((&trace.Builder{}).Build(), profile.FuncSource(func() int64 { return 1 }), 0)
+	stats, err := PolicyRun(SquareReplayName, (&trace.Builder{}).Build(), profile.FuncSource(func() int64 { return 1 }), 0)
 	if err != nil || stats != nil {
 		t.Errorf("empty trace: %v %v", stats, err)
 	}
@@ -119,7 +119,7 @@ func TestSquareRunInvariants(t *testing.T) {
 		tr := randomTrace(src, refs, 64)
 		boxSize := int64(boxRaw)%32 + 1
 		bs, _ := profile.NewSliceSource(profile.MustNew([]int64{boxSize}))
-		stats, err := SquareRun(tr, bs, 0)
+		stats, err := PolicyRun(SquareReplayName, tr, bs, 0)
 		if err != nil {
 			return false
 		}
@@ -269,7 +269,7 @@ func TestRunLRUFixedSequentialScan(t *testing.T) {
 	b := &trace.Builder{}
 	b.AccessRange(0, 100)
 	tr := b.Build()
-	misses, err := RunLRUFixed(tr, 10)
+	misses, err := RunPolicyFixed("lru", tr, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +285,12 @@ func TestRunLRUFixedLoopFitsCache(t *testing.T) {
 		b.AccessRange(0, 8)
 	}
 	tr := b.Build()
-	misses, _ := RunLRUFixed(tr, 8)
+	misses, _ := RunPolicyFixed("lru", tr, 8)
 	if misses != 8 {
 		t.Errorf("fitting loop misses = %d, want 8", misses)
 	}
 	// With capacity 4, LRU thrashes: every access misses.
-	misses, _ = RunLRUFixed(tr, 4)
+	misses, _ = RunPolicyFixed("lru", tr, 4)
 	if misses != 80 {
 		t.Errorf("thrashing loop misses = %d, want 80", misses)
 	}
@@ -323,7 +323,7 @@ func TestRunLRUProfile(t *testing.T) {
 // --- OPT ---------------------------------------------------------------------
 
 func TestOPTValidation(t *testing.T) {
-	if _, err := RunOPTFixed((&trace.Builder{}).Build(), 0); err == nil {
+	if _, err := RunPolicyFixed(OPTReplayName, (&trace.Builder{}).Build(), 0); err == nil {
 		t.Error("capacity 0 accepted")
 	}
 }
@@ -336,8 +336,8 @@ func TestOPTBeatsLRUOnLoop(t *testing.T) {
 		b.AccessRange(0, 5)
 	}
 	tr := b.Build()
-	lru, _ := RunLRUFixed(tr, 4)
-	opt, err := RunOPTFixed(tr, 4)
+	lru, _ := RunPolicyFixed("lru", tr, 4)
+	opt, err := RunPolicyFixed(OPTReplayName, tr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +357,8 @@ func TestOPTOptimalityProperty(t *testing.T) {
 		refs := int(refsRaw)%1500 + 10
 		tr := randomTrace(src, refs, 32)
 		capacity := int64(capRaw)%16 + 1
-		lru, err1 := RunLRUFixed(tr, capacity)
-		opt, err2 := RunOPTFixed(tr, capacity)
+		lru, err1 := RunPolicyFixed("lru", tr, capacity)
+		opt, err2 := RunPolicyFixed(OPTReplayName, tr, capacity)
 		if err1 != nil || err2 != nil {
 			return false
 		}

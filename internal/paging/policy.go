@@ -6,50 +6,27 @@ import (
 	"sort"
 )
 
-// EvictionPolicy is the pluggable ordering behind a bounded cache: it
-// answers "which entry should go next" while the caller owns the entries
-// themselves and decides *when* to evict (an entry-count bound, a bytes
-// bound, a TTL sweep — whatever the cache's contract is). IDs are small
-// dense non-negative integers allocated by the caller, which is exactly
-// the dense-remapped universe the array-backed kernels in this package
-// are built for; the kernels implement this surface directly, so the
-// simulator's replay kernels double as the production result cache's
-// eviction engines.
+// ReplacementPolicy is the streaming kernel contract every registered
+// policy implements. One array-backed kernel serves two operating modes:
 //
-// Contract: Insert an ID at most once until it is Removed; Touch only
-// resident IDs; Victim returns a resident ID without removing it (-1 when
-// empty) and is stable until the next mutation. None of the methods are
-// safe for concurrent use — the owning cache holds its own lock.
-type EvictionPolicy interface {
-	// Touch records a use of a resident entry (a cache hit).
-	Touch(id int64)
-	// Insert admits a new entry (a cache fill).
-	Insert(id int64)
-	// Victim reports which resident entry the policy would evict next,
-	// or -1 when it tracks none. It does not remove the entry.
-	Victim() int64
-	// Remove forgets an entry (eviction, invalidation, expiry) and
-	// reports whether it was tracked.
-	Remove(id int64) bool
-	// Len reports how many entries the policy currently tracks.
-	Len() int64
-}
-
-// ReplacementPolicy is the full streaming kernel contract every registered
-// policy implements: the EvictionPolicy surface above (external-bound mode,
-// where the owning cache decides when to evict) plus the replay surface
-// (the kernel enforces its own — dynamically resizable — capacity, the way
-// the cache-adaptive model requires). One array-backed kernel serves both
-// modes: constructed at UnboundedCapacity it never self-evicts and the
-// caller drives eviction through Victim/Remove; constructed at a finite
-// capacity, Access self-evicts per the policy.
+//   - Replay mode: constructed at a finite capacity, the kernel enforces
+//     its own — dynamically resizable — capacity, the way the
+//     cache-adaptive model requires, and Access self-evicts per the policy.
+//   - External-bound mode: constructed at UnboundedCapacity, the kernel
+//     never self-evicts. The owning cache decides *when* to evict (an
+//     entry-count bound, a bytes bound, a TTL sweep) and asks the kernel
+//     *which* entry should go through Touch/Insert/Victim/Remove. That is
+//     how the simulator's replay kernels double as the production result
+//     cache's eviction engines (internal/service).
 //
 // Kernels are built for dense-remapped block universes (IDs allocated
 // contiguously from 0): memory is O(max block ID seen), every operation is
 // O(1) amortised, and the steady state of a Reserved replay performs no
-// allocations.
+// allocations. External-bound contract: Insert an ID at most once until it
+// is Removed; Touch only resident IDs; Victim is stable until the next
+// mutation. None of the methods are safe for concurrent use — the owner
+// holds its own lock.
 type ReplacementPolicy interface {
-	EvictionPolicy
 	// Access touches block against the kernel's own capacity, returning
 	// true on a hit; on a miss the block is fetched, self-evicting per
 	// the policy when the cache is full.
@@ -73,11 +50,24 @@ type ReplacementPolicy interface {
 	Hits() int64
 	// Misses reports the number of accesses that required a fetch.
 	Misses() int64
+
+	// Touch records a use of a resident entry (a cache hit).
+	Touch(id int64)
+	// Insert admits a new entry (a cache fill).
+	Insert(id int64)
+	// Victim reports which resident entry the policy would evict next,
+	// or -1 when it tracks none. It does not remove the entry.
+	Victim() int64
+	// Remove forgets an entry (eviction, invalidation, expiry) and
+	// reports whether it was tracked.
+	Remove(id int64) bool
+	// Len reports how many entries the policy currently tracks.
+	Len() int64
 }
 
 // UnboundedCapacity is the capacity at which a kernel never self-evicts —
-// the external-bound (EvictionPolicy) operating mode, where the owning
-// cache calls Victim/Remove when *its* bound trips.
+// the external-bound operating mode, where the owning cache calls
+// Victim/Remove when *its* bound trips.
 const UnboundedCapacity = int64(math.MaxInt64)
 
 // PolicyInfo describes one registered replacement policy.
@@ -129,18 +119,6 @@ func NewReplacementPolicy(name string, capacity int64) (ReplacementPolicy, error
 		return nil, fmt.Errorf("paging: unknown eviction policy %q (have %v)", name, PolicyNames())
 	}
 	return info.New(capacity)
-}
-
-// NewPolicy returns a fresh eviction policy by name, operating in
-// external-bound mode: the kernel's capacity is pinned at
-// UnboundedCapacity so it never self-evicts, and the caller drives
-// eviction through Victim/Remove.
-func NewPolicy(name string) (EvictionPolicy, error) {
-	p, err := NewReplacementPolicy(name, UnboundedCapacity)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // HasPolicy reports whether name is registered.

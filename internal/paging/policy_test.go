@@ -1,6 +1,7 @@
 package paging
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/xrand"
@@ -49,7 +50,7 @@ func (r *refPolicy) Remove(id int64) bool {
 func (r *refPolicy) Len() int64 { return int64(len(r.order)) }
 
 // policyRef is the surface a naive reference model implements — the
-// EvictionPolicy methods, nothing more.
+// external-bound Touch/Insert/Victim/Remove/Len methods, nothing more.
 type policyRef interface {
 	Touch(id int64)
 	Insert(id int64)
@@ -127,7 +128,7 @@ func (r *refSegmented) Remove(id int64) bool {
 func (r *refSegmented) Len() int64 { return int64(len(r.probation) + len(r.protected)) }
 
 // newPolicyRef returns the naive reference model for a registered policy's
-// adapter (EvictionPolicy) surface, or nil if none is written yet — which
+// external-bound (Touch/Insert/Victim/Remove) surface, or nil if none is written yet — which
 // fails the test, deliberately: registering a policy means writing its
 // reference.
 func newPolicyRef(name string) policyRef {
@@ -152,7 +153,7 @@ func newPolicyRef(name string) policyRef {
 func TestPolicyMatchesReference(t *testing.T) {
 	for _, name := range PolicyNames() {
 		t.Run(name, func(t *testing.T) {
-			p, err := NewPolicy(name)
+			p, err := NewReplacementPolicy(name, UnboundedCapacity)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,9 +222,17 @@ func TestPolicyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestNewPolicyUnknownName: the one policy constructor rejects an unknown
+// name and lists the registry, so a -cache-policy typo is self-diagnosing.
 func TestNewPolicyUnknownName(t *testing.T) {
-	if _, err := NewPolicy("belady-crystal-ball"); err == nil {
+	_, err := NewReplacementPolicy("belady-crystal-ball", UnboundedCapacity)
+	if err == nil {
 		t.Fatal("unknown policy name accepted")
+	}
+	for _, name := range PolicyNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list registered policy %q", err, name)
+		}
 	}
 }
 

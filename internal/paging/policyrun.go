@@ -25,15 +25,15 @@ import (
 // box-profile replay, alongside the kernel registry (PolicyNames).
 const (
 	// SquareReplayName selects the cleared-cache square semantics
-	// (SquareRun) — the paper's upper-bound discretisation, identical for
-	// every policy.
+	// (SquareStream) — the paper's upper-bound discretisation, identical
+	// for every policy.
 	SquareReplayName = "square"
 	// OPTReplayName selects Belady's farthest-in-future choice replayed
-	// under the box profile (OPTRunBoxes) — the clairvoyant baseline.
+	// under the box profile — the clairvoyant baseline.
 	OPTReplayName = "opt"
 )
 
-// ReplayNames lists every name PolicyRun accepts: the registered kernels
+// ReplayNames lists every name Replay accepts: the registered kernels
 // plus the reserved "opt" and "square" replays, sorted.
 func ReplayNames() []string {
 	names := PolicyNames()
@@ -176,34 +176,98 @@ var (
 	_ trace.Stopper = (*PolicyStream)(nil)
 )
 
-// PolicyRun replays tr under the box profile src by name: a registered
-// kernel streams through PolicyStream, "square" selects the cleared-cache
-// square semantics, and "opt" the clairvoyant box replay. Unknown names
-// error with every accepted name listed.
-func PolicyRun(name string, tr *trace.Trace, src profile.Source, maxBoxes int64) ([]BoxStat, error) {
+// Stream-length thresholds for Replay.
+const (
+	// shardMinRefs is the stream length below which a square replay does
+	// not attempt a sharded run: the parallel path pays a serial planning
+	// pass over the whole stream, which only amortises on long streams.
+	shardMinRefs = int64(1) << 22
+	// optMaxRefs is the most references the opt replay materializes — the
+	// ceiling regular.SyntheticTrace enforces.
+	optMaxRefs = int64(1) << 28
+)
+
+// Replay runs a generated stream under the box profile src by replay name
+// (ReplayNames) and returns the per-box ledger. emit must produce the
+// identical reference sequence on every call; a materialized trace passes
+// tr.Emit. totalRefs is the stream length and maxBlock its largest block
+// ID (-1 if unknown), used to pre-size state. maxBoxes guards against
+// pathological stalls (0 = unbounded).
+//
+//   - A registered kernel streams through PolicyStream.
+//   - "square" streams through SquareStream. A stream of at least 2^22
+//     references shards via SquareEmitParallel when DefaultShards() > 1,
+//     with byte-identical output; otherwise src is consumed directly.
+//   - "opt" needs the future, so it materializes the stream (refusing more
+//     than 2^28 references before building anything) and runs Belady's
+//     farthest-in-future choice under the profile.
+//
+// Unknown names error with every accepted name listed. This is the one
+// dispatch over ReplayNames; PolicyRun and the adaptivity and mmtrace
+// replays all go through it.
+func Replay(name string, emit func(trace.Sink) error, totalRefs, maxBlock int64, src profile.Source, maxBoxes int64) ([]BoxStat, error) {
 	switch name {
 	case SquareReplayName:
-		return SquareRun(tr, src, maxBoxes)
+		if totalRefs >= shardMinRefs {
+			if shards := DefaultShards(); shards > 1 {
+				return SquareEmitParallel(emit, totalRefs, maxBlock, src, maxBoxes, shards)
+			}
+		}
+		return replayInto(NewSquareStream(src, maxBoxes), emit, maxBlock)
 	case OPTReplayName:
-		return OPTRunBoxes(tr, src, maxBoxes)
+		if totalRefs > optMaxRefs {
+			return nil, fmt.Errorf("paging: opt replay of %d references is too large to materialize (ceiling %d)", totalRefs, optMaxRefs)
+		}
+		b := &trace.Builder{}
+		if err := emit(b); err != nil {
+			return nil, err
+		}
+		return optRunBoxes(b.Build(), src, maxBoxes)
 	}
 	p, err := NewReplacementPolicy(name, 1)
 	if err != nil {
 		return nil, fmt.Errorf("paging: unknown replay policy %q (have %v)", name, ReplayNames())
 	}
-	q := NewPolicyStream(p, src, maxBoxes)
-	q.Reserve(tr.MaxBlock())
-	trace.Replay(tr, q)
+	return replayInto(NewPolicyStream(p, src, maxBoxes), emit, maxBlock)
+}
+
+// boxStream is the shared shape of SquareStream and PolicyStream.
+type boxStream interface {
+	trace.Sink
+	Reserve(maxBlock int64)
+	Finish() ([]BoxStat, error)
+}
+
+// replayInto emits the stream into q and closes its ledger.
+func replayInto(q boxStream, emit func(trace.Sink) error, maxBlock int64) ([]BoxStat, error) {
+	if maxBlock >= 0 {
+		q.Reserve(maxBlock)
+	}
+	if err := emit(q); err != nil {
+		return nil, err
+	}
 	return q.Finish()
+}
+
+// PolicyRun replays a materialized trace under the box profile src by
+// replay name; see Replay.
+func PolicyRun(name string, tr *trace.Trace, src profile.Source, maxBoxes int64) ([]BoxStat, error) {
+	return Replay(name, tr.Emit, int64(tr.Len()), tr.MaxBlock(), src, maxBoxes)
 }
 
 // RunPolicyFixed replays tr at a fixed capacity by name — a registered
 // kernel, or "opt" for Belady's baseline — and returns the miss count.
-// This is the DAM-model counterpart of PolicyRun, used by the smoothness
-// experiment's Δfaults/Δcapacity probes.
+// This is the DAM-model counterpart of Replay, used by the DAM-validation
+// and smoothness experiments. Registry kernels run a bare access loop, the
+// cheapest fixed-capacity replay there is; "opt" is the box replay at a
+// constant profile, whose I/Os are exactly fixed-capacity OPT's misses.
 func RunPolicyFixed(name string, tr *trace.Trace, capacity int64) (int64, error) {
 	if name == OPTReplayName {
-		return RunOPTFixed(tr, capacity)
+		if capacity < 1 {
+			return 0, fmt.Errorf("paging: OPT capacity %d < 1", capacity)
+		}
+		stats, err := optRunBoxes(tr, profile.FuncSource(func() int64 { return capacity }), 0)
+		return TotalIOs(stats), err
 	}
 	p, err := NewReplacementPolicy(name, capacity)
 	if err != nil {

@@ -1,10 +1,12 @@
 package paging
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/profile"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -53,8 +55,8 @@ func TestPolicyRunConstantProfileMatchesFixed(t *testing.T) {
 	}
 }
 
-// TestPolicyRunSquareRouting: the reserved "square" name must hit the
-// existing cleared-cache square path exactly.
+// TestPolicyRunSquareRouting: the reserved "square" name must replay
+// through the cleared-cache SquareStream exactly.
 func TestPolicyRunSquareRouting(t *testing.T) {
 	src := xrand.New(xrand.Split(52, "policyrun-square", 0))
 	tr := localTrace(src, 600, 48)
@@ -74,17 +76,48 @@ func TestPolicyRunSquareRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SquareRun(tr, bs2, 0)
+	q := NewSquareStream(bs2, 0)
+	trace.Replay(tr, q)
+	want, err := q.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("square routing: %d boxes, SquareRun %d", len(got), len(want))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("square routing ledger diverges from SquareStream:\ngot  %+v\nwant %+v", got, want)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("square routing box %d: %+v, SquareRun %+v", i, got[i], want[i])
+}
+
+// TestPolicyRunLeafAttribution: every replay name credits each leaf to the
+// box that served its last access. Boxes of size 2 over a trace that
+// misses on every reference close after each pair, and a leaf ends each
+// pair, so every box completes exactly one leaf.
+func TestPolicyRunLeafAttribution(t *testing.T) {
+	tr := buildTrace([]int64{0, 1, 2, 3, 0, 1}, map[int]bool{1: true, 3: true, 5: true})
+	for _, name := range ReplayNames() {
+		stats, err := PolicyRun(name, tr, constSource{2}, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if len(stats) != 3 {
+			t.Fatalf("%s: %d boxes, want 3: %+v", name, len(stats), stats)
+		}
+		for i, b := range stats {
+			if b.Leaves != 1 {
+				t.Errorf("%s box %d completed %d leaves, want 1: %+v", name, i, b.Leaves, stats)
+			}
+		}
+	}
+}
+
+// TestReplayOPTRefusesBeyondCeiling: the opt replay must refuse a stream
+// past the materialization ceiling before emitting a single reference.
+func TestReplayOPTRefusesBeyondCeiling(t *testing.T) {
+	emit := func(trace.Sink) error {
+		t.Fatal("opt replay started materializing a stream past its ceiling")
+		return nil
+	}
+	if _, err := Replay(OPTReplayName, emit, 1<<28+1, 15, constSource{4}, 0); err == nil {
+		t.Fatal("opt replay accepted a stream past the ceiling")
 	}
 }
 
@@ -179,8 +212,8 @@ func TestPolicyRunUnknownName(t *testing.T) {
 }
 
 // TestOPTRunBoxesNeverWorseThanKernels: under a constant profile the
-// clairvoyant replay is the true fixed-capacity OPT, so no kernel may beat
-// it.
+// clairvoyant "opt" box replay is the true fixed-capacity OPT, so no kernel
+// may beat it.
 func TestOPTRunBoxesNeverWorseThanKernels(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		src := xrand.New(xrand.Split(55, "optboxes-floor", int64(trial)))

@@ -190,11 +190,11 @@ func TestOPTNeverWorseThanLRU(t *testing.T) {
 		src := xrand.New(xrand.Split(45, "opt-vs-lru", int64(trial)))
 		tr := localTrace(src, 400, 40)
 		for _, capacity := range []int64{1, 2, 3, 5, 8, 13, 21, 40} {
-			opt, err := RunOPTFixed(tr, capacity)
+			opt, err := RunPolicyFixed(OPTReplayName, tr, capacity)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lru, err := RunLRUFixed(tr, capacity)
+			lru, err := RunPolicyFixed("lru", tr, capacity)
 			if err != nil {
 				t.Fatal(err)
 			}

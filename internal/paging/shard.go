@@ -73,22 +73,6 @@ func cutStride(totalRefs int64, shards int) int64 {
 	return stride
 }
 
-// growResident extends an epoch-stamped residency array to cover block.
-// Planner and finisher epochs start at 1, so zero-filled growth means
-// "not resident" without a fill pass.
-func growResident(resident []int64, block int64) []int64 {
-	if block < int64(len(resident)) {
-		return resident
-	}
-	n := int64(len(resident)) * 2
-	if n <= block {
-		n = block + 1
-	}
-	grown := make([]int64, n)
-	copy(grown, resident)
-	return grown
-}
-
 // ---------------------------------------------------------------------------
 // Plan pass: SquareStream semantics.
 
@@ -183,7 +167,7 @@ func (p *squarePlanner) bounds() []Checkpoint {
 // ---------------------------------------------------------------------------
 // Plan pass: repeated-stream finisher semantics.
 
-// repeatPlanner replays srcFinisher semantics over reps shifted
+// repeatPlanner replays SquareFinisher semantics over reps shifted
 // repetitions of a base stream using one base-address residency array:
 // because repetitions are relocated to disjoint address ranges (stride >
 // maxBlock), "resident" is a property of (box, repetition), captured in a
@@ -225,7 +209,7 @@ func newRepeatPlanner(src profile.Source, nBoxes int64, reps int, maxBlock, cut 
 	return p
 }
 
-// Access mirrors srcFinisher.Access under the composite-stamp encoding.
+// Access mirrors SquareFinisher.Access under the composite-stamp encoding.
 func (p *repeatPlanner) Access(block int64) {
 	if p.done || p.err != nil {
 		return
@@ -279,105 +263,11 @@ func (p *repeatPlanner) bounds() []Checkpoint {
 	return append(b, Checkpoint{Box: p.bi, Ref: p.ref})
 }
 
-// ---------------------------------------------------------------------------
-// Source-pulled finisher.
-
-// srcFinisher is SquareFinisher with its box sequence pulled lazily from a
-// profile source instead of a materialised slice — box advancement,
-// validation, and served accounting are identical (the equivalence is
-// pinned by tests). It exists so shards and streamed profiles never
-// materialise box slices: a shard pulls only the boxes its window
-// consumes, and a dim-4096-class worst-case profile is never held in
-// memory at all.
-type srcFinisher struct {
-	src      profile.Source
-	left     int64 // boxes remaining, including the current one
-	resident []int64
-	epoch    int64
-	size     int64
-	ios      int64
-	served   int64
-	done     bool
-	err      error
-}
-
-// newSrcFinisher pulls boxes from src, serving at most nBoxes of them. The
-// first box is validated eagerly, matching NewSquareFinisher.
-func newSrcFinisher(src profile.Source, nBoxes int64) *srcFinisher {
-	f := &srcFinisher{src: src, left: nBoxes, epoch: 1}
-	if nBoxes <= 0 {
-		f.done = true
-		return f
-	}
-	f.size = src.Next()
-	if f.size < 1 {
-		f.err = fmt.Errorf("paging: box size %d invalid", f.size)
-	}
-	return f
-}
-
-// Reserve pre-sizes the residency array for block IDs up to maxBlock.
-func (f *srcFinisher) Reserve(maxBlock int64) {
-	f.resident = growResident(f.resident, maxBlock)
-}
-
-// Access serves one reference, advancing to the next box when the current
-// budget is exhausted; references after the last box ends are unserved.
-func (f *srcFinisher) Access(block int64) {
-	if f.done || f.err != nil {
-		return
-	}
-	f.resident = growResident(f.resident, block)
-	if f.resident[block] == f.epoch {
-		f.served++
-		return
-	}
-	if f.ios == f.size {
-		f.left--
-		if f.left <= 0 {
-			f.done = true
-			return
-		}
-		f.size = f.src.Next()
-		if f.size < 1 {
-			f.err = fmt.Errorf("paging: box size %d invalid", f.size)
-			return
-		}
-		// Fresh square: cache cleared.
-		f.epoch++
-		f.ios = 0
-	}
-	f.resident[block] = f.epoch
-	f.ios++
-	f.served++
-}
-
-// AccessRange serves blocks [lo, lo+count) in order.
-func (f *srcFinisher) AccessRange(lo, count int64) {
-	for i := int64(0); i < count && !f.done && f.err == nil; i++ {
-		f.Access(lo + i)
-	}
-}
-
-// EndLeaf is a no-op: the finisher measures references served.
-func (f *srcFinisher) EndLeaf() {}
-
-// Served reports how many stream references the boxes served so far.
-func (f *srcFinisher) Served() int64 { return f.served }
-
-// Stopped reports whether further accesses would be ignored.
-func (f *srcFinisher) Stopped() bool { return f.done || f.err != nil }
-
-// Err reports the first invalid-box error, if any.
-func (f *srcFinisher) Err() error { return f.err }
-
 var (
 	_ trace.Sink    = (*squarePlanner)(nil)
 	_ trace.Stopper = (*squarePlanner)(nil)
 	_ trace.Sink    = (*repeatPlanner)(nil)
 	_ trace.Stopper = (*repeatPlanner)(nil)
-	_ trace.Sink    = (*srcFinisher)(nil)
-	_ trace.Stopper = (*srcFinisher)(nil)
 )
 
 // ---------------------------------------------------------------------------
@@ -424,7 +314,7 @@ func execSquareShards(bounds []Checkpoint, fork forkAt, maxBlock int64, replayRa
 	return stats, nil
 }
 
-// execRepeatShards runs one srcFinisher per non-empty shard window of a
+// execRepeatShards runs one SquareFinisher per non-empty shard window of a
 // reps×refsPerRep repeated stream and sums the served counts. Each shard
 // rebases its repetitions to start at shift 0 (repetition r of the shard
 // replays at shift (r-r1)·stride), so a shard's residency array spans only
@@ -440,7 +330,7 @@ func execRepeatShards(bounds []Checkpoint, fork forkAt, nBoxes, refsPerRep, stri
 		}
 		r1 := loRef / refsPerRep
 		r2 := (hiRef - 1) / refsPerRep
-		f := newSrcFinisher(fork(bounds[k].Box), nBoxes-bounds[k].Box)
+		f := NewSquareFinisher(fork(bounds[k].Box), nBoxes-bounds[k].Box)
 		for r := r1; r <= r2; r++ {
 			lo := loRef - r*refsPerRep
 			if lo < 0 {
@@ -480,49 +370,20 @@ func execRepeatShards(bounds []Checkpoint, fork forkAt, nBoxes, refsPerRep, stri
 // ---------------------------------------------------------------------------
 // Public entry points.
 
-// SquareRunParallel is SquareRun split into per-square-range shards
-// executed on the shared engine pool. The returned statistics and error
-// are byte-identical to SquareRun's at any shard count; shards <= 0 picks
-// DefaultShards(). Parallel execution needs a profile.ForkableSource —
-// any other source, a single shard, or a planning-pass error falls back to
-// the serial path. When src is forkable its own cursor is never advanced
-// (all passes consume forks); a non-forkable src is consumed exactly as
-// SquareRun consumes it.
-func SquareRunParallel(tr *trace.Trace, src profile.Source, maxBoxes int64, shards int) ([]BoxStat, error) {
-	fsrc, ok := src.(profile.ForkableSource)
-	if !ok {
-		return SquareRun(tr, src, maxBoxes)
-	}
-	if shards <= 0 {
-		shards = DefaultShards()
-	}
-	if shards <= 1 || tr.Len() < 2 {
-		return SquareRun(tr, fsrc.ForkAt(0), maxBoxes)
-	}
-	p := newSquarePlanner(fsrc.ForkAt(0), maxBoxes, cutStride(int64(tr.Len()), shards))
-	p.resident = growResident(p.resident, tr.MaxBlock())
-	for i, n := 0, tr.Len(); i < n && p.err == nil; i++ {
-		p.Access(tr.Block(i))
-	}
-	if p.err != nil {
-		// Rerun serially: partial statistics and the error value must match
-		// the serial path exactly, and errors are not the case to optimise.
-		return SquareRun(tr, fsrc.ForkAt(0), maxBoxes)
-	}
-	return execSquareShards(p.bounds(), fsrc.ForkAt, tr.MaxBlock(), func(q trace.Sink, lo, hi int64) error {
-		trace.ReplayRange(tr, q, int(lo), int(hi))
-		return nil
-	})
-}
-
-// SquareEmitParallel is SquareRunParallel for a generated (never
-// materialised) stream: emit must produce the identical reference sequence
-// on every call — the standard generator contract — and is invoked once
-// for the planning pass and once per shard with a trace.WindowSink
-// selecting the shard's slice. totalRefs is the expected stream length; it
-// only spaces the shard cuts, so an estimate merely unbalances shards.
-// maxBlock pre-sizes residency arrays (pass -1 if unknown). Output is
-// byte-identical to emitting into a single SquareStream(src, maxBoxes).
+// SquareEmitParallel replays a generated stream under square semantics,
+// split into per-square-range shards executed on the shared engine pool.
+// emit must produce the identical reference sequence on every call — the
+// standard generator contract; a materialized trace passes tr.Emit. It is
+// invoked once for the planning pass and once per shard with a
+// trace.WindowSink selecting the shard's slice. totalRefs is the expected
+// stream length; it only spaces the shard cuts, so an estimate merely
+// unbalances shards. maxBlock pre-sizes residency arrays (pass -1 if
+// unknown). Output and error are byte-identical to emitting into a single
+// SquareStream(src, maxBoxes) at any shard count; shards <= 0 picks
+// DefaultShards(). Parallel execution needs a profile.ForkableSource: a
+// non-forkable src is consumed serially, exactly as a SquareStream would
+// consume it, while a forkable one is never advanced — a single shard or a
+// planning-pass error replays serially from src.ForkAt(0).
 func SquareEmitParallel(emit func(trace.Sink) error, totalRefs, maxBlock int64, src profile.Source, maxBoxes int64, shards int) ([]BoxStat, error) {
 	serial := func(s profile.Source) ([]BoxStat, error) {
 		q := NewSquareStream(s, maxBoxes)
@@ -559,67 +420,27 @@ func SquareEmitParallel(emit func(trace.Sink) error, totalRefs, maxBlock int64, 
 	})
 }
 
-// ServedRepeatParallel counts the references served when reps shifted
-// copies of tr (repetition r at block shift r·stride — the
-// RepeatTraceFresh semantics) are replayed against the first nBoxes boxes
-// of src under finisher semantics. It is the parallel form of
-// NewSquareFinisher + trace.ReplayRepeat, with the box sequence pulled
-// from a source so it need never be materialised; the result and error
-// match the serial replay exactly at any shard count.
+// ServedEmitRepeatParallel counts the references served when reps shifted
+// copies of a generated base stream (repetition r at block shift r·stride
+// — the RepeatTraceFresh semantics) are replayed against the first nBoxes
+// boxes of src under SquareFinisher semantics. emit replays the base
+// workload (refsPerRep references, block IDs in [0, maxBlock]) and must
+// produce the identical sequence on every call; a materialized trace
+// passes tr.Emit. The result and error match the serial replay exactly at
+// any shard count; shards <= 0 picks DefaultShards().
 //
-// The sharded path additionally requires stride > tr.MaxBlock() (each
-// repetition in a fresh address range — the condition under which the
-// planner's compact per-repetition stamps are exact); a smaller stride,
-// like a non-forkable source, falls back to the serial replay.
-func ServedRepeatParallel(tr *trace.Trace, src profile.Source, nBoxes int64, reps int, stride int64, shards int) (int64, error) {
-	serial := func(s profile.Source) (int64, error) {
-		f := newSrcFinisher(s, nBoxes)
-		f.Reserve(tr.MaxBlock())
-		trace.ReplayRepeat(tr, f, reps, stride)
-		return f.Served(), f.Err()
-	}
-	fsrc, ok := src.(profile.ForkableSource)
-	if !ok {
-		return serial(src)
-	}
-	if shards <= 0 {
-		shards = DefaultShards()
-	}
-	refsPerRep := int64(tr.Len())
-	if shards <= 1 || reps < 1 || refsPerRep < 1 || stride <= tr.MaxBlock() {
-		return serial(fsrc.ForkAt(0))
-	}
-	p := newRepeatPlanner(fsrc.ForkAt(0), nBoxes, reps, tr.MaxBlock(), cutStride(int64(reps)*refsPerRep, shards))
-	for r := 0; r < reps && !p.done && p.err == nil; r++ {
-		p.rep = int64(r)
-		for i, n := 0, tr.Len(); i < n; i++ {
-			p.Access(tr.Block(i))
-			if p.done || p.err != nil {
-				break
-			}
-		}
-	}
-	if p.err != nil {
-		return serial(fsrc.ForkAt(0))
-	}
-	return execRepeatShards(p.bounds(), fsrc.ForkAt, nBoxes, refsPerRep, stride, func(s trace.Sink, rep, lo, hi int64) error {
-		trace.ReplayRange(tr, s, int(lo), int(hi))
-		return nil
-	})
-}
-
-// ServedEmitRepeatParallel is ServedRepeatParallel for a generated stream:
-// emit replays the base workload (refsPerRep references, block IDs in
-// [0, maxBlock]) and must produce the identical sequence on every call.
 // The planning pass re-emits the base stream once per repetition into the
 // compact planner; each shard re-emits only the repetitions its window
 // overlaps, through a trace.WindowSink that clips to the window (the
 // emission ahead of a shard's window is skip-counted; the tail after it is
-// cut off via the stopper). This is the E9-class primitive at dims whose
-// base trace exceeds the materialisation ceiling.
+// cut off via the stopper). The sharded path needs a forkable source and
+// stride > maxBlock (each repetition in a fresh address range — the
+// condition under which the planner's compact per-repetition stamps are
+// exact); otherwise the replay runs serially. This is the E9-class
+// primitive at dims whose base trace exceeds the materialisation ceiling.
 func ServedEmitRepeatParallel(emit func(trace.Sink) error, refsPerRep, maxBlock int64, src profile.Source, nBoxes int64, reps int, stride int64, shards int) (int64, error) {
 	serial := func(s profile.Source) (int64, error) {
-		f := newSrcFinisher(s, nBoxes)
+		f := NewSquareFinisher(s, nBoxes)
 		f.Reserve(maxBlock)
 		for r := 0; r < reps && !f.Stopped(); r++ {
 			var sink trace.Sink = f

@@ -48,7 +48,7 @@ func BenchmarkServedEmitRepeatParallelWorkers(b *testing.B) {
 	}
 }
 
-func BenchmarkSquareRunParallelWorkers(b *testing.B) {
+func BenchmarkSquareEmitParallelWorkers(b *testing.B) {
 	tr := benchTrace(b)
 	boxes := []int64{64, 7, 128, 31}
 	defer engine.SetSharedWorkers(0)
@@ -62,7 +62,7 @@ func BenchmarkSquareRunParallelWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := SquareRunParallel(tr, src, 0, shards); err != nil {
+				if _, err := SquareEmitParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), src, 0, shards); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,19 +22,9 @@ func cycling(t *testing.T, boxes []int64) profile.ForkableSource {
 	return src
 }
 
-// cycleBoxes materializes the first n boxes of the cycled sequence, for
-// serial SquareFinisher baselines.
-func cycleBoxes(boxes []int64, n int64) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = boxes[i%len(boxes)]
-	}
-	return out
-}
-
 var shardCounts = []int{1, 2, 3, 5, 8, 16}
 
-// --- SquareRunParallel ------------------------------------------------------
+// --- SquareEmitParallel over a materialized trace (tr.Emit) -----------------
 
 func TestSquareRunParallelMatchesSerialAtAnyShardCount(t *testing.T) {
 	rng := xrand.New(0x5a1)
@@ -44,12 +34,12 @@ func TestSquareRunParallelMatchesSerialAtAnyShardCount(t *testing.T) {
 		for i := range boxes {
 			boxes[i] = 1 + rng.Int63n(20)
 		}
-		want, err := SquareRun(tr, cycling(t, boxes), 0)
+		want, err := PolicyRun(SquareReplayName, tr, cycling(t, boxes), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range shardCounts {
-			got, err := SquareRunParallel(tr, cycling(t, boxes), 0, shards)
+			got, err := SquareEmitParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), cycling(t, boxes), 0, shards)
 			if err != nil {
 				t.Fatalf("trial %d shards %d: %v", trial, shards, err)
 			}
@@ -67,13 +57,13 @@ func TestSquareRunParallelAtWorkerCounts(t *testing.T) {
 	rng := xrand.New(0x5a2)
 	tr := randomTrace(rng, 5000, 48)
 	boxes := []int64{7, 3, 12, 1, 9}
-	want, err := SquareRun(tr, cycling(t, boxes), 0)
+	want, err := PolicyRun(SquareReplayName, tr, cycling(t, boxes), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		engine.SetSharedWorkers(workers)
-		got, err := SquareRunParallel(tr, cycling(t, boxes), 0, 0)
+		got, err := SquareEmitParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), cycling(t, boxes), 0, 0)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -87,13 +77,13 @@ func TestSquareRunParallelNonForkableFallsBack(t *testing.T) {
 	rng := xrand.New(0x5a3)
 	tr := randomTrace(rng, 400, 32)
 	boxes := []int64{5, 2, 8}
-	want, err := SquareRun(tr, cycling(t, boxes), 0)
+	want, err := PolicyRun(SquareReplayName, tr, cycling(t, boxes), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := 0
 	fn := profile.FuncSource(func() int64 { b := boxes[i%len(boxes)]; i++; return b })
-	got, err := SquareRunParallel(tr, fn, 0, 8)
+	got, err := SquareEmitParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), fn, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +96,12 @@ func TestSquareRunParallelErrorParityMaxBoxes(t *testing.T) {
 	rng := xrand.New(0x5a4)
 	tr := randomTrace(rng, 3000, 64)
 	boxes := []int64{3, 1, 2}
-	wantStats, wantErr := SquareRun(tr, cycling(t, boxes), 5)
+	wantStats, wantErr := PolicyRun(SquareReplayName, tr, cycling(t, boxes), 5)
 	if wantErr == nil {
 		t.Fatal("test needs a maxBoxes-exceeded run")
 	}
 	for _, shards := range []int{2, 8} {
-		gotStats, gotErr := SquareRunParallel(tr, cycling(t, boxes), 5, shards)
+		gotStats, gotErr := SquareEmitParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), cycling(t, boxes), 5, shards)
 		if gotErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("shards %d: error = %v, want %v", shards, gotErr, wantErr)
 		}
@@ -127,12 +117,12 @@ func TestSquareRunParallelErrorParityBadBox(t *testing.T) {
 	rng := xrand.New(0x5a5)
 	tr := randomTrace(rng, 3000, 64)
 	boxes := []int64{4, 7, 0}
-	wantStats, wantErr := SquareRun(tr, cycling(t, boxes), 0)
+	wantStats, wantErr := PolicyRun(SquareReplayName, tr, cycling(t, boxes), 0)
 	if wantErr == nil {
 		t.Fatal("test needs an invalid-box run")
 	}
 	for _, shards := range []int{2, 8} {
-		gotStats, gotErr := SquareRunParallel(tr, cycling(t, boxes), 0, shards)
+		gotStats, gotErr := SquareEmitParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), cycling(t, boxes), 0, shards)
 		if gotErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("shards %d: error = %v, want %v", shards, gotErr, wantErr)
 		}
@@ -156,7 +146,7 @@ func TestSquareEmitParallelMatchesSerial(t *testing.T) {
 			trace.Replay(tr, s)
 			return nil
 		}
-		want, err := SquareRun(tr, cycling(t, boxes), 0)
+		want, err := PolicyRun(SquareReplayName, tr, cycling(t, boxes), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +177,7 @@ func TestSquareEmitParallelLeafAttribution(t *testing.T) {
 		return nil
 	}
 	boxes := []int64{3, 5}
-	want, err := SquareRun(tr, cycling(t, boxes), 0)
+	want, err := PolicyRun(SquareReplayName, tr, cycling(t, boxes), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +201,7 @@ func TestSquareEmitParallelTotalRefsIsAdvisory(t *testing.T) {
 		trace.Replay(tr, s)
 		return nil
 	}
-	want, err := SquareRun(tr, cycling(t, boxes), 0)
+	want, err := PolicyRun(SquareReplayName, tr, cycling(t, boxes), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +216,33 @@ func TestSquareEmitParallelTotalRefsIsAdvisory(t *testing.T) {
 	}
 }
 
-// --- ServedRepeatParallel ---------------------------------------------------
+// --- ServedEmitRepeatParallel ----------------------------------------------
 
+func TestServedEmitRepeatParallelSmallStrideFallsBack(t *testing.T) {
+	// stride <= maxBlock means repetitions overlap in address space; the
+	// compact planner is invalid there and the call must fall back to the
+	// serial replay with the same answer.
+	rng := xrand.New(0x5c2)
+	tr := randomTrace(rng, 600, 48)
+	boxes := []int64{5, 9}
+	nBoxes, reps := int64(80), 4
+	for _, stride := range []int64{0, 1, tr.MaxBlock()} {
+		f := NewSquareFinisher(cycling(t, boxes), nBoxes)
+		f.Reserve(tr.MaxBlock())
+		trace.ReplayRepeat(tr, f, reps, stride)
+		want := f.Served()
+		got, err := ServedEmitRepeatParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("stride %d: served %d, want %d", stride, got, want)
+		}
+	}
+}
+
+// TestServedRepeatParallelMatchesSerial drives a materialized trace through
+// its own Emit method, the form mmtrace and the experiments pass.
 func TestServedRepeatParallelMatchesSerial(t *testing.T) {
 	rng := xrand.New(0x5c1)
 	for trial := 0; trial < 20; trial++ {
@@ -240,7 +255,7 @@ func TestServedRepeatParallelMatchesSerial(t *testing.T) {
 		reps := 1 + rng.Intn(6)
 		stride := tr.MaxBlock() + 1
 
-		f := NewSquareFinisher(cycleBoxes(boxes, nBoxes))
+		f := NewSquareFinisher(cycling(t, boxes), nBoxes)
 		f.Reserve(tr.MaxBlock())
 		trace.ReplayRepeat(tr, f, reps, stride)
 		if err := f.Err(); err != nil {
@@ -249,7 +264,7 @@ func TestServedRepeatParallelMatchesSerial(t *testing.T) {
 		want := f.Served()
 
 		for _, shards := range shardCounts {
-			got, err := ServedRepeatParallel(tr, cycling(t, boxes), nBoxes, reps, stride, shards)
+			got, err := ServedEmitRepeatParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride, shards)
 			if err != nil {
 				t.Fatalf("trial %d shards %d: %v", trial, shards, err)
 			}
@@ -260,29 +275,8 @@ func TestServedRepeatParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestServedRepeatParallelSmallStrideFallsBack(t *testing.T) {
-	// stride <= maxBlock means repetitions overlap in address space; the
-	// compact planner is invalid there and the call must fall back to the
-	// serial replay with the same answer.
-	rng := xrand.New(0x5c2)
-	tr := randomTrace(rng, 600, 48)
-	boxes := []int64{5, 9}
-	nBoxes, reps := int64(80), 4
-	for _, stride := range []int64{0, 1, tr.MaxBlock()} {
-		f := NewSquareFinisher(cycleBoxes(boxes, nBoxes))
-		f.Reserve(tr.MaxBlock())
-		trace.ReplayRepeat(tr, f, reps, stride)
-		want := f.Served()
-		got, err := ServedRepeatParallel(tr, cycling(t, boxes), nBoxes, reps, stride, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("stride %d: served %d, want %d", stride, got, want)
-		}
-	}
-}
-
+// TestServedEmitRepeatParallelMatchesSerial drives a plain emit closure,
+// the form a generator that never materializes its trace passes.
 func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 	rng := xrand.New(0x5d1)
 	for trial := 0; trial < 20; trial++ {
@@ -299,7 +293,7 @@ func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 			return nil
 		}
 
-		f := NewSquareFinisher(cycleBoxes(boxes, nBoxes))
+		f := NewSquareFinisher(cycling(t, boxes), nBoxes)
 		f.Reserve(tr.MaxBlock())
 		trace.ReplayRepeat(tr, f, reps, stride)
 		if err := f.Err(); err != nil {
@@ -319,51 +313,38 @@ func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// --- srcFinisher ------------------------------------------------------------
+// --- SquareFinisher ---------------------------------------------------------
 
-func TestSrcFinisherMatchesSquareFinisher(t *testing.T) {
-	rng := xrand.New(0x5e1)
-	for trial := 0; trial < 40; trial++ {
-		tr := randomTrace(rng, 20+rng.Intn(600), 1+rng.Int63n(32))
-		boxes := make([]int64, 1+rng.Intn(5))
-		for i := range boxes {
-			boxes[i] = 1 + rng.Int63n(10)
+// TestSquareFinisherErrorParity: an invalid box is reported whether it
+// leads (validated eagerly, even before any access) or turns up
+// mid-stream, with the same text, and the references served before it
+// still count.
+func TestSquareFinisherErrorParity(t *testing.T) {
+	tr := buildTrace([]int64{0, 1, 2, 3, 4, 5}, nil)
+	for _, c := range []struct {
+		boxes  []int64
+		served int64
+		msg    string
+	}{
+		{[]int64{0}, 0, "paging: box size 0 invalid"},
+		{[]int64{3, -1}, 3, "paging: box size -1 invalid"},
+	} {
+		f := NewSquareFinisher(cycling(t, c.boxes), int64(len(c.boxes)))
+		if c.served == 0 && f.Err() == nil {
+			t.Fatalf("boxes %v: invalid leading box not reported before any access", c.boxes)
 		}
-		nBoxes := 1 + rng.Int63n(60)
-		mat := NewSquareFinisher(cycleBoxes(boxes, nBoxes))
-		mat.Reserve(tr.MaxBlock())
-		str := newSrcFinisher(cycling(t, boxes), nBoxes)
-		str.Reserve(tr.MaxBlock())
-		trace.ReplayRepeat(tr, mat, 3, tr.MaxBlock()+1)
-		trace.ReplayRepeat(tr, str, 3, tr.MaxBlock()+1)
-		if str.Served() != mat.Served() || str.Stopped() != mat.Stopped() {
-			t.Fatalf("trial %d: srcFinisher (served %d, stopped %v) != SquareFinisher (served %d, stopped %v)",
-				trial, str.Served(), str.Stopped(), mat.Served(), mat.Stopped())
+		trace.Replay(tr, f)
+		if f.Err() == nil || f.Err().Error() != c.msg {
+			t.Fatalf("boxes %v: error %v, want %q", c.boxes, f.Err(), c.msg)
+		}
+		if f.Served() != c.served {
+			t.Fatalf("boxes %v: served %d, want %d", c.boxes, f.Served(), c.served)
+		}
+		if _, err := SquareRunFrom(tr, 0, c.boxes); err == nil || err.Error() != c.msg {
+			t.Fatalf("boxes %v: SquareRunFrom error %v, want %q", c.boxes, err, c.msg)
 		}
 	}
 }
-
-func TestSrcFinisherErrorParity(t *testing.T) {
-	// Invalid boxes, eagerly on the first box and lazily mid-stream.
-	for _, boxes := range [][]int64{{0}, {3, -1}} {
-		tr := buildTrace([]int64{0, 1, 2, 3, 4, 5}, nil)
-		mat := NewSquareFinisher(cycleBoxes(boxes, int64(len(boxes))))
-		str := newSrcFinisher(cycling(t, boxes), int64(len(boxes)))
-		trace.Replay(tr, mat)
-		trace.Replay(tr, str)
-		if (mat.Err() == nil) != (str.Err() == nil) {
-			t.Fatalf("boxes %v: error presence diverges: %v vs %v", boxes, mat.Err(), str.Err())
-		}
-		if mat.Err() != nil && mat.Err().Error() != str.Err().Error() {
-			t.Fatalf("boxes %v: error text diverges: %q vs %q", boxes, mat.Err(), str.Err())
-		}
-		if mat.Served() != str.Served() {
-			t.Fatalf("boxes %v: served diverges: %d vs %d", boxes, mat.Served(), str.Served())
-		}
-	}
-}
-
-// --- EndLeaf after error (regression) ---------------------------------------
 
 func TestSquareStreamEndLeafAfterInvalidBoxDoesNotPanic(t *testing.T) {
 	// A generator emits Access then EndLeaf; if the access was rejected
@@ -437,9 +418,9 @@ func TestReplayRangeHaltsAtFinisherBoundary(t *testing.T) {
 		b.Access(int64(i))
 	}
 	tr := b.Build()
-	f := &countingFinisher{SquareFinisher: NewSquareFinisher([]int64{3})}
+	f := &countingFinisher{SquareFinisher: NewSquareFinisher(cycling(t, []int64{3}), 1)}
 	trace.ReplayRange(tr, f, 0, tr.Len())
-	if !f.Done() {
+	if !f.Stopped() || f.Err() != nil {
 		t.Fatal("finisher should have exhausted its boxes")
 	}
 	if f.delivered > int(f.Served())+2 {
@@ -453,7 +434,7 @@ func TestReplayRepeatHaltsAtFinisherBoundary(t *testing.T) {
 		b.Access(int64(i))
 	}
 	tr := b.Build()
-	f := &countingFinisher{SquareFinisher: NewSquareFinisher([]int64{5})}
+	f := &countingFinisher{SquareFinisher: NewSquareFinisher(cycling(t, []int64{5}), 1)}
 	trace.ReplayRepeat(tr, f, 50, tr.MaxBlock()+1)
 	if f.delivered > int(f.Served())+2 {
 		t.Fatalf("repeat replay delivered %d references past a boundary at %d", f.delivered, f.Served())
@@ -505,35 +486,23 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 			return s
 		}
 
-		wantStats, wantErr := SquareRun(tr, srcOf(), 0)
-		gotStats, gotErr := SquareRunParallel(tr, srcOf(), 0, shards)
+		wantStats, wantErr := PolicyRun(SquareReplayName, tr, srcOf(), 0)
+		gotStats, gotErr := SquareEmitParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), srcOf(), 0, shards)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("SquareRunParallel error mismatch: %v vs %v", gotErr, wantErr)
+			t.Fatalf("SquareEmitParallel error mismatch: %v vs %v", gotErr, wantErr)
 		}
 		if !reflect.DeepEqual(gotStats, wantStats) {
-			t.Fatalf("SquareRunParallel(shards=%d) ledger diverges from SquareRun", shards)
+			t.Fatalf("SquareEmitParallel(shards=%d) ledger diverges from the serial square replay", shards)
 		}
 
 		stride := tr.MaxBlock() + 1
-		fin := NewSquareFinisher(cycleBoxes(boxes, nBoxes))
+		fin := NewSquareFinisher(srcOf(), nBoxes)
 		fin.Reserve(tr.MaxBlock())
 		trace.ReplayRepeat(tr, fin, reps, stride)
 		if err := fin.Err(); err != nil {
 			t.Fatal(err)
 		}
-		served, err := ServedRepeatParallel(tr, srcOf(), nBoxes, reps, stride, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if served != fin.Served() {
-			t.Fatalf("ServedRepeatParallel(shards=%d) = %d, want %d", shards, served, fin.Served())
-		}
-
-		emit := func(s trace.Sink) error {
-			trace.Replay(tr, s)
-			return nil
-		}
-		served, err = ServedEmitRepeatParallel(emit, int64(tr.Len()), tr.MaxBlock(), srcOf(), nBoxes, reps, stride, shards)
+		served, err := ServedEmitRepeatParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), srcOf(), nBoxes, reps, stride, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

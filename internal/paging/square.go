@@ -1,19 +1,28 @@
 // Package paging implements the memory/caching substrates that traces are
 // replayed against.
 //
-// Two substrates matter for the paper:
+// Two cache semantics matter for the paper, and each has one
+// implementation:
 //
-//  1. SquareRun — the cache-adaptive model's square-profile semantics.
-//     Prior work (Bender et al. 2014) shows that, w.l.o.g. up to constant
-//     factors, one may assume cache is cleared at the start of each square,
-//     after which a square of size X serves exactly X distinct blocks: each
-//     first touch of a block within a square is one I/O (one unit of time),
-//     repeat touches are free, and the square ends after X I/Os.
+//  1. Square semantics — the cache-adaptive model's square-profile
+//     discretisation (SquareStream, and SquareFinisher for a finite box
+//     sequence). Prior work (Bender et al. 2014) shows that, w.l.o.g. up
+//     to constant factors, one may assume cache is cleared at the start of
+//     each square, after which a square of size X serves exactly X
+//     distinct blocks: each first touch of a block within a square is one
+//     I/O (one unit of time), repeat touches are free, and the square ends
+//     after X I/Os.
 //
-//  2. LRU / FIFO / OPT page replacement with fixed or dynamically changing
-//     capacity — the classical DAM-model machinery, used to validate the
-//     matrix-multiply I/O complexity (experiment E11) and to sanity-check
-//     that the square semantics above are a faithful constant-factor proxy.
+//  2. Live replacement under a changing capacity — the registered kernels
+//     (LRU, FIFO, ARC, 2Q; PolicyStream) and Belady's clairvoyant OPT,
+//     with the box profile driving the capacity. A fixed capacity is a
+//     constant profile (RunPolicyFixed). This is the classical DAM-model
+//     machinery, used to validate the matrix-multiply I/O complexity
+//     (experiment E11) and to measure how far live policies sit from the
+//     square bound (E12, E13).
+//
+// Replay is the one by-name entry point over both: ReplayNames lists the
+// kernels plus the reserved "opt" and "square" names.
 package paging
 
 import (
@@ -32,21 +41,6 @@ type BoxStat struct {
 	Refs   int64 // total references served (hits + misses)
 }
 
-// SquareRun replays tr against boxes drawn from src under the CA model's
-// square semantics and returns per-box statistics. The run ends when the
-// trace is exhausted; the final box is typically partial. maxBoxes guards
-// against pathological stalls (0 = unbounded).
-//
-// It is a materialized-trace wrapper around SquareStream (stream.go); the
-// two paths share one implementation, so streamed runs are byte-identical
-// to materialized ones.
-func SquareRun(tr *trace.Trace, src profile.Source, maxBoxes int64) ([]BoxStat, error) {
-	q := NewSquareStream(src, maxBoxes)
-	q.Reserve(tr.MaxBlock())
-	trace.Replay(tr, q)
-	return q.Finish()
-}
-
 // SquareRunFrom replays the suffix of tr starting at reference startIdx
 // against the finite square sequence boxes, and returns the index of the
 // first reference NOT served (tr.Len() if the boxes finish the trace).
@@ -57,7 +51,14 @@ func SquareRunFrom(tr *trace.Trace, startIdx int, boxes []int64) (int, error) {
 	if startIdx < 0 || startIdx > tr.Len() {
 		return 0, fmt.Errorf("paging: start index %d out of range", startIdx)
 	}
-	f := NewSquareFinisher(boxes)
+	if len(boxes) == 0 {
+		return startIdx, nil // no boxes serve nothing
+	}
+	src, err := profile.NewBoxesSource(boxes)
+	if err != nil {
+		return 0, err
+	}
+	f := NewSquareFinisher(src, int64(len(boxes)))
 	f.Reserve(tr.MaxBlock())
 	trace.ReplayRange(tr, f, startIdx, tr.Len())
 	if err := f.Err(); err != nil {

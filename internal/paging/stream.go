@@ -7,14 +7,13 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the streaming half of the square-profile substrate: the
-// same CA-model semantics as SquareRun/SquareRunFrom, exposed as
-// trace.Sink consumers so generators can replay directly into them without
-// materializing the trace. SquareRun and SquareRunFrom (square.go) are
-// reimplemented as thin wrappers that trace.Replay into these sinks, so
-// the materialized and streaming paths share one implementation and cannot
-// drift — which is what keeps streamed experiment tables byte-identical to
-// materialized ones.
+// This file holds the square-semantics consumers as trace.Sinks:
+// SquareStream (the per-box ledger behind Replay's "square" name) and
+// SquareFinisher (references served by a finite box sequence). Generators
+// emit straight into them and a materialized trace replays into them
+// through the same methods, so streamed and materialized runs share one
+// implementation and cannot drift — which is what keeps streamed
+// experiment tables byte-identical to materialized ones.
 
 // SquareStream consumes a reference stream under square semantics against
 // boxes drawn from a profile source. Feed it accesses (directly or via
@@ -23,7 +22,7 @@ import (
 type SquareStream struct {
 	src      profile.Source
 	maxBoxes int64
-	resident []int64 // epoch-stamped residency: resident[b] == epoch means cached
+	resident []int64 // epoch-stamped from 1: resident[b] == epoch means cached
 	epoch    int64
 	stats    []BoxStat
 	cur      BoxStat
@@ -36,11 +35,13 @@ type SquareStream struct {
 // NewSquareStream returns a stream drawing box sizes from src; maxBoxes
 // guards against pathological stalls (0 = unbounded).
 func NewSquareStream(src profile.Source, maxBoxes int64) *SquareStream {
-	return &SquareStream{src: src, maxBoxes: maxBoxes}
+	return &SquareStream{src: src, maxBoxes: maxBoxes, epoch: 1}
 }
 
 // Reserve pre-sizes the residency array for block IDs up to maxBlock.
-func (q *SquareStream) Reserve(maxBlock int64) { q.ensure(maxBlock) }
+func (q *SquareStream) Reserve(maxBlock int64) {
+	q.resident = growResident(q.resident, maxBlock)
+}
 
 // Access serves one block reference under square semantics: first touch of
 // a block within a box costs one I/O from the box budget; when the budget
@@ -60,7 +61,9 @@ func (q *SquareStream) Access(block int64) {
 			return
 		}
 	}
-	q.ensure(block)
+	if block >= int64(len(q.resident)) {
+		q.resident = growResident(q.resident, block)
+	}
 	if q.resident[block] != q.epoch {
 		// Miss: needs an I/O from the current box's budget.
 		if q.cur.IOs == q.cur.Size {
@@ -123,7 +126,7 @@ func (q *SquareStream) Stopped() bool { return q.err != nil }
 
 // Finish closes the final (typically partial) box and returns the per-box
 // statistics, or the first error the stream hit. An untouched stream
-// returns (nil, nil), matching SquareRun on an empty trace.
+// returns (nil, nil): an empty stream uses no boxes.
 func (q *SquareStream) Finish() ([]BoxStat, error) {
 	if q.err != nil {
 		return q.stats, q.err
@@ -136,54 +139,65 @@ func (q *SquareStream) Finish() ([]BoxStat, error) {
 	return q.stats, nil
 }
 
-func (q *SquareStream) ensure(block int64) {
-	if block < int64(len(q.resident)) {
-		return
+// growResident extends an epoch-stamped residency array to cover block.
+// Every square-semantics epoch starts at 1, so zero-filled growth means
+// "not resident" without a fill pass.
+func growResident(resident []int64, block int64) []int64 {
+	if block < int64(len(resident)) {
+		return resident
 	}
-	n := int64(len(q.resident)) * 2
+	n := int64(len(resident)) * 2
 	if n <= block {
 		n = block + 1
 	}
 	//lint:ignore hotpath geometric residency growth amortises to O(1) per access and Reserve pre-sizes it away in steady state
 	grown := make([]int64, n)
-	copy(grown, q.resident)
-	for i := len(q.resident); i < len(grown); i++ {
-		grown[i] = -1
-	}
-	q.resident = grown
+	copy(grown, resident)
+	return grown
 }
 
-// SquareFinisher consumes a reference stream against a finite square
-// sequence and reports how many references the boxes served — the
-// streaming form of SquareRunFrom, and the primitive behind the
-// No-Catch-up Lemma check. Once the boxes are exhausted (or a box size is
+// SquareFinisher consumes a reference stream against the first nBoxes
+// boxes of a profile source under square semantics and reports how many
+// references those boxes served. It is the primitive behind the
+// No-Catch-up Lemma check (SquareRunFrom) and the worst-case repetition
+// counts (ServedEmitRepeatParallel). Boxes are pulled lazily, so a shard
+// pulls only the boxes its window consumes and a streamed profile is never
+// held in memory; a finite box slice feeds it through a
+// profile.BoxesSource. Once the boxes are exhausted (or a box size is
 // invalid) the remaining stream is ignored.
 type SquareFinisher struct {
-	boxes    []int64
-	bi       int
-	resident []int64 // epoch-stamped, cleared per box via epoch bump
+	src      profile.Source
+	left     int64   // boxes remaining, including the current one
+	resident []int64 // epoch-stamped from 1, so zero-filled growth means absent
 	epoch    int64
+	size     int64
 	ios      int64
 	served   int64
 	done     bool
 	err      error
 }
 
-// NewSquareFinisher returns a finisher over the given box sizes. The first
-// box is validated eagerly so an invalid leading box is reported even for
-// an empty stream, matching SquareRunFrom.
-func NewSquareFinisher(boxes []int64) *SquareFinisher {
-	f := &SquareFinisher{boxes: boxes}
-	if len(boxes) == 0 {
+// NewSquareFinisher returns a finisher serving at most nBoxes boxes pulled
+// from src. The first box is pulled and validated eagerly, so an invalid
+// leading box is reported even for an empty stream; with nBoxes <= 0 src
+// is never read and nothing is served.
+func NewSquareFinisher(src profile.Source, nBoxes int64) *SquareFinisher {
+	f := &SquareFinisher{src: src, left: nBoxes, epoch: 1}
+	if nBoxes <= 0 {
 		f.done = true
-	} else if boxes[0] < 1 {
-		f.err = fmt.Errorf("paging: box size %d invalid", boxes[0])
+		return f
+	}
+	f.size = src.Next()
+	if f.size < 1 {
+		f.err = fmt.Errorf("paging: box size %d invalid", f.size)
 	}
 	return f
 }
 
 // Reserve pre-sizes the residency array for block IDs up to maxBlock.
-func (f *SquareFinisher) Reserve(maxBlock int64) { f.ensure(maxBlock) }
+func (f *SquareFinisher) Reserve(maxBlock int64) {
+	f.resident = growResident(f.resident, maxBlock)
+}
 
 // Access serves one reference, advancing to the next box when the current
 // budget is exhausted. References after the last box ends are unserved.
@@ -193,21 +207,24 @@ func (f *SquareFinisher) Access(block int64) {
 	if f.done || f.err != nil {
 		return
 	}
-	f.ensure(block)
+	if block >= int64(len(f.resident)) {
+		f.resident = growResident(f.resident, block)
+	}
 	if f.resident[block] == f.epoch {
 		f.served++
 		return
 	}
-	if f.ios == f.boxes[f.bi] {
+	if f.ios == f.size {
 		// Budget exhausted: this reference belongs to the next box.
-		f.bi++
-		if f.bi >= len(f.boxes) {
+		f.left--
+		if f.left <= 0 {
 			f.done = true
 			return
 		}
-		if f.boxes[f.bi] < 1 {
+		f.size = f.src.Next()
+		if f.size < 1 {
 			//lint:ignore hotpath error path: an invalid box ends the run, one allocation to say why is fine
-			f.err = fmt.Errorf("paging: box size %d invalid", f.boxes[f.bi])
+			f.err = fmt.Errorf("paging: box size %d invalid", f.size)
 			return
 		}
 		// Fresh square: cache cleared.
@@ -221,7 +238,7 @@ func (f *SquareFinisher) Access(block int64) {
 
 // AccessRange serves blocks [lo, lo+count) in order.
 func (f *SquareFinisher) AccessRange(lo, count int64) {
-	for i := int64(0); i < count; i++ {
+	for i := int64(0); i < count && !f.done && f.err == nil; i++ {
 		f.Access(lo + i)
 	}
 }
@@ -233,9 +250,6 @@ func (f *SquareFinisher) EndLeaf() {}
 // Served reports how many stream references the boxes served so far.
 func (f *SquareFinisher) Served() int64 { return f.served }
 
-// Done reports whether the boxes are exhausted (further accesses ignored).
-func (f *SquareFinisher) Done() bool { return f.done }
-
 // Stopped reports whether further accesses would be ignored — the boxes ran
 // out or a box size was invalid. Replay/ReplayRange/ReplayRepeat halt at
 // this boundary instead of streaming the rest of the trace into a finisher
@@ -245,23 +259,6 @@ func (f *SquareFinisher) Stopped() bool { return f.done || f.err != nil }
 
 // Err reports the first invalid-box error, if any.
 func (f *SquareFinisher) Err() error { return f.err }
-
-func (f *SquareFinisher) ensure(block int64) {
-	if block < int64(len(f.resident)) {
-		return
-	}
-	n := int64(len(f.resident)) * 2
-	if n <= block {
-		n = block + 1
-	}
-	//lint:ignore hotpath geometric residency growth amortises to O(1) per access and Reserve pre-sizes it away in steady state
-	grown := make([]int64, n)
-	copy(grown, f.resident)
-	for i := len(f.resident); i < len(grown); i++ {
-		grown[i] = -1
-	}
-	f.resident = grown
-}
 
 var (
 	_ trace.Sink    = (*SquareStream)(nil)

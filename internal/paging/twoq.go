@@ -198,7 +198,7 @@ func (q *TwoQ) evictOne() {
 	}
 }
 
-// Touch records a hit for the EvictionPolicy surface: Am entries get the
+// Touch records a hit for the external-bound surface: Am entries get the
 // LRU promotion, and a probation entry is promoted into Am — the
 // *simplified* 2Q rule from the same paper. In external-bound mode the
 // ghost FIFO never forms (this kernel never self-evicts there), so the
@@ -213,7 +213,7 @@ func (q *TwoQ) Touch(id int64) {
 	q.pushFront(twoQAm, id)
 }
 
-// Insert admits a new entry for the EvictionPolicy surface: into Am if a
+// Insert admits a new entry for the external-bound surface: into Am if a
 // ghost vouches for it, into probation otherwise, with no eviction — the
 // owning cache decides when to evict.
 func (q *TwoQ) Insert(id int64) {

@@ -65,7 +65,7 @@ func TestWorstCaseProfileTraceAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := paging.SquareRun(tr, src, 0)
+		stats, err := paging.PolicyRun(paging.SquareReplayName, tr, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestSingleBoxTraceAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := profile.NewSliceSource(profile.MustNew([]int64{n}))
-	stats, err := paging.SquareRun(tr, src, 0)
+	stats, err := paging.PolicyRun(paging.SquareReplayName, tr, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestConstantBoxCrossValidation(t *testing.T) {
 
 		// Trace-based.
 		src, _ := profile.NewSliceSource(profile.MustNew([]int64{boxSize}))
-		stats, err := paging.SquareRun(tr, src, 0)
+		stats, err := paging.PolicyRun(paging.SquareReplayName, tr, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestIIDBoxCrossValidation(t *testing.T) {
 		// Trace-based, same box stream.
 		rng2 := xrand.New(seed)
 		src := profile.FuncSource(func() int64 { return 4 + rng2.Int63n(61) })
-		stats, err := paging.SquareRun(tr, src, 0)
+		stats, err := paging.PolicyRun(paging.SquareReplayName, tr, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

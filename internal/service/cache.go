@@ -16,8 +16,10 @@ import (
 // result bodies keyed by core.CacheKey hashes, spread over N independent
 // shards so concurrent requests for different keys never contend on one
 // mutex. Each shard owns its own lock, its own singleflight table, and its
-// own eviction policy — a paging.EvictionPolicy, which means the
-// dense-remapped LRU/FIFO kernels the simulator measures are the exact
+// own eviction policy — a paging.ReplacementPolicy built at
+// paging.UnboundedCapacity, so it never self-evicts and the shard drives
+// evictions through its Touch/Insert/Victim/Remove surface. The
+// dense-remapped kernels the simulator measures are therefore the exact
 // engines that order production evictions.
 //
 // Because experiments are deterministic pure functions of the hashed
@@ -77,7 +79,7 @@ type cacheShard struct {
 	//lint:guardedby mu
 	freeIDs []int64
 	//lint:guardedby mu
-	policy paging.EvictionPolicy
+	policy paging.ReplacementPolicy
 	//lint:guardedby mu
 	bytes int64 // sum of resident body lengths
 	//lint:guardedby mu
@@ -155,7 +157,7 @@ func newShardedCache(cfg cacheConfig) (*shardedCache, error) {
 	perEntries := (cfg.maxEntries + int64(n) - 1) / int64(n)
 	perBytes := (cfg.maxBytes + int64(n) - 1) / int64(n)
 	for i := range c.shards {
-		pol, err := paging.NewPolicy(cfg.policy)
+		pol, err := paging.NewReplacementPolicy(cfg.policy, paging.UnboundedCapacity)
 		if err != nil {
 			return nil, err
 		}

@@ -147,6 +147,14 @@ func Replay(tr *Trace, s Sink) {
 	ReplayRange(tr, s, 0, tr.Len())
 }
 
+// Emit replays t into s: the materialized trace in the emitter shape
+// generators have (func(Sink) error), so anything that consumes a
+// generator consumes a trace as t.Emit. It never fails.
+func (t *Trace) Emit(s Sink) error {
+	Replay(t, s)
+	return nil
+}
+
 // ReplayRange emits the subsequence [lo, hi) of tr into s. Leaf markers
 // inside the range are preserved. It panics on an out-of-range window (a
 // caller bug, matching the slice convention). If s implements Stopper, the

@@ -99,10 +99,10 @@ func (t *Trace) leafAt(i int) bool {
 }
 
 // EndsLeaf reports whether the access at position i completes a base case.
+// It panics on an out-of-range position, like a slice index, and is cheap
+// enough to inline into per-access replay loops.
 func (t *Trace) EndsLeaf(i int) bool {
-	if i < 0 || i >= len(t.blocks) {
-		panic(fmt.Sprintf("trace: EndsLeaf index %d out of range [0,%d)", i, len(t.blocks)))
-	}
+	_ = t.blocks[i] // bounds check against the trace length
 	return t.leafAt(i)
 }
 

@@ -9,6 +9,36 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# gate PATTERN ARGS...: run `go test -run PATTERN ARGS...`, after checking
+# the pattern against the packages among ARGS (the ./-prefixed ones). A
+# -run pattern that matches nothing passes silently, so a renamed test
+# would quietly empty its gate. The check lists each package's tests once
+# (go test -list) and fails unless every package matches the pattern and
+# every |-separated alternative names at least one test.
+gate() {
+    pattern=$1
+    shift
+    listed=$(mktemp)
+    pkglist=$(mktemp)
+    for arg in "$@"; do
+        case $arg in ./*) ;; *) continue ;; esac
+        go test -list '.*' "$arg" >"$pkglist"
+        grep -E '^(Test|Fuzz|Example)' "$pkglist" >>"$listed" || true
+        if ! grep -E '^(Test|Fuzz|Example)' "$pkglist" | grep -Eq "$pattern"; then
+            echo "gate: pattern '$pattern' lists no tests in $arg" >&2
+            exit 1
+        fi
+    done
+    for alt in $(printf '%s' "$pattern" | tr '|' ' '); do
+        if ! grep -Eq "$alt" "$listed"; then
+            echo "gate: '$alt' in pattern '$pattern' names no test" >&2
+            exit 1
+        fi
+    done
+    rm -f "$listed" "$pkglist"
+    go test -run "$pattern" "$@"
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -29,7 +59,7 @@ go run ./cmd/cadaptivelint ./...
 echo "== hotpath/alloc consistency =="
 # Every //lint:hotpath annotation must be backed by an AllocsPerRun test
 # (//allocguard marker), and no marker may outlive its annotation.
-go test -count=1 -run 'TestHotpathAllocConsistency' ./internal/lint/
+gate 'TestHotpathAllocConsistency' -count=1 ./internal/lint/
 
 echo "== go build =="
 go build ./...
@@ -40,17 +70,17 @@ echo "== go test =="
 go test -shuffle=on ./...
 
 echo "== go test -race (short) =="
-go test -race -short \
+gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers' \
+    -race -short \
     ./internal/engine/ \
     ./internal/adaptivity/ \
-    ./internal/core/ \
-    -run 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers'
+    ./internal/core/
 
 echo "== go test -race (service + paging properties) =="
-go test -race -short \
+gate 'TestService|TestCache|TestLRU|TestFIFO|TestOPT|TestHitsPlusMisses|TestShrink|TestClient' \
+    -race -short \
     ./internal/service/ \
-    ./internal/paging/ \
-    -run 'TestService|TestCache|TestLRU|TestFIFO|TestOPT|TestHitsPlusMisses|TestShrink|TestClient'
+    ./internal/paging/
 
 echo "== go test -race (fault injection) =="
 go test -race -short ./internal/fault/
@@ -59,30 +89,28 @@ echo "== go test -race (sharded result cache) =="
 # The sharded cache under concurrency: singleflight per shard, the
 # stale-while-revalidate background refresh, the differential replay against
 # the single-mutex oracle, and the eviction-policy adapters.
-go test -race -short \
-    ./internal/service/ \
-    -run 'TestCacheDifferential|TestCacheBytesBound|TestCacheTTL|TestCacheSWR|TestCacheShardRouting|TestCacheDisabled|TestServiceTablesIdenticalAcrossShardCounts' \
-    -count=1
+gate 'TestCacheDifferential|TestCacheBytesBound|TestCacheTTL|TestCacheSWR|TestCacheShardRouting|TestCacheDisabled|TestServiceTablesIdenticalAcrossShardCounts' \
+    -race -short -count=1 \
+    ./internal/service/
 
 echo "== go test -race (policy registry + adaptive kernels) =="
 # The ReplacementPolicy registry end to end: ARC/2Q differential oracles,
-# the live-kernel box replay (PolicyStream/PolicyRun/OPTRunBoxes), the
-# registry-name plumbing through MeasureTracePolicy, and the reference
-# conformance suite over every registered policy.
-go test -race -short \
+# the by-name box replay (PolicyStream, Replay/PolicyRun and the opt box
+# replay), the registry-name plumbing through MeasureTracePolicy, and the
+# reference conformance suite over every registered policy.
+gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestOPTRunBoxes|TestMeasureTracePolicy' \
+    -race -short -count=1 \
     ./internal/paging/ \
-    ./internal/adaptivity/ \
-    -run 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestOPTRunBoxes|TestMeasureTracePolicy' \
-    -count=1
+    ./internal/adaptivity/
 
 echo "== go test -race (parallel square replay) =="
 # The sharded replay paths: plan/execute determinism at explicit shard and
 # worker counts, the ledger-merge equivalence, and the finisher early-stop
 # regressions, all race-checked since shards share the engine pool.
-go test -race -short \
+gate 'TestSquareRunParallel|TestSquareEmitParallel|TestServedRepeat|TestServedEmitRepeat|TestSquareFinisher|TestReplayRangeHalts|TestReplayRepeatHalts|TestDefaultShards|TestMeasureTrace' \
+    -race -short \
     ./internal/paging/ \
-    ./internal/adaptivity/ \
-    -run 'TestSquareRunParallel|TestSquareEmitParallel|TestServedRepeat|TestServedEmitRepeat|TestSrcFinisher|TestReplayRangeHalts|TestReplayRepeatHalts|TestDefaultShards|TestMeasureTrace'
+    ./internal/adaptivity/
 
 echo "== chaos smoke =="
 # The deterministic fault storm: concurrent clients against a real server
@@ -90,13 +118,14 @@ echo "== chaos smoke =="
 # survival, no deadlock, valid statuses, metrics conservation, and
 # post-retry result identity with a fault-free run. Under -race so the
 # fault paths (panic containment, queue shedding) are also race-checked.
-go test -race -count=1 -run 'TestChaos' ./internal/service/
+gate 'TestChaos' -race -count=1 ./internal/service/
 
 echo "== go test -race (durable batch jobs) =="
 # The jobs layer end to end under the race detector: scheduler fairness,
 # retry/poison accounting, journal replay, manager kill/resume, and the
 # service-level jobs API including resume across server instances.
-go test -race -count=1 -run 'TestJob|TestJournal|TestSpec|TestRetry|TestTransient|TestCancel|TestSubmit|TestWeighted|TestKillRestartResume|TestResume|TestRestore|TestSchedulerFaults|TestServiceJobs|TestServiceHealthz' \
+gate 'TestJob|TestJournal|TestSpec|TestRetry|TestTransient|TestCancel|TestSubmit|TestWeighted|TestKillRestartResume|TestResume|TestRestore|TestSchedulerFaults|TestServiceJobs|TestServiceHealthz' \
+    -race -count=1 \
     ./internal/jobs/ \
     ./internal/service/
 
@@ -104,7 +133,7 @@ echo "== kill-and-restart smoke =="
 # The durability claim, end to end: SIGKILL a real cadaptived mid-job (no
 # shutdown path runs), restart it on the same -jobs-dir, and assert the job
 # completes while only the journal-missing cells recompute.
-go test -race -count=1 -run 'TestDaemonKillRestartResume' ./cmd/cadaptived/
+gate 'TestDaemonKillRestartResume' -race -count=1 ./cmd/cadaptived/
 
 echo "== go test -race (shared cache + smoothing) =="
 go test -race -short \
