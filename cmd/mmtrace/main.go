@@ -9,7 +9,6 @@
 //	mmtrace -alg scan -dim 256 -profile p.tsv -policy 2q # profile replay, live kernel
 //	mmtrace -alg scan -dim 128 -worstcase -reps 16      # multiplies under Fig-1 profile
 //	mmtrace -alg scan -dim 1024 -stream -worstcase      # same, streaming (no materialized trace)
-//	mmtrace -alg scan -dim 1024 -worstcase -workers 4   # sharded square-partitioned replay
 //
 // Without -stream the trace is built once and every consumer replays it
 // (tr.Emit); with -stream it is regenerated into each consumer instead, so
@@ -24,15 +23,8 @@
 // through paging.Replay. Unknown names are rejected with the accepted
 // list.
 //
-// -workers bounds the engine pool the square replays shard onto
-// (square-partitioned replay, DESIGN.md): the replay splits at square
-// boundaries, each shard re-streams its slice against a profile source
-// forked at its starting box, and the merged result is identical to the
-// serial replay at any worker count. -worstcase shards at any size; a
-// square -profile replay shards only from 2^22 references, where the
-// planning pass pays for itself. Live-kernel and opt profile replays are
-// inherently serial — the cache carries residency across box boundaries,
-// so there is no square boundary to fork at; they ignore -workers.
+// -worstcase streams -reps repetitions of the trace, each in a fresh
+// address range, into one square finisher (paging.ServedEmitRepeat).
 //
 // This is the substrate behind experiments E9 and E11.
 package main
@@ -46,7 +38,6 @@ import (
 	"strings"
 
 	"repro/internal/dp"
-	"repro/internal/engine"
 	"repro/internal/gep"
 	"repro/internal/matrix"
 	"repro/internal/paging"
@@ -104,15 +95,16 @@ func run(args []string, stdout io.Writer) error {
 		reps      = fs.Int("reps", 16, "repetitions for -worstcase")
 		profPath  = fs.String("profile", "", "replay the trace against a TSV square profile (e.g. from profilegen)")
 		stream    = fs.Bool("stream", false, "stream the trace into each consumer instead of materializing it")
-		workers   = fs.Int("workers", 0, "worker bound for parallel square-partitioned replay (-worstcase, -profile); <1 = all cores, 1 = serial")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine.SetSharedWorkers(*workers)
 
-	// Validate -policy and the flag combinations up front, so a typo fails
+	// Validate the flags and their combinations up front, so a typo fails
 	// before any trace is built.
+	if *reps < 1 {
+		return fmt.Errorf("-reps %d: need at least one repetition", *reps)
+	}
 	if *policy != "" && !slices.Contains(paging.ReplayNames(), *policy) {
 		return fmt.Errorf("-policy %q is not an accepted replay policy (have %v)", *policy, paging.ReplayNames())
 	}
@@ -203,12 +195,9 @@ func run(args []string, stdout io.Writer) error {
 	if *worstcase {
 		// The matrix algorithms stream their worst-case profile (dim-4096
 		// scale profiles are never materialized); the others materialize the
-		// profile and stream it through a cycling source. Either way the
-		// source is forkable, so the replay shards across squares on the
-		// engine pool when workers allow — output is identical to the serial
-		// replay at any worker count.
+		// profile and stream it through a cycling source.
 		var (
-			boxSrc   profile.ForkableSource
+			boxSrc   profile.Source
 			nBoxes   int64
 			duration int64
 			err      error
@@ -237,7 +226,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		served, err := paging.ServedEmitRepeatParallel(emit, c.Refs, c.MaxBlock, boxSrc, nBoxes, *reps, c.MaxBlock+1, 0)
+		served, err := paging.ServedEmitRepeat(emit, c.MaxBlock, boxSrc, nBoxes, *reps, c.MaxBlock+1)
 		if err != nil {
 			return err
 		}

@@ -21,11 +21,9 @@ var update = flag.Bool("update", false, "rewrite the golden file from the curren
 // prints is stable.
 const profileTSV = "testdata/profile.tsv"
 
-// runArgs runs the command in-process and returns its stdout. The shared
-// engine pool is restored afterwards, since -workers replaces it.
+// runArgs runs the command in-process and returns its stdout.
 func runArgs(t *testing.T, args ...string) (string, error) {
 	t.Helper()
-	t.Cleanup(func() { engine.SetSharedWorkers(0) })
 	var buf bytes.Buffer
 	err := run(args, &buf)
 	return buf.String(), err
@@ -119,19 +117,22 @@ func usesOPT(args []string) bool {
 	return false
 }
 
-// TestWorkerCountsAgree: the square replays may shard on the engine pool,
-// and the worker bound must never change what they print.
+// TestWorkerCountsAgree: mmtrace replays serially, so the shared engine
+// pool's worker bound must never change what it prints.
 func TestWorkerCountsAgree(t *testing.T) {
+	defer engine.SetSharedWorkers(0)
 	for _, args := range [][]string{
 		{"-alg", "scan", "-dim", "32", "-worstcase", "-reps", "4"},
 		{"-alg", "scan", "-dim", "32", "-worstcase", "-reps", "4", "-stream"},
 		{"-alg", "scan", "-dim", "32", "-profile", profileTSV},
 		{"-alg", "scan", "-dim", "32", "-profile", profileTSV, "-stream"},
 	} {
-		one := mustRun(t, append(args, "-workers", "1")...)
-		two := mustRun(t, append(args, "-workers", "2")...)
+		engine.SetSharedWorkers(1)
+		one := mustRun(t, args...)
+		engine.SetSharedWorkers(2)
+		two := mustRun(t, args...)
 		if one != two {
-			t.Errorf("%v: -workers 1 and 2 differ:\n%s---\n%s", args, one, two)
+			t.Errorf("%v: worker bounds 1 and 2 differ:\n%s---\n%s", args, one, two)
 		}
 	}
 }
@@ -171,6 +172,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"stream with -policy opt", []string{"-lru", "8", "-policy", "opt", "-stream"}, "drop -stream"},
 		{"stream with -opt", []string{"-lru", "8", "-opt", "-stream"}, "drop -stream"},
 		{"stream with opt profile", []string{"-profile", profileTSV, "-policy", "opt", "-stream"}, "drop -stream"},
+		{"zero reps", []string{"-worstcase", "-reps", "0"}, "-reps 0"},
+		{"negative reps", []string{"-worstcase", "-reps", "-3"}, "-reps -3"},
 		{"unknown algorithm", []string{"-alg", "bogus", "-stats"}, "unknown algorithm"},
 		{"nothing to do", nil, "nothing to do"},
 		{"unknown flag", []string{"-frobnicate"}, "frobnicate"},

@@ -12,6 +12,7 @@ import (
 	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -58,6 +59,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// 16 back-to-back multiplies, each over fresh blocks, against the
+		// profile's boxes; the served prefix says how many completed.
+		multiplies := func(tr *trace.Trace) int {
+			src, err := profile.NewSliceSource(wc)
+			if err != nil {
+				log.Fatal(err)
+			}
+			served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src, int64(wc.Len()), 16, tr.MaxBlock()+1)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return int(served) / tr.Len()
+		}
 		scanTr, err := matrix.TraceMulScan(dim, bw)
 		if err != nil {
 			log.Fatal(err)
@@ -66,23 +80,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		repScan, err := matrix.RepeatTraceFresh(scanTr, 16)
-		if err != nil {
-			log.Fatal(err)
-		}
-		endScan, err := paging.SquareRunFrom(repScan, 0, wc.Boxes())
-		if err != nil {
-			log.Fatal(err)
-		}
-		repInp, err := matrix.RepeatTraceFresh(inpTr, 16)
-		if err != nil {
-			log.Fatal(err)
-		}
-		endInp, err := paging.SquareRunFrom(repInp, 0, wc.Boxes())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  dim=%4d: MM-Scan %d, MM-InPlace %d\n",
-			dim, endScan/scanTr.Len(), endInp/inpTr.Len())
+		fmt.Printf("  dim=%4d: MM-Scan %d, MM-InPlace %d\n", dim, multiplies(scanTr), multiplies(inpTr))
 	}
 }

@@ -102,11 +102,9 @@ func MeasureSymbolicExec(e *regular.Exec, src profile.Source, maxBoxes int64) (R
 //   - "square" (or "") is the cleared-cache square semantics. The trace is
 //     never materialized, so memory is O(n) (the residency set) and
 //     problem sizes far beyond SyntheticTrace's materialization ceiling
-//     stream fine. Long streams shard across squares on the shared engine
-//     pool with byte-identical results (paging.Replay).
+//     stream fine.
 //   - A registered kernel (paging.PolicyNames) replays live, with the box
-//     profile driving its capacity. Kernels carry state across box
-//     boundaries, so these replays always run serially.
+//     profile driving its capacity.
 //   - "opt" is the clairvoyant box replay. It needs the future, so its
 //     trace is materialized under SyntheticTrace's ceiling.
 func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.Source, maxBoxes int64) (RunResult, error) {
@@ -122,8 +120,7 @@ func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.S
 }
 
 // traceResult folds a per-box ledger into a RunResult in box order — the
-// float accumulation order is part of the byte-identity contract between
-// the serial and sharded replays.
+// float accumulation order is part of the golden tables' byte identity.
 func traceResult(spec regular.Spec, n int64, stats []paging.BoxStat) RunResult {
 	res := RunResult{Spec: spec, N: n, Boxes: int64(len(stats))}
 	for _, s := range stats {

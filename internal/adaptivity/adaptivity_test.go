@@ -81,6 +81,64 @@ func TestMeasureTraceMatchesSymbolicOnWorstCase(t *testing.T) {
 	}
 }
 
+// TestMeasureTraceIdenticalAcrossWorkerCounts pins the determinism
+// contract experiments rely on when they call the square replay from
+// engine cells: the full RunResult — including the float accumulations —
+// is identical at every shared-pool worker bound.
+func TestMeasureTraceIdenticalAcrossWorkerCounts(t *testing.T) {
+	defer engine.SetSharedWorkers(0)
+	spec := regular.MMScanSpec
+	n := profile.Pow(4, 6)
+	boxes := []int64{4096, 557, 2048, 31}
+	var results []RunResult
+	for _, workers := range []int{1, 2, 8} {
+		engine.SetSharedWorkers(workers)
+		src, err := profile.NewBoxesSource(boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := MeasureTracePolicy(spec, n, paging.SquareReplayName, src, 0)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		results = append(results, res)
+	}
+	for i := 1; i < len(results); i++ {
+		if results[i] != results[0] {
+			t.Fatalf("square replay diverges across worker counts:\nworkers=1: %+v\nother:     %+v", results[0], results[i])
+		}
+	}
+}
+
+// TestMeasureTraceShortStreamStaysSerial: the square replay consumes the
+// caller's source in order, once, whatever the pool offers — so a stateful
+// FuncSource that cannot be forked gives the same result as the cycled
+// slice it walks, even with idle workers.
+func TestMeasureTraceShortStreamStaysSerial(t *testing.T) {
+	defer engine.SetSharedWorkers(0)
+	engine.SetSharedWorkers(8)
+	spec := regular.MMScanSpec
+	n := profile.Pow(4, 4)
+	boxes := []int64{64, 7}
+	src, _ := profile.NewBoxesSource(boxes)
+	want, err := MeasureTracePolicy(spec, n, paging.SquareReplayName, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	fn := profile.FuncSource(func() int64 { b := boxes[i%len(boxes)]; i++; return b })
+	got, err := MeasureTracePolicy(spec, n, paging.SquareReplayName, fn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("FuncSource result %+v, cycled slice %+v", got, want)
+	}
+	if int64(i) != got.Boxes {
+		t.Fatalf("replay drew %d boxes from the source for a %d-box ledger", i, got.Boxes)
+	}
+}
+
 func TestMeasureTracePolicySquareRouting(t *testing.T) {
 	// "square" (and "") must stream the synthetic trace into the square
 	// semantics itself — identical results, not merely close ones.

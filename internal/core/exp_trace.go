@@ -66,16 +66,14 @@ func runE9(cfg Config) (*Table, error) {
 	var lastScan, lastInp int
 	firstInp := 0
 	for i, dim := range dims {
-		boxSrc, nBoxes, duration, err := matrix.WorstCaseBoxStream(dim, bw)
+		_, nBoxes, duration, err := matrix.WorstCaseBoxStream(dim, bw)
 		if err != nil {
 			return nil, err
 		}
 		// Enough repetitions to comfortably exceed the profile's capacity for
 		// both algorithms at every size. The repetitions are streamed into
-		// the square finisher with fresh address ranges per rep (the
-		// RepeatTraceFresh semantics), never materialized; with idle engine
-		// workers the replay runs as square-partitioned shards, with output
-		// identical to the serial replay by construction.
+		// the square finisher with a fresh address range per rep, never
+		// materialized.
 		reps := 12
 		if dim >= 1024 {
 			reps = 16
@@ -85,8 +83,12 @@ func runE9(cfg Config) (*Table, error) {
 			if err := emit(c); err != nil {
 				return 0, err
 			}
-			served, err := paging.ServedEmitRepeatParallel(emit, c.Refs, c.MaxBlock,
-				boxSrc, nBoxes, reps, c.MaxBlock+1, paging.DefaultShards())
+			// Each algorithm replays against the profile from its first box.
+			boxSrc, _, _, err := matrix.WorstCaseBoxStream(dim, bw)
+			if err != nil {
+				return 0, err
+			}
+			served, err := paging.ServedEmitRepeat(emit, c.MaxBlock, boxSrc, nBoxes, reps, c.MaxBlock+1)
 			if err != nil {
 				return 0, err
 			}

@@ -56,11 +56,10 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Idle returns the number of worker tokens currently free, i.e. how many
 // helpers a Map started now could recruit. The value is advisory — tokens
-// move concurrently — but it is exactly the signal an optional
-// parallelization (parallel square replay inside an experiment cell) needs:
-// zero idle tokens means a sharded run would degrade to serial execution
-// while still paying its planning pass, so the caller should take the plain
-// serial path instead. Output never depends on the answer, only wall time.
+// move concurrently. Its one reader is paging.DefaultShards, which the
+// benchmark's shard probe calls: zero idle tokens means a sharded run would
+// degrade to serial execution while still paying its planning pass, so it
+// stays serial instead. Output never depends on the answer, only wall time.
 func (p *Pool) Idle() int { return len(p.tokens) }
 
 // TryToken is the pool's priority hook for background work: it claims one

@@ -262,15 +262,14 @@ func WorstCaseProfile(dim int, blockWords int64) (*profile.SquareProfile, error)
 }
 
 // WorstCaseBoxStream is the streaming form of WorstCaseProfile: it returns
-// a forkable box source whose first `count` boxes are exactly
+// a box source whose first `count` boxes are exactly
 // WorstCaseProfile(dim, blockWords).Boxes(), plus that count and the
 // profile's total duration (Σ box sizes), both computed in closed form. The
 // profile is never materialised — the recursive structure is an 8-ary
 // odometer (a leaf box per base case, one level-j merge-scan box after
 // every 8^j-th leaf) — so dim-4096-class profiles, whose materialised box
-// slice alone would cost gigabytes, stream in O(log dim) memory and can be
-// forked at any box for square-partitioned parallel replay.
-func WorstCaseBoxStream(dim int, blockWords int64) (src profile.ForkableSource, count, duration int64, err error) {
+// slice alone would cost gigabytes, stream in O(log dim) memory.
+func WorstCaseBoxStream(dim int, blockWords int64) (src profile.Source, count, duration int64, err error) {
 	if err := validateTraceArgs(dim, blockWords); err != nil {
 		return nil, 0, 0, err
 	}
@@ -289,29 +288,4 @@ func WorstCaseBoxStream(dim int, blockWords int64) (src profile.ForkableSource, 
 		duration = 8*duration + 3*d*d/blockWords
 	}
 	return o, count, duration, nil
-}
-
-// RepeatTrace concatenates reps copies of tr. Block IDs are reused
-// verbatim (the same multiplication run again over the same data, so
-// repetitions inside one cache box are nearly free).
-func RepeatTrace(tr *trace.Trace, reps int) (*trace.Trace, error) {
-	return repeatTrace(tr, reps, 0)
-}
-
-// RepeatTraceFresh concatenates reps copies of tr with each repetition's
-// blocks relocated to a fresh address range — back-to-back multiplications
-// of different inputs, which is the reading the "how many multiplies does
-// this profile admit" experiment needs (identical data would be served
-// from cache for free).
-func RepeatTraceFresh(tr *trace.Trace, reps int) (*trace.Trace, error) {
-	return repeatTrace(tr, reps, tr.MaxBlock()+1)
-}
-
-func repeatTrace(tr *trace.Trace, reps int, stride int64) (*trace.Trace, error) {
-	if reps < 1 {
-		return nil, fmt.Errorf("matrix: reps %d < 1", reps)
-	}
-	b := &trace.Builder{}
-	trace.ReplayRepeat(tr, b, reps, stride)
-	return b.Build(), nil
 }

@@ -97,20 +97,52 @@ func TestTraceSingleBoxServesMultiply(t *testing.T) {
 	}
 }
 
-func TestRepeatTrace(t *testing.T) {
-	tr, _ := TraceMulInPlace(16, 8)
-	r3, err := RepeatTrace(tr, 3)
+// multipliesOn counts how many of reps back-to-back copies of tr (block
+// IDs shifted by stride per copy) the boxes complete. It checks
+// paging.ServedEmitRepeat over tr.Emit against the same repetitions
+// replayed by trace.ReplayRepeat into a square finisher.
+func multipliesOn(t *testing.T, tr *trace.Trace, boxes []int64, reps int, stride int64) int {
+	t.Helper()
+	src := func() profile.Source {
+		s, err := profile.NewBoxesSource(boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	f := paging.NewSquareFinisher(src(), int64(len(boxes)))
+	f.Reserve(tr.MaxBlock())
+	trace.ReplayRepeat(tr, f, reps, stride)
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+	served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src(), int64(len(boxes)), reps, stride)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Len() != 3*tr.Len() || r3.Leaves() != 3*tr.Leaves() {
-		t.Errorf("repeat wrong: len %d leaves %d", r3.Len(), r3.Leaves())
+	if served != f.Served() {
+		t.Fatalf("ServedEmitRepeat served %d, replayed repetitions %d", served, f.Served())
 	}
-	if r3.DistinctBlocks() != tr.DistinctBlocks() {
-		t.Error("repetition should reuse the same blocks")
+	return int(served) / tr.Len()
+}
+
+// TestRepeatTrace: repetitions that reuse their blocks verbatim (stride 0)
+// run again out of the same cache, so one box of the trace's footprint
+// serves every copy; fewer than one repetition is rejected.
+func TestRepeatTrace(t *testing.T) {
+	tr, _ := TraceMulInPlace(16, 8)
+	foot := int64(tr.DistinctBlocks())
+	if got := multipliesOn(t, tr, []int64{foot}, 3, 0); got != 3 {
+		t.Errorf("one footprint-sized box completed %d of 3 verbatim repetitions", got)
 	}
-	if _, err := RepeatTrace(tr, 0); err == nil {
-		t.Error("reps=0 accepted")
+	if got := multipliesOn(t, tr, []int64{foot}, 3, tr.MaxBlock()+1); got != 1 {
+		t.Errorf("one footprint-sized box completed %d fresh repetitions, want 1", got)
+	}
+	for _, reps := range []int{0, -3} {
+		src, _ := profile.NewBoxesSource([]int64{foot})
+		if _, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src, 1, reps, 0); err == nil {
+			t.Errorf("reps=%d accepted", reps)
+		}
 	}
 }
 
@@ -134,20 +166,8 @@ func TestScanVsInPlaceOnWorstCaseProfile(t *testing.T) {
 	boxes := wc.Boxes()
 
 	const reps = 16
-	multiplies := func(one *trace.Trace) int {
-		rep, err := RepeatTraceFresh(one, reps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		end, err := paging.SquareRunFrom(rep, 0, boxes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return end / one.Len()
-	}
-
-	scanCount := multiplies(scanTr)
-	inpCount := multiplies(inpTr)
+	scanCount := multipliesOn(t, scanTr, boxes, reps, scanTr.MaxBlock()+1)
+	inpCount := multipliesOn(t, inpTr, boxes, reps, inpTr.MaxBlock()+1)
 	// The paper: MM-Scan performs exactly one multiply on its worst-case
 	// profile; MM-InPlace performs Ω(log(N/B)) multiplies on the same
 	// profile.
@@ -173,15 +193,7 @@ func TestInPlaceMultipliesGrowLogarithmically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := RepeatTraceFresh(inpTr, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		end, err := paging.SquareRunFrom(rep, 0, wc.Boxes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[dim] = end / inpTr.Len()
+		counts[dim] = multipliesOn(t, inpTr, wc.Boxes(), 16, inpTr.MaxBlock()+1)
 	}
 	if counts[128] <= counts[32] {
 		t.Errorf("multiplies did not grow with size: dim32=%d, dim128=%d", counts[32], counts[128])

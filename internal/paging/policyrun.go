@@ -176,28 +176,20 @@ var (
 	_ trace.Stopper = (*PolicyStream)(nil)
 )
 
-// Stream-length thresholds for Replay.
-const (
-	// shardMinRefs is the stream length below which a square replay does
-	// not attempt a sharded run: the parallel path pays a serial planning
-	// pass over the whole stream, which only amortises on long streams.
-	shardMinRefs = int64(1) << 22
-	// optMaxRefs is the most references the opt replay materializes — the
-	// ceiling regular.SyntheticTrace enforces.
-	optMaxRefs = int64(1) << 28
-)
+// optMaxRefs is the most references the opt replay materializes — the
+// ceiling regular.SyntheticTrace enforces.
+const optMaxRefs = int64(1) << 28
 
 // Replay runs a generated stream under the box profile src by replay name
 // (ReplayNames) and returns the per-box ledger. emit must produce the
 // identical reference sequence on every call; a materialized trace passes
-// tr.Emit. totalRefs is the stream length and maxBlock its largest block
-// ID (-1 if unknown), used to pre-size state. maxBoxes guards against
-// pathological stalls (0 = unbounded).
+// tr.Emit. totalRefs is the stream length, which opt checks against its
+// materialization ceiling; maxBlock is its largest block ID (-1 if
+// unknown), used to pre-size state. maxBoxes guards against pathological
+// stalls (0 = unbounded).
 //
 //   - A registered kernel streams through PolicyStream.
-//   - "square" streams through SquareStream. A stream of at least 2^22
-//     references shards via SquareEmitParallel when DefaultShards() > 1,
-//     with byte-identical output; otherwise src is consumed directly.
+//   - "square" streams through SquareStream, consuming src directly.
 //   - "opt" needs the future, so it materializes the stream (refusing more
 //     than 2^28 references before building anything) and runs Belady's
 //     farthest-in-future choice under the profile.
@@ -208,11 +200,6 @@ const (
 func Replay(name string, emit func(trace.Sink) error, totalRefs, maxBlock int64, src profile.Source, maxBoxes int64) ([]BoxStat, error) {
 	switch name {
 	case SquareReplayName:
-		if totalRefs >= shardMinRefs {
-			if shards := DefaultShards(); shards > 1 {
-				return SquareEmitParallel(emit, totalRefs, maxBlock, src, maxBoxes, shards)
-			}
-		}
 		return replayInto(NewSquareStream(src, maxBoxes), emit, maxBlock)
 	case OPTReplayName:
 		if totalRefs > optMaxRefs {

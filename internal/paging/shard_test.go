@@ -216,22 +216,33 @@ func TestSquareEmitParallelTotalRefsIsAdvisory(t *testing.T) {
 	}
 }
 
-// --- ServedEmitRepeatParallel ----------------------------------------------
+// --- ServedEmitRepeat --------------------------------------------------------
 
+// repeatServed is the reference answer for ServedEmitRepeat: the shifted
+// repetitions of tr replayed by trace.ReplayRepeat into one finisher.
+func repeatServed(t testing.TB, tr *trace.Trace, src profile.Source, nBoxes int64, reps int, stride int64) int64 {
+	t.Helper()
+	f := NewSquareFinisher(src, nBoxes)
+	f.Reserve(tr.MaxBlock())
+	trace.ReplayRepeat(tr, f, reps, stride)
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return f.Served()
+}
+
+// TestServedEmitRepeatParallelSmallStrideFallsBack: with stride <=
+// maxBlock the repetitions overlap in address space, so a later
+// repetition can hit blocks an earlier one left resident in the same box.
+// The count must still match the replayed repetitions exactly.
 func TestServedEmitRepeatParallelSmallStrideFallsBack(t *testing.T) {
-	// stride <= maxBlock means repetitions overlap in address space; the
-	// compact planner is invalid there and the call must fall back to the
-	// serial replay with the same answer.
 	rng := xrand.New(0x5c2)
 	tr := randomTrace(rng, 600, 48)
-	boxes := []int64{5, 9}
-	nBoxes, reps := int64(80), 4
+	boxes := []int64{5, 40}
+	nBoxes, reps := int64(40), 4
 	for _, stride := range []int64{0, 1, tr.MaxBlock()} {
-		f := NewSquareFinisher(cycling(t, boxes), nBoxes)
-		f.Reserve(tr.MaxBlock())
-		trace.ReplayRepeat(tr, f, reps, stride)
-		want := f.Served()
-		got, err := ServedEmitRepeatParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride, 8)
+		want := repeatServed(t, tr, cycling(t, boxes), nBoxes, reps, stride)
+		got, err := ServedEmitRepeat(tr.Emit, tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,48 +253,48 @@ func TestServedEmitRepeatParallelSmallStrideFallsBack(t *testing.T) {
 }
 
 // TestServedRepeatParallelMatchesSerial drives a materialized trace through
-// its own Emit method, the form mmtrace and the experiments pass.
+// its own Emit method, the form the worst-case example passes.
 func TestServedRepeatParallelMatchesSerial(t *testing.T) {
 	rng := xrand.New(0x5c1)
+	multi := 0 // trials whose boxes outlast the first repetition
 	for trial := 0; trial < 20; trial++ {
 		tr := randomTrace(rng, 30+rng.Intn(800), 1+rng.Int63n(48))
 		boxes := make([]int64, 1+rng.Intn(4))
 		for i := range boxes {
-			boxes[i] = 1 + rng.Int63n(12)
+			boxes[i] = 1 + rng.Int63n(48)
 		}
 		nBoxes := 1 + rng.Int63n(200)
 		reps := 1 + rng.Intn(6)
 		stride := tr.MaxBlock() + 1
 
-		f := NewSquareFinisher(cycling(t, boxes), nBoxes)
-		f.Reserve(tr.MaxBlock())
-		trace.ReplayRepeat(tr, f, reps, stride)
-		if err := f.Err(); err != nil {
-			t.Fatal(err)
+		want := repeatServed(t, tr, cycling(t, boxes), nBoxes, reps, stride)
+		got, err := ServedEmitRepeat(tr.Emit, tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want := f.Served()
-
-		for _, shards := range shardCounts {
-			got, err := ServedEmitRepeatParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride, shards)
-			if err != nil {
-				t.Fatalf("trial %d shards %d: %v", trial, shards, err)
-			}
-			if got != want {
-				t.Fatalf("trial %d shards %d: served %d, want %d", trial, shards, got, want)
-			}
+		if got != want {
+			t.Fatalf("trial %d: served %d, want %d", trial, got, want)
 		}
+		if want > int64(tr.Len()) {
+			multi++
+		}
+	}
+	if multi < 5 {
+		t.Fatalf("only %d of 20 trials reached a second repetition", multi)
 	}
 }
 
 // TestServedEmitRepeatParallelMatchesSerial drives a plain emit closure,
-// the form a generator that never materializes its trace passes.
+// the form a generator that never materializes its trace passes (E9,
+// mmtrace -worstcase).
 func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 	rng := xrand.New(0x5d1)
+	multi := 0 // trials whose boxes outlast the first repetition
 	for trial := 0; trial < 20; trial++ {
 		tr := randomTrace(rng, 30+rng.Intn(800), 1+rng.Int63n(48))
 		boxes := make([]int64, 1+rng.Intn(4))
 		for i := range boxes {
-			boxes[i] = 1 + rng.Int63n(12)
+			boxes[i] = 1 + rng.Int63n(48)
 		}
 		nBoxes := 1 + rng.Int63n(200)
 		reps := 1 + rng.Intn(6)
@@ -293,23 +304,20 @@ func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 			return nil
 		}
 
-		f := NewSquareFinisher(cycling(t, boxes), nBoxes)
-		f.Reserve(tr.MaxBlock())
-		trace.ReplayRepeat(tr, f, reps, stride)
-		if err := f.Err(); err != nil {
-			t.Fatal(err)
+		want := repeatServed(t, tr, cycling(t, boxes), nBoxes, reps, stride)
+		got, err := ServedEmitRepeat(emit, tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want := f.Served()
-
-		for _, shards := range shardCounts {
-			got, err := ServedEmitRepeatParallel(emit, int64(tr.Len()), tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride, shards)
-			if err != nil {
-				t.Fatalf("trial %d shards %d: %v", trial, shards, err)
-			}
-			if got != want {
-				t.Fatalf("trial %d shards %d: served %d, want %d", trial, shards, got, want)
-			}
+		if got != want {
+			t.Fatalf("trial %d: served %d, want %d", trial, got, want)
 		}
+		if want > int64(tr.Len()) {
+			multi++
+		}
+	}
+	if multi < 5 {
+		t.Fatalf("only %d of 20 trials reached a second repetition", multi)
 	}
 }
 
@@ -318,7 +326,8 @@ func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 // TestSquareFinisherErrorParity: an invalid box is reported whether it
 // leads (validated eagerly, even before any access) or turns up
 // mid-stream, with the same text, and the references served before it
-// still count.
+// still count — directly, through SquareRunFrom and through
+// ServedEmitRepeat.
 func TestSquareFinisherErrorParity(t *testing.T) {
 	tr := buildTrace([]int64{0, 1, 2, 3, 4, 5}, nil)
 	for _, c := range []struct {
@@ -342,6 +351,10 @@ func TestSquareFinisherErrorParity(t *testing.T) {
 		}
 		if _, err := SquareRunFrom(tr, 0, c.boxes); err == nil || err.Error() != c.msg {
 			t.Fatalf("boxes %v: SquareRunFrom error %v, want %q", c.boxes, err, c.msg)
+		}
+		served, err := ServedEmitRepeat(tr.Emit, tr.MaxBlock(), cycling(t, c.boxes), int64(len(c.boxes)), 2, tr.MaxBlock()+1)
+		if err == nil || err.Error() != c.msg || served != c.served {
+			t.Fatalf("boxes %v: ServedEmitRepeat = %d, %v; want %d, %q", c.boxes, served, err, c.served, c.msg)
 		}
 	}
 }
@@ -458,10 +471,11 @@ func TestDefaultShardsStaysSerialWithoutIdleWorkers(t *testing.T) {
 // --- Fuzz -------------------------------------------------------------------
 
 // FuzzParallelMatchesSerial drives random traces and cycled box profiles
-// through both parallel replay families at a fuzzed shard count and
-// demands bit-identical results against the serial kernels. The corpus
-// inputs parameterize deterministic generators, so every failure replays
-// exactly.
+// through SquareEmitParallel at a fuzzed shard count and through
+// ServedEmitRepeat, and demands bit-identical results against the serial
+// references (a SquareStream replay; trace.ReplayRepeat into a finisher).
+// The corpus inputs parameterize deterministic generators, so every
+// failure replays exactly.
 func FuzzParallelMatchesSerial(f *testing.F) {
 	f.Add(uint64(1), 100, int64(8), int64(5), 3, int64(40), 2)
 	f.Add(uint64(2), 2000, int64(64), int64(17), 8, int64(9), 5)
@@ -496,18 +510,13 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 		}
 
 		stride := tr.MaxBlock() + 1
-		fin := NewSquareFinisher(srcOf(), nBoxes)
-		fin.Reserve(tr.MaxBlock())
-		trace.ReplayRepeat(tr, fin, reps, stride)
-		if err := fin.Err(); err != nil {
-			t.Fatal(err)
-		}
-		served, err := ServedEmitRepeatParallel(tr.Emit, int64(tr.Len()), tr.MaxBlock(), srcOf(), nBoxes, reps, stride, shards)
+		want := repeatServed(t, tr, srcOf(), nBoxes, reps, stride)
+		served, err := ServedEmitRepeat(tr.Emit, tr.MaxBlock(), srcOf(), nBoxes, reps, stride)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if served != fin.Served() {
-			t.Fatalf("ServedEmitRepeatParallel(shards=%d) = %d, want %d", shards, served, fin.Served())
+		if served != want {
+			t.Fatalf("ServedEmitRepeat = %d, want %d", served, want)
 		}
 	})
 }

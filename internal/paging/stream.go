@@ -160,9 +160,8 @@ func growResident(resident []int64, block int64) []int64 {
 // boxes of a profile source under square semantics and reports how many
 // references those boxes served. It is the primitive behind the
 // No-Catch-up Lemma check (SquareRunFrom) and the worst-case repetition
-// counts (ServedEmitRepeatParallel). Boxes are pulled lazily, so a shard
-// pulls only the boxes its window consumes and a streamed profile is never
-// held in memory; a finite box slice feeds it through a
+// counts (ServedEmitRepeat). Boxes are pulled lazily, so a streamed
+// profile is never held in memory; a finite box slice feeds it through a
 // profile.BoxesSource. Once the boxes are exhausted (or a box size is
 // invalid) the remaining stream is ignored.
 type SquareFinisher struct {
@@ -259,6 +258,34 @@ func (f *SquareFinisher) Stopped() bool { return f.done || f.err != nil }
 
 // Err reports the first invalid-box error, if any.
 func (f *SquareFinisher) Err() error { return f.err }
+
+// ServedEmitRepeat counts the references served when reps copies of a
+// generated base stream are replayed, one after another, against the
+// first nBoxes boxes of src under SquareFinisher semantics. Repetition r
+// is shifted to block IDs +r·stride: stride = maxBlock+1 relocates each
+// repetition to a fresh address range (back-to-back multiplies of
+// different inputs), stride = 0 reuses the blocks verbatim. emit replays
+// the base workload (block IDs in [0, maxBlock]) and is called once per
+// repetition until the boxes run out; a materialized trace passes
+// tr.Emit. This is the worst-case repetition count behind E9 and
+// mmtrace -worstcase.
+func ServedEmitRepeat(emit func(trace.Sink) error, maxBlock int64, src profile.Source, nBoxes int64, reps int, stride int64) (int64, error) {
+	if reps < 1 {
+		return 0, fmt.Errorf("paging: reps %d < 1", reps)
+	}
+	f := NewSquareFinisher(src, nBoxes)
+	f.Reserve(maxBlock)
+	for r := 0; r < reps && !f.Stopped(); r++ {
+		var sink trace.Sink = f
+		if shift := int64(r) * stride; shift != 0 {
+			sink = trace.OffsetSink{S: f, Shift: shift}
+		}
+		if err := emit(sink); err != nil {
+			return 0, err
+		}
+	}
+	return f.Served(), f.Err()
+}
 
 var (
 	_ trace.Sink    = (*SquareStream)(nil)

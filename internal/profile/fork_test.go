@@ -17,25 +17,6 @@ func drainFork(t *testing.T, name string, fresh, fork Source, box int64, probe i
 	}
 }
 
-func TestSliceSourceForkAt(t *testing.T) {
-	p := MustNew([]int64{4, 1, 9, 2, 7})
-	for _, box := range []int64{0, 1, 4, 5, 13, 100} {
-		fresh, _ := NewSliceSource(p)
-		src, _ := NewSliceSource(p)
-		drainFork(t, "SliceSource", fresh, src.ForkAt(box), box, 12)
-	}
-}
-
-func TestSliceSourceForkAtLeavesCursorAlone(t *testing.T) {
-	p := MustNew([]int64{4, 1, 9})
-	src, _ := NewSliceSource(p)
-	src.Next()
-	src.ForkAt(100)
-	if got := src.Next(); got != 1 {
-		t.Fatalf("ForkAt advanced the receiver cursor: next = %d, want 1", got)
-	}
-}
-
 func TestBoxesSourceForkAt(t *testing.T) {
 	boxes := []int64{3, 3, 8, 1}
 	for _, box := range []int64{0, 2, 4, 7, 41} {
@@ -64,18 +45,6 @@ func TestWorstCaseSourceForkAtExhaustive(t *testing.T) {
 		fresh, _ := NewWorstCaseSource(2, 2)
 		src, _ := NewWorstCaseSource(2, 2)
 		drainFork(t, "WorstCaseSource(2,2)", fresh, src.ForkAt(box), box, 8)
-	}
-}
-
-func TestOdometerSourceForkAtExhaustive(t *testing.T) {
-	closer := func(level int) int64 { return int64(level) * 100 }
-	for box := int64(0); box < 700; box++ {
-		fresh, err := NewOdometerSource(3, 7, closer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, _ := NewOdometerSource(3, 7, closer)
-		drainFork(t, "OdometerSource", fresh, src.ForkAt(box), box, 8)
 	}
 }
 

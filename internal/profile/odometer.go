@@ -12,9 +12,6 @@ import "fmt"
 // for a height-L recursion is precisely the stream's first
 // (a^{L+1}-1)/(a-1) boxes, since the level-L closer after leaf a^L is the
 // root box and no deeper closer appears before it.
-//
-// closer must be pure (same j, same size): ForkAt reconstructs pending
-// closers from the digit structure and relies on it.
 type OdometerSource struct {
 	a       int64
 	leafBox int64
@@ -52,56 +49,3 @@ func (o *OdometerSource) Next() int64 {
 	}
 	return o.leafBox
 }
-
-// emittedThrough returns how many boxes the stream emits through the end of
-// leaf t's group: t leaf boxes plus one closer after every a^j-th leaf,
-// i.e. t + Σ_{j>=1} ⌊t/a^j⌋.
-func (o *OdometerSource) emittedThrough(t int64) int64 {
-	total := t
-	for p := o.a; p <= t; p *= o.a {
-		total += t / p
-		if p > t/o.a {
-			break // next p would overflow past t anyway
-		}
-	}
-	return total
-}
-
-// ForkAt returns an independent source positioned after box boxes,
-// reconstructing the odometer state in O(log^2 box) from the digit
-// structure exactly as WorstCaseSource.ForkAt does.
-func (o *OdometerSource) ForkAt(box int64) Source {
-	if box < 0 {
-		box = 0
-	}
-	// Binary search the largest t with emittedThrough(t) <= box; each group
-	// emits at least one box, so t <= box bounds the search.
-	lo, hi := int64(0), box
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		if o.emittedThrough(mid) <= box {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	f := &OdometerSource{a: o.a, leafBox: o.leafBox, closer: o.closer}
-	f.leaf = lo
-	if r := box - o.emittedThrough(lo); r > 0 {
-		// r boxes into leaf lo+1's group: the leaf box and r-1 of its
-		// closers are consumed; closers r..v remain pending.
-		f.leaf = lo + 1
-		t := f.leaf
-		j := int64(1)
-		for t%o.a == 0 {
-			if j >= r {
-				f.pending = append(f.pending, o.closer(int(j)))
-			}
-			t /= o.a
-			j++
-		}
-	}
-	return f
-}
-
-var _ ForkableSource = (*OdometerSource)(nil)

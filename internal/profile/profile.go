@@ -173,12 +173,15 @@ type Source interface {
 // offset: ForkAt(box) returns an independent Source positioned as if Next
 // had already been called box times on a fresh instance. Forks never share
 // mutable state with the receiver or each other, so they may be consumed
-// concurrently. This is the contract that makes square-partitioned replay
-// parallelizable — each shard forks the profile source at its starting box
-// instead of threading one cursor through every shard in order.
+// concurrently. paging.SquareEmitParallel forks the profile source at
+// each shard's starting box instead of threading one cursor through every
+// shard in order. That sharded replay has no production caller (it loses
+// to the serial replay on a 2-CPU host); the interface and the ForkAt
+// methods of BoxesSource and WorstCaseSource stay only for the benchmark's
+// shard-speedup probe.
 //
 // ForkAt positions relative to the source's initial state, not its current
-// cursor; stateless deterministic sequences (a cycled profile, the
+// cursor; stateless deterministic sequences (a cycled box slice, the
 // worst-case limit stream) satisfy that naturally, while genuinely
 // stateful sources (FuncSource closures over an RNG) cannot and simply do
 // not implement the interface, which routes them to the serial path.
@@ -220,16 +223,6 @@ func (s *SliceSource) Next() int64 {
 
 // Emitted reports how many boxes have been emitted so far (across cycles).
 func (s *SliceSource) Emitted() int { return s.emitted }
-
-// ForkAt returns an independent source positioned after box boxes of the
-// cycled sequence. The box slice is shared (it is never mutated), so forks
-// are cheap and safe to consume concurrently.
-func (s *SliceSource) ForkAt(box int64) Source {
-	if box < 0 {
-		box = 0
-	}
-	return &SliceSource{boxes: s.boxes, pos: int(box % int64(len(s.boxes))), emitted: int(box)}
-}
 
 // FuncSource adapts a function to the Source interface.
 type FuncSource func() int64
@@ -288,7 +281,4 @@ func (s *BoxesSource) ForkAt(box int64) Source {
 	return &BoxesSource{boxes: s.boxes, pos: int(box % int64(len(s.boxes)))}
 }
 
-var (
-	_ ForkableSource = (*SliceSource)(nil)
-	_ ForkableSource = (*BoxesSource)(nil)
-)
+var _ ForkableSource = (*BoxesSource)(nil)

@@ -30,8 +30,8 @@ var _ Sink = (*Builder)(nil)
 
 // OffsetSink forwards every access to S with block IDs shifted by Shift.
 // It is how streaming consumers relocate repetitions of a workload to
-// fresh address ranges (the RepeatTraceFresh semantics) without
-// materializing the repeated trace.
+// fresh address ranges (paging.ServedEmitRepeat) without materializing
+// the repeated trace.
 type OffsetSink struct {
 	S     Sink
 	Shift int64
@@ -188,11 +188,11 @@ func ReplayRange(tr *Trace, s Sink, lo, hi int) {
 }
 
 // ReplayRepeat emits reps copies of tr into s, shifting each repetition's
-// blocks by r*stride. With stride 0 it is the same-data repetition
-// (RepeatTrace); with stride = MaxBlock()+1 each repetition lands in a
-// fresh address range (RepeatTraceFresh) — but unlike those helpers the
-// repetition is never materialized, so memory stays bounded by the base
-// trace regardless of reps. A Stopper sink halts the repetition early.
+// blocks by r*stride. With stride 0 each repetition reuses the same data;
+// with stride = MaxBlock()+1 each repetition lands in a fresh address
+// range. The repetition is never materialized, so memory stays bounded by
+// the base trace regardless of reps. A Stopper sink halts the repetition
+// early.
 //
 //lint:hotpath
 func ReplayRepeat(tr *Trace, s Sink, reps int, stride int64) {
@@ -239,10 +239,12 @@ func replayShifted(tr *Trace, s Sink, st Stopper, shift int64) {
 
 // WindowSink forwards the subsequence [Lo, Hi) of a stream — counted in
 // global reference indices — to S, discarding everything outside it. It is
-// how a parallel replay shard re-streams only its slice of a generator:
-// references before Lo are skipped (a whole AccessRange outside the window
-// costs O(1)), references from Hi on report Stopped so stopper-aware
-// replays and generators cut the tail off entirely. Leaf markers are
+// how a shard of paging.SquareEmitParallel re-streams only its slice of a
+// generator: references before Lo are skipped (a whole AccessRange
+// outside the window costs O(1)), references from Hi on report Stopped so
+// stopper-aware replays and generators cut the tail off entirely. No
+// production replay shards; the sharded replay stays for the benchmark's
+// shard-speedup probe. Leaf markers are
 // forwarded only when the access they mark lies inside the window, which
 // preserves per-box leaf attribution across shard boundaries.
 //

@@ -103,11 +103,13 @@ gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestOPTRunBoxes|TestMeasu
     ./internal/paging/ \
     ./internal/adaptivity/
 
-echo "== go test -race (parallel square replay) =="
-# The sharded replay paths: plan/execute determinism at explicit shard and
-# worker counts, the ledger-merge equivalence, and the finisher early-stop
-# regressions, all race-checked since shards share the engine pool.
-gate 'TestSquareRunParallel|TestSquareEmitParallel|TestServedRepeat|TestServedEmitRepeat|TestSquareFinisher|TestReplayRangeHalts|TestReplayRepeatHalts|TestDefaultShards|TestMeasureTrace' \
+echo "== go test -race (square replay) =="
+# The sharded square replay the benchmark's shard probe measures
+# (plan/execute determinism at explicit shard and worker counts, the
+# ledger-merge equivalence), race-checked since shards share the engine
+# pool; beside it the serial repeated replay (ServedEmitRepeat), the
+# finisher early-stop regressions and the square MeasureTrace replays.
+gate 'TestSquareRunParallel|TestSquareEmitParallel|FuzzParallelMatchesSerial|TestServedRepeat|TestServedEmitRepeat|TestSquareFinisher|TestReplayRangeHalts|TestReplayRepeatHalts|TestDefaultShards|TestMeasureTrace' \
     -race -short \
     ./internal/paging/ \
     ./internal/adaptivity/
