@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/engine"
-	"repro/internal/fft"
 	"repro/internal/gep"
 	"repro/internal/matrix"
 	"repro/internal/paging"
@@ -258,7 +257,7 @@ func BenchmarkSquareStreamEmit(b *testing.B) {
 }
 
 // BenchmarkLRUStreamEmit measures the generator→LRU streaming path used by
-// mmtrace -stream -lru: emission and replay fused, no trace buffer.
+// mmtrace -lru: emission and replay fused, no trace buffer.
 func BenchmarkLRUStreamEmit(b *testing.B) {
 	spec := regular.MMScanSpec
 	n := profile.Pow(4, 5)
@@ -446,21 +445,6 @@ func BenchmarkMergeSort(b *testing.B) {
 	}
 }
 
-// BenchmarkFFT measures the radix-2 FFT on 4096 points.
-func BenchmarkFFT(b *testing.B) {
-	src := xrand.New(10)
-	xs := make([]complex128, 4096)
-	for i := range xs {
-		xs[i] = complex(src.Float64(), src.Float64())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fft.Forward(xs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFIFO measures the dynamic-capacity FIFO on a synthetic trace.
 func BenchmarkFIFO(b *testing.B) {
 	tr, err := regular.SyntheticTrace(regular.MMScanSpec, profile.Pow(4, 5))
@@ -491,11 +475,12 @@ func BenchmarkOPT(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceStrassen measures Strassen trace generation (dim 128).
+// BenchmarkTraceStrassen measures materializing the Strassen trace (dim
+// 128).
 func BenchmarkTraceStrassen(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := matrix.TraceMulStrassen(128, 8); err != nil {
+		if _, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulStrassen(128, 8, s) }); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,13 +8,14 @@
 //	mmtrace -alg inplace -dim 128 -lru 256 -policy arc  # same replay, ARC kernel
 //	mmtrace -alg scan -dim 256 -profile p.tsv -policy 2q # profile replay, live kernel
 //	mmtrace -alg scan -dim 128 -worstcase -reps 16      # multiplies under Fig-1 profile
-//	mmtrace -alg scan -dim 1024 -stream -worstcase      # same, streaming (no materialized trace)
+//	mmtrace -alg scan -dim 1024 -worstcase              # a size whose trace would not fit in memory
 //
-// Without -stream the trace is built once and every consumer replays it
-// (tr.Emit); with -stream it is regenerated into each consumer instead, so
-// sizes whose materialized trace would not fit stream fine. OPT is the one
-// consumer that inherently needs the full trace, so -opt and -policy opt
-// refuse -stream.
+// The trace is never stored: it is regenerated into each consumer, so
+// memory stays bounded by the consumer's state and sizes whose
+// materialized trace would not fit run fine. OPT is the one consumer that
+// needs the full trace for its next-use pass; -opt and -policy opt
+// materialize it through paging.Replay, which refuses a trace above 2^28
+// references before building anything.
 //
 // -policy selects the replay by name (paging.ReplayNames): any registered
 // kernel (paging.PolicyNames) or "opt" (clairvoyant Belady) for the -lru
@@ -90,11 +91,10 @@ func run(args []string, stdout io.Writer) error {
 		stats     = fs.Bool("stats", false, "print trace statistics")
 		lru       = fs.Int64("lru", 0, "replay under a fixed-capacity cache with this many blocks (kernel chosen by -policy, default lru)")
 		policy    = fs.String("policy", "", "replacement policy for the -lru and -profile replays (\"\" = lru / square respectively); one of "+strings.Join(paging.ReplayNames(), ", "))
-		opt       = fs.Bool("opt", false, "also replay under Belady OPT (with -lru; needs a materialized trace)")
+		opt       = fs.Bool("opt", false, "also replay under Belady OPT (with -lru; materializes the trace, at most 2^28 references)")
 		worstcase = fs.Bool("worstcase", false, "count multiplies completed within the Figure-1 profile")
 		reps      = fs.Int("reps", 16, "repetitions for -worstcase")
 		profPath  = fs.String("profile", "", "replay the trace against a TSV square profile (e.g. from profilegen)")
-		stream    = fs.Bool("stream", false, "stream the trace into each consumer instead of materializing it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -110,9 +110,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *lru > 0 && *policy == paging.SquareReplayName {
 		return fmt.Errorf("-policy square is the cleared-cache profile replay; it has no fixed-capacity form (use -profile)")
-	}
-	if *stream && (*opt || *policy == paging.OPTReplayName) {
-		return fmt.Errorf("opt needs the full trace for the next-use precomputation; drop -stream")
 	}
 
 	var emit func(trace.Sink) error
@@ -135,17 +132,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown algorithm %q", *alg)
 	}
 
-	// Without -stream, materialize once: every consumer replays the stored
-	// trace through tr.Emit, and the opt replays read it directly.
-	var tr *trace.Trace
-	if !*stream {
-		b := &trace.Builder{}
-		if err := emit(b); err != nil {
-			return err
-		}
-		tr = b.Build()
-		emit = tr.Emit
-	}
 	// measure streams one emission through a counting sink.
 	measure := func() (*trace.CountingSink, error) {
 		c := &trace.CountingSink{}
@@ -171,23 +157,24 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var misses int64
-		if name == paging.OPTReplayName {
-			misses, err = paging.RunPolicyFixed(name, tr, *lru)
-		} else {
-			misses, err = kernelMisses(name, *lru, c.MaxBlock, emit)
+		// OPT runs first, so a trace above its ceiling fails before any
+		// other replay streams it.
+		var om int64
+		if *opt || name == paging.OPTReplayName {
+			if om, err = optMisses(*lru, c, emit); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
+		misses := om
+		if name != paging.OPTReplayName {
+			if misses, err = kernelMisses(name, *lru, c.MaxBlock, emit); err != nil {
+				return err
+			}
 		}
 		label := strings.ToUpper(name)
 		fmt.Fprintf(stdout, "%s(M=%d blocks): %d misses (%.1f%% of references)\n",
 			label, *lru, misses, 100*float64(misses)/float64(c.Refs))
 		if *opt && name != paging.OPTReplayName {
-			om, err := paging.RunPolicyFixed(paging.OPTReplayName, tr, *lru)
-			if err != nil {
-				return err
-			}
 			fmt.Fprintf(stdout, "OPT(M=%d blocks): %d misses (%s/OPT = %.2f)\n", *lru, om, label, float64(misses)/float64(om))
 		}
 		did = true
@@ -272,6 +259,19 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("nothing to do: pass -stats, -lru, -worstcase, or -profile")
 	}
 	return nil
+}
+
+// optMisses replays the stream under Belady OPT at a fixed capacity: the
+// opt box replay over a constant profile, whose I/Os are exactly
+// fixed-capacity OPT's misses. c is the stream's count, which the replay
+// checks against its materialization ceiling before building the trace.
+func optMisses(capacity int64, c *trace.CountingSink, emit func(trace.Sink) error) (int64, error) {
+	src := profile.FuncSource(func() int64 { return capacity })
+	st, err := paging.Replay(paging.OPTReplayName, emit, c.Refs, c.MaxBlock, src, 0)
+	if err != nil {
+		return 0, err
+	}
+	return paging.TotalIOs(st), nil
 }
 
 // kernelMisses replays the stream through the named registry kernel at a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -90,42 +91,13 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesMaterialized: -stream regenerates the trace into each
-// consumer instead of building it once; every report that does not need
-// the full trace must print the same bytes either way.
-func TestStreamMatchesMaterialized(t *testing.T) {
-	for _, c := range goldenCases() {
-		if usesOPT(c.args) {
-			continue // opt refuses -stream (TestRejectsBadFlags)
-		}
-		t.Run(c.name, func(t *testing.T) {
-			mat := mustRun(t, c.args...)
-			str := mustRun(t, append(c.args, "-stream")...)
-			if mat != str {
-				t.Errorf("-stream output differs:\n--- materialized ---\n%s--- stream ---\n%s", mat, str)
-			}
-		})
-	}
-}
-
-func usesOPT(args []string) bool {
-	for _, a := range args {
-		if a == "-opt" || a == paging.OPTReplayName {
-			return true
-		}
-	}
-	return false
-}
-
 // TestWorkerCountsAgree: mmtrace replays serially, so the shared engine
 // pool's worker bound must never change what it prints.
 func TestWorkerCountsAgree(t *testing.T) {
 	defer engine.SetSharedWorkers(0)
 	for _, args := range [][]string{
 		{"-alg", "scan", "-dim", "32", "-worstcase", "-reps", "4"},
-		{"-alg", "scan", "-dim", "32", "-worstcase", "-reps", "4", "-stream"},
 		{"-alg", "scan", "-dim", "32", "-profile", profileTSV},
-		{"-alg", "scan", "-dim", "32", "-profile", profileTSV, "-stream"},
 	} {
 		engine.SetSharedWorkers(1)
 		one := mustRun(t, args...)
@@ -140,11 +112,10 @@ func TestWorkerCountsAgree(t *testing.T) {
 // TestLRUMissesMatchKernel checks the -lru report against an independent
 // fixed-capacity replay of the same trace.
 func TestLRUMissesMatchKernel(t *testing.T) {
-	b := &trace.Builder{}
-	if err := matrix.EmitMulScan(32, 8, b); err != nil {
+	tr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulScan(32, 8, s) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr := b.Build()
 	for _, name := range append(paging.PolicyNames(), paging.OPTReplayName) {
 		misses, err := paging.RunPolicyFixed(name, tr, 64)
 		if err != nil {
@@ -169,9 +140,6 @@ func TestRejectsBadFlags(t *testing.T) {
 	}{
 		{"unknown policy", []string{"-lru", "8", "-policy", "clock"}, "have [2q arc fifo lru opt square]"},
 		{"lru with square", []string{"-lru", "8", "-policy", "square"}, "no fixed-capacity form"},
-		{"stream with -policy opt", []string{"-lru", "8", "-policy", "opt", "-stream"}, "drop -stream"},
-		{"stream with -opt", []string{"-lru", "8", "-opt", "-stream"}, "drop -stream"},
-		{"stream with opt profile", []string{"-profile", profileTSV, "-policy", "opt", "-stream"}, "drop -stream"},
 		{"zero reps", []string{"-worstcase", "-reps", "0"}, "-reps 0"},
 		{"negative reps", []string{"-worstcase", "-reps", "-3"}, "-reps -3"},
 		{"unknown algorithm", []string{"-alg", "bogus", "-stats"}, "unknown algorithm"},
@@ -190,5 +158,26 @@ func TestRejectsBadFlags(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestOPTRefusesHugeTraceUnbuilt: the in-place multiply at dim 1024 with
+// one-word blocks is about 4·10^8 references, 1.5× OPT's 2^28 ceiling.
+// -lru -opt must refuse it from the streamed count alone: the refusal
+// comes before the LRU replay and before any of the trace (3 GiB
+// materialized) is built.
+func TestOPTRefusesHugeTraceUnbuilt(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := runArgs(t, "-alg", "inplace", "-dim", "1024", "-block", "1", "-lru", "8", "-opt")
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "too large to materialize") {
+		t.Fatalf("err = %v (printed %q), want the opt ceiling refusal", err, out)
+	}
+	if out != "" {
+		t.Errorf("printed %q before refusing", out)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<24 {
+		t.Errorf("allocated %d bytes before refusing; the trace must not be built", alloc)
 	}
 }

@@ -18,7 +18,9 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/profile"
@@ -27,28 +29,35 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "profilegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the whole command behind main: flags in, the profile on stdout
+// and its summary (and any flag diagnostics) on stderr. Taking all three
+// explicitly lets the tests drive it in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("profilegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		typ    = flag.String("type", "worstcase", "worstcase | shuffled | orderperturbed | sawtooth | walk | constant")
-		a      = flag.Int64("a", 8, "recursion fan-out a")
-		b      = flag.Int64("b", 4, "shrink factor b")
-		n      = flag.Int64("n", 1024, "problem size (power of b) for recursive profiles")
-		minM   = flag.Int64("min", 16, "min size (raw profiles)")
-		maxM   = flag.Int64("max", 512, "max size (raw profiles)")
-		period = flag.Int("period", 600, "sawtooth period (I/Os)")
-		step   = flag.Int64("step", 8, "random-walk step")
-		length = flag.Int("len", 3000, "raw profile length (I/Os)")
-		seed   = flag.Uint64("seed", 1, "seed for randomised profiles")
-		render = flag.Bool("render", false, "draw an ASCII skyline instead of printing boxes")
-		limit  = flag.Int("limit", 1<<20, "refuse to print profiles with more boxes than this")
+		typ    = fs.String("type", "worstcase", "worstcase | shuffled | orderperturbed | sawtooth | walk | constant")
+		a      = fs.Int64("a", 8, "recursion fan-out a")
+		b      = fs.Int64("b", 4, "shrink factor b")
+		n      = fs.Int64("n", 1024, "problem size (power of b) for recursive profiles")
+		minM   = fs.Int64("min", 16, "min size (raw profiles)")
+		maxM   = fs.Int64("max", 512, "max size (raw profiles)")
+		period = fs.Int("period", 600, "sawtooth period (I/Os)")
+		step   = fs.Int64("step", 8, "random-walk step")
+		length = fs.Int("len", 3000, "raw profile length (I/Os)")
+		seed   = fs.Uint64("seed", 1, "seed for randomised profiles")
+		render = fs.Bool("render", false, "draw an ASCII skyline instead of printing boxes")
+		limit  = fs.Int("limit", 1<<20, "refuse to print profiles with more boxes than this")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	rng := xrand.New(*seed)
 	var p *profile.SquareProfile
@@ -91,11 +100,11 @@ func run() error {
 		return fmt.Errorf("profile has %d boxes; raise -limit to print it", p.Len())
 	}
 
-	fmt.Fprintf(os.Stderr, "%s  histogram=%v\n", p, compactHistogram(p))
+	fmt.Fprintf(stderr, "%s  histogram=%v\n", p, compactHistogram(p))
 	if *render {
-		return renderSkyline(p, 100, 20)
+		return renderSkyline(stdout, p, 100, 20)
 	}
-	w := bufio.NewWriter(os.Stdout)
+	w := bufio.NewWriter(stdout)
 	defer w.Flush()
 	for i := 0; i < p.Len(); i++ {
 		fmt.Fprintf(w, "%d\t%d\n", i, p.Box(i))
@@ -109,13 +118,7 @@ func compactHistogram(p *profile.SquareProfile) string {
 	for s := range h {
 		sizes = append(sizes, s) //lint:ignore maporder sizes is sorted immediately below
 	}
-	for i := 0; i < len(sizes); i++ {
-		for j := i + 1; j < len(sizes); j++ {
-			if sizes[j] < sizes[i] {
-				sizes[i], sizes[j] = sizes[j], sizes[i]
-			}
-		}
-	}
+	slices.Sort(sizes)
 	var sb strings.Builder
 	sb.WriteByte('{')
 	for i, s := range sizes {
@@ -130,7 +133,7 @@ func compactHistogram(p *profile.SquareProfile) string {
 
 // renderSkyline draws the profile as an ASCII step function: time on the
 // x-axis (compressed into cols columns), box height on the y-axis.
-func renderSkyline(p *profile.SquareProfile, cols, rows int) error {
+func renderSkyline(w io.Writer, p *profile.SquareProfile, cols, rows int) error {
 	total := p.Duration()
 	if total == 0 {
 		return fmt.Errorf("empty profile")
@@ -138,7 +141,6 @@ func renderSkyline(p *profile.SquareProfile, cols, rows int) error {
 	maxBox := p.MaxBox()
 	// Height of the profile at each of the cols sample points.
 	heights := make([]int64, cols)
-	var t int64
 	bi := 0
 	var consumed int64
 	for c := 0; c < cols; c++ {
@@ -150,9 +152,8 @@ func renderSkyline(p *profile.SquareProfile, cols, rows int) error {
 		if bi < p.Len() {
 			heights[c] = p.Box(bi)
 		}
-		_ = t
 	}
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(w)
 	defer out.Flush()
 	for r := rows; r >= 1; r-- {
 		threshold := maxBox * int64(r) / int64(rows)

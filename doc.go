@@ -24,7 +24,6 @@
 //	internal/dp          LCS & edit distance, classic and (4,2,1)-recursive
 //	internal/gep         GEP Floyd-Warshall, copying and in-place + traces
 //	internal/sorting     two-way merge sort (the a = b boundary) + traces
-//	internal/fft         radix-2 FFT (the other a = b example) + traces
 //	internal/memsort     Barve-Vitter-style explicitly adaptive sorting model
 //	internal/sharedcache the intro's multi-tenant cache-contention generator
 //	internal/core        experiments E1–E13, ablations A1–A7, formatting

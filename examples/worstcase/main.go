@@ -72,11 +72,11 @@ func main() {
 			}
 			return int(served) / tr.Len()
 		}
-		scanTr, err := matrix.TraceMulScan(dim, bw)
+		scanTr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
 		if err != nil {
 			log.Fatal(err)
 		}
-		inpTr, err := matrix.TraceMulInPlace(dim, bw)
+		inpTr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulInPlace(dim, bw, s) })
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -135,14 +135,13 @@ func runA1(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			f := paging.NewSquareFinisher(src, int64(len(boxes)))
-			trace.ReplayRepeat(tr, f, 8, tr.MaxBlock()+1)
-			if err := f.Err(); err != nil {
+			served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src, int64(len(boxes)), 8, tr.MaxBlock()+1)
+			if err != nil {
 				return 0, err
 			}
-			return float64(int(f.Served()) / tr.Len()), nil
+			return float64(int(served) / tr.Len()), nil
 		}
-		canonTr, err := matrix.TraceMulScan(dim, bw)
+		canonTr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +151,9 @@ func runA1(cfg Config) (*Table, error) {
 		}
 		var counts []float64
 		for trial := 0; trial < trials; trial++ {
-			tr, err := matrix.TraceMulScanShuffled(dim, bw, rng)
+			// Materialized, not regenerated per repetition: the shuffled
+			// generator draws its order from rng as it runs.
+			tr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulScanShuffled(dim, bw, rng, s) })
 			if err != nil {
 				return nil, err
 			}

@@ -16,7 +16,7 @@ import (
 
 // A5 probes the boundary the paper explicitly leaves open ("We leave the
 // case of a = b for future work"): does i.i.d. smoothing close the gap for
-// a = b, c = 1 algorithms (two-way merge sort, classic FFT)?
+// a = b, c = 1 algorithms (two-way merge sort)?
 //
 // The measured answer is no — and that is consistent with the theory: the
 // paper's proof needs |a − b| >= Ω(1), and footnote 3 observes that a = b,
@@ -80,7 +80,7 @@ func runA5(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := sorting.TraceMergeSort(n, bw)
+		tr, err := trace.Materialize(func(s trace.Sink) error { return sorting.EmitMergeSort(n, bw, s) })
 		if err != nil {
 			return nil, err
 		}
@@ -92,12 +92,8 @@ func runA5(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			f := paging.NewSquareFinisher(src, int64(len(boxes)))
-			trace.ReplayRepeat(tr, f, reps, tr.MaxBlock()+1)
-			if err := f.Err(); err != nil {
-				return 0, err
-			}
-			return int(f.Served()), nil
+			served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src, int64(len(boxes)), reps, tr.MaxBlock()+1)
+			return int(served), err
 		}
 		endOrdered, err := countSorts(wc.Boxes())
 		if err != nil {

@@ -49,18 +49,17 @@ func runA4(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			f := paging.NewSquareFinisher(src, int64(len(boxes)))
-			trace.ReplayRepeat(tr, f, reps, tr.MaxBlock()+1)
-			if err := f.Err(); err != nil {
+			served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src, int64(len(boxes)), reps, tr.MaxBlock()+1)
+			if err != nil {
 				return 0, err
 			}
-			return int(f.Served()) / tr.Len(), nil
+			return int(served) / tr.Len(), nil
 		}
-		scanTr, err := gep.TraceFWScan(dim, bw)
+		scanTr, err := trace.Materialize(func(s trace.Sink) error { return gep.EmitFWScan(dim, bw, s) })
 		if err != nil {
 			return nil, err
 		}
-		inpTr, err := gep.TraceFWInPlace(dim, bw)
+		inpTr, err := trace.Materialize(func(s trace.Sink) error { return gep.EmitFWInPlace(dim, bw, s) })
 		if err != nil {
 			return nil, err
 		}

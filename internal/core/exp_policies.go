@@ -167,7 +167,7 @@ func runE13(cfg Config) (*Table, error) {
 	nM := int(e13SweepHi - e13SweepLo + 1)
 	traces := make([]*traceCurve, len(dims))
 	for di, dim := range dims {
-		tr, err := matrix.TraceMulScan(dim, bw)
+		tr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
 		if err != nil {
 			return nil, err
 		}

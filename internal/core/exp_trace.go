@@ -182,7 +182,7 @@ func runE10(cfg Config) (*Table, error) {
 func runE11(cfg Config) (*Table, error) {
 	const bw = 8
 	dim := 128
-	tr, err := matrix.TraceMulScan(dim, bw)
+	tr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -131,20 +132,20 @@ func TestDPProperties(t *testing.T) {
 }
 
 func TestTraceLCSValidation(t *testing.T) {
-	if _, err := TraceLCS(12, 4); err == nil {
+	if _, err := materialize(EmitLCS, 12, 4); err == nil {
 		t.Error("non-power length accepted")
 	}
-	if _, err := TraceLCS(4, 4); err == nil {
+	if _, err := materialize(EmitLCS, 4, 4); err == nil {
 		t.Error("length below base accepted")
 	}
-	if _, err := TraceLCS(64, 0); err == nil {
+	if _, err := materialize(EmitLCS, 64, 0); err == nil {
 		t.Error("block size 0 accepted")
 	}
 }
 
 func TestTraceLCSShape(t *testing.T) {
 	for _, n := range []int{16, 64, 256} {
-		tr, err := TraceLCS(n, 4)
+		tr, err := materialize(EmitLCS, n, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func TestTraceLCSShape(t *testing.T) {
 // footprint rounded to a power of 2.)
 func TestTraceLCSCrossValidatesSymbolic(t *testing.T) {
 	const m, bw = 256, 4
-	tr, err := TraceLCS(m, bw)
+	tr, err := materialize(EmitLCS, m, bw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,4 +212,9 @@ func TestTraceLCSCrossValidatesSymbolic(t *testing.T) {
 	if traceBoxes < symBoxes/32 || traceBoxes > symBoxes*32 {
 		t.Errorf("trace %d boxes vs symbolic %d (outside 32x band)", traceBoxes, symBoxes)
 	}
+}
+
+// materialize buffers one of this package's emitters into a trace.
+func materialize(emit func(int, int64, trace.Sink) error, size int, bw int64) (*trace.Trace, error) {
+	return trace.Materialize(func(s trace.Sink) error { return emit(size, bw, s) })
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceLCS emits the block-reference trace of the quadrant LCS/edit
-// recursion on strings of xLen characters (power of two), with blockWords
-// characters (or boundary entries) per block.
+// EmitLCS streams into s the block-reference trace of the quadrant
+// LCS/edit recursion on strings of xLen characters (power of two), with
+// blockWords characters (or boundary entries) per block.
 //
 // Layout: X occupies words [0, n), Y words [n, 2n); boundary vectors come
 // from a stack allocator above them, allocated per recursive call and
@@ -17,15 +17,6 @@ import (
 // the Θ(n) distinct-blocks property — and each base-case block marks a
 // leaf. The per-call boundary stitch is the linear scan: Θ(m/B) contiguous
 // accesses, making the kernel (4,2,1)-regular in blocks.
-func TraceLCS(xLen int, blockWords int64) (*trace.Trace, error) {
-	b := &trace.Builder{}
-	if err := EmitLCS(xLen, blockWords, b); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// EmitLCS streams the LCS trace into s without materializing it.
 func EmitLCS(xLen int, blockWords int64, s trace.Sink) error {
 	if xLen < 1 || xLen&(xLen-1) != 0 {
 		return fmt.Errorf("dp: traced kernel needs power-of-two length, got %d", xLen)

@@ -97,24 +97,24 @@ func TestFWProperties(t *testing.T) {
 }
 
 func TestTraceValidation(t *testing.T) {
-	if _, err := TraceFWScan(12, 8); err == nil {
+	if _, err := materialize(EmitFWScan, 12, 8); err == nil {
 		t.Error("non-power dim accepted")
 	}
-	if _, err := TraceFWInPlace(4, 8); err == nil {
+	if _, err := materialize(EmitFWInPlace, 4, 8); err == nil {
 		t.Error("tiny dim accepted")
 	}
-	if _, err := TraceFWScan(64, 0); err == nil {
+	if _, err := materialize(EmitFWScan, 64, 0); err == nil {
 		t.Error("block 0 accepted")
 	}
 }
 
 func TestTraceShapes(t *testing.T) {
 	const dim, bw = 64, 8
-	inp, err := TraceFWInPlace(dim, bw)
+	inp, err := materialize(EmitFWInPlace, dim, bw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := TraceFWScan(dim, bw)
+	scan, err := materialize(EmitFWScan, dim, bw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestGEPScanVsInPlaceOnWorstCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	boxes := wc.Boxes()
-	count := func(build func(int, int64) (*trace.Trace, error)) int {
-		tr, err := build(dim, bw)
+	count := func(emit func(int, int64, trace.Sink) error) int {
+		tr, err := materialize(emit, dim, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,9 +169,14 @@ func TestGEPScanVsInPlaceOnWorstCase(t *testing.T) {
 		}
 		return end / tr.Len()
 	}
-	scanCount := count(TraceFWScan)
-	inpCount := count(TraceFWInPlace)
+	scanCount := count(EmitFWScan)
+	inpCount := count(EmitFWInPlace)
 	if inpCount <= scanCount {
 		t.Errorf("in-place GEP completed %d vs copying GEP's %d; expected strictly more", inpCount, scanCount)
 	}
+}
+
+// materialize buffers one of this package's emitters into a trace.
+func materialize(emit func(int, int64, trace.Sink) error, size int, bw int64) (*trace.Trace, error) {
+	return trace.Materialize(func(s trace.Sink) error { return emit(size, bw, s) })
 }

@@ -49,17 +49,9 @@ func octant(off, d, qi, qj int64) int64 {
 	return off + (2*qi+qj)*h*h
 }
 
-// TraceFWInPlace emits the block trace of the in-place I-GEP
-// Floyd–Warshall on a dim-vertex graph.
-func TraceFWInPlace(dim int, blockWords int64) (*trace.Trace, error) {
-	b := &trace.Builder{}
-	if err := EmitFWInPlace(dim, blockWords, b); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// EmitFWInPlace streams the in-place I-GEP trace into s.
+// EmitFWInPlace streams into s the block trace of the in-place I-GEP
+// Floyd–Warshall on a dim-vertex graph, in the layout described at the
+// top of this file.
 func EmitFWInPlace(dim int, blockWords int64, s trace.Sink) error {
 	if err := validateGEPTraceArgs(dim, blockWords); err != nil {
 		return err
@@ -102,20 +94,11 @@ func gepSchedule(xOff, uOff, vOff, d int64) []struct{ x, u, v int64 } {
 	}
 }
 
-// TraceFWScan emits the block trace of the copying (not-in-place) GEP:
-// before the recursive calls of each level, the U and V operands are
+// EmitFWScan streams into s the block trace of the copying (not-in-place)
+// GEP: before the recursive calls of each level, the U and V operands are
 // copied into stack-allocated temporaries (read source, write temp — the
 // Θ(d²/B) scan), and the recursion consumes the copies. This is the
 // (8,4,1)-regular formulation.
-func TraceFWScan(dim int, blockWords int64) (*trace.Trace, error) {
-	b := &trace.Builder{}
-	if err := EmitFWScan(dim, blockWords, b); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// EmitFWScan streams the copying-GEP trace into s.
 func EmitFWScan(dim int, blockWords int64, s trace.Sink) error {
 	if err := validateGEPTraceArgs(dim, blockWords); err != nil {
 		return err
@@ -148,7 +131,7 @@ func (g *gepTraceGen) scan(xOff, uOff, vOff, d int64) {
 }
 
 // WorstCaseProfile builds the Figure-1-style adversarial profile matched
-// to TraceFWScan: recursively, one box the size of the level's copy scan
+// to EmitFWScan: recursively, one box the size of the level's copy scan
 // (4·d²/B blocks: read U, write U', read V, write V') placed *before*
 // eight copies of the profile for d/2 (the scan is upfront here), with the
 // base case getting a box of the base kernel's footprint.

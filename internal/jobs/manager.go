@@ -513,6 +513,12 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 	m.seq++
 	id := "j" + strconv.Itoa(m.seq)
 	j := m.newJob(id, norm)
+	// Snapshot the initial status before the job becomes visible to the
+	// scheduler: once it is in m.order, a fast runner can finish it before
+	// Submit returns. Lock order m.mu then j.mu, as in nextDispatch.
+	j.mu.Lock()
+	st := j.statusLocked(false)
+	j.mu.Unlock()
 	m.jobs[id] = j
 	m.order = append(m.order, j)
 	m.mu.Unlock()
@@ -528,9 +534,7 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 		}
 	}
 	m.kick()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusLocked(false), nil
+	return st, nil
 }
 
 // Status snapshots one job; withCells includes per-cell detail and the
@@ -563,7 +567,10 @@ func (m *Manager) List() []*Status {
 }
 
 // Wait returns a channel that closes when the job settles (terminal status
-// and no cell still in flight).
+// and no cell still in flight). It closes only after the job's terminal
+// ledger counters are updated, so a waiter reads a settled Ledger; a job
+// that ends on its own also has its terminal journal record written by
+// then (a cancelled one may still be writing it).
 func (m *Manager) Wait(id string) (<-chan struct{}, bool) {
 	m.mu.Lock()
 	j := m.jobs[id]
@@ -602,14 +609,16 @@ func (m *Manager) Cancel(id string) (*Status, bool) {
 		j.settled = true
 	}
 	st := j.statusLocked(false)
+	// Counted before j.mu is released: an in-flight cell that finishes
+	// right after may be the one that settles the job.
+	m.jobsActive.Add(-1)
+	m.jobsCancelled.Add(1)
 	j.mu.Unlock()
+	j.cancel()
+	m.appendTerminal(id, JobCancelled)
 	if settle {
 		close(j.done)
 	}
-	j.cancel()
-	m.jobsActive.Add(-1)
-	m.jobsCancelled.Add(1)
-	m.appendTerminal(id, JobCancelled)
 	m.kick()
 	return st, true
 }
@@ -882,9 +891,6 @@ func (m *Manager) runCell(j *Job, ci int, spec Cell, release func()) {
 		j.settled = true
 	}
 	j.mu.Unlock()
-	if settle {
-		close(j.done)
-	}
 	if terminal != "" {
 		m.jobsActive.Add(-1)
 		if terminal == JobPartial {
@@ -893,6 +899,9 @@ func (m *Manager) runCell(j *Job, ci int, spec Cell, release func()) {
 			m.jobsCompleted.Add(1)
 		}
 		m.appendTerminal(j.id, terminal)
+	}
+	if settle {
+		close(j.done)
 	}
 }
 

@@ -4,27 +4,17 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceMulStrassen emits the block trace of one Strassen multiply of
-// dim×dim matrices with blockWords words per block — the paper's flagship
-// sub-cubic example of an algorithm in the logarithmic gap (a = 7 > b = 4,
-// c = 1: seven quarter-size subproblems plus Θ(N/B) of quadrant
-// additions/subtractions).
+// EmitMulStrassen streams into s the block trace of one Strassen multiply
+// of dim×dim matrices with blockWords words per block — the paper's
+// flagship sub-cubic example of an algorithm in the logarithmic gap
+// (a = 7 > b = 4, c = 1: seven quarter-size subproblems plus Θ(N/B) of
+// quadrant additions/subtractions).
 //
-// Layout matches TraceMulScan: A, B, C at word offsets 0, dim², 2·dim² in
+// Layout matches EmitMulScan: A, B, C at word offsets 0, dim², 2·dim² in
 // block-recursive order; the ten S-matrices and seven P-products of each
 // level are stack-allocated above them. Every add/subtract that
 // materialises an operand and the final combine are linear scans over
 // contiguous quadrant regions.
-func TraceMulStrassen(dim int, blockWords int64) (*trace.Trace, error) {
-	b := &trace.Builder{}
-	if err := EmitMulStrassen(dim, blockWords, b); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// EmitMulStrassen streams the Strassen trace into s without materializing
-// it.
 func EmitMulStrassen(dim int, blockWords int64, s trace.Sink) error {
 	if err := validateTraceArgs(dim, blockWords); err != nil {
 		return err

@@ -23,8 +23,8 @@ import (
 // cache-adaptive analysis).
 
 // traceGen carries trace-generation state. It emits into any trace.Sink,
-// so the same recursion can materialize a Trace (Builder sink) or stream
-// straight into a paging kernel in bounded memory.
+// so the same recursion can stream straight into a paging kernel in
+// bounded memory or be materialized by trace.Materialize.
 //
 // When the sink implements trace.Stopper the deterministic recursions
 // (mulScan, mulInPlace, strassen) abandon emission at subproblem
@@ -72,17 +72,10 @@ func validateTraceArgs(dim int, blockWords int64) error {
 	return nil
 }
 
-// TraceMulScan emits the block trace of one MM-Scan multiply of dim×dim
-// matrices with blockWords words per block.
-func TraceMulScan(dim int, blockWords int64) (*trace.Trace, error) {
-	b := &trace.Builder{}
-	if err := EmitMulScan(dim, blockWords, b); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// EmitMulScan streams the MM-Scan trace into s without materializing it.
+// EmitMulScan streams the block trace of one MM-Scan multiply of dim×dim
+// matrices with blockWords words per block into s, in the layout described
+// at the top of this file; trace.Materialize buffers it when a caller needs
+// the whole trace.
 func EmitMulScan(dim int, blockWords int64, s trace.Sink) error {
 	if err := validateTraceArgs(dim, blockWords); err != nil {
 		return err
@@ -136,21 +129,14 @@ func (g *traceGen) mulScan(cOff, aOff, bOff, d int64) {
 	g.allocTop = t1 // release the temporaries
 }
 
-// TraceMulScanShuffled emits the block trace of one MM-Scan multiply whose
-// eight quadrant products are executed in an independent uniformly random
-// order at every node — a randomised divide-and-conquer, used by ablation
-// A1 to probe the paper's open question about randomised algorithms. The
-// addressing (which temp quadrant each product writes, which input
-// quadrants it reads) is unchanged; only the order is random.
-func TraceMulScanShuffled(dim int, blockWords int64, rng *xrand.Source) (*trace.Trace, error) {
-	b := &trace.Builder{}
-	if err := EmitMulScanShuffled(dim, blockWords, rng, b); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// EmitMulScanShuffled streams the shuffled MM-Scan trace into s.
+// EmitMulScanShuffled streams into s the block trace of one MM-Scan
+// multiply whose eight quadrant products are executed in an independent
+// uniformly random order at every node — a randomised divide-and-conquer,
+// used by ablation A1 to probe the paper's open question about randomised
+// algorithms. The addressing (which temp quadrant each product writes,
+// which input quadrants it reads) is unchanged; only the order is random.
+// The order is drawn from rng while the trace is generated, so a caller
+// that replays the trace more than once materializes it first.
 func EmitMulScanShuffled(dim int, blockWords int64, rng *xrand.Source, s trace.Sink) error {
 	if err := validateTraceArgs(dim, blockWords); err != nil {
 		return err
@@ -192,17 +178,9 @@ func (g *traceGen) mulScanShuffled(cOff, aOff, bOff, d int64, rng *xrand.Source)
 	g.allocTop = t1
 }
 
-// TraceMulInPlace emits the block trace of one MM-InPlace multiply of
-// dim×dim matrices with blockWords words per block.
-func TraceMulInPlace(dim int, blockWords int64) (*trace.Trace, error) {
-	b := &trace.Builder{}
-	if err := EmitMulInPlace(dim, blockWords, b); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// EmitMulInPlace streams the MM-InPlace trace into s.
+// EmitMulInPlace streams the block trace of one MM-InPlace multiply of
+// dim×dim matrices with blockWords words per block into s. It uses the
+// layout of EmitMulScan without the temporaries.
 func EmitMulInPlace(dim int, blockWords int64, s trace.Sink) error {
 	if err := validateTraceArgs(dim, blockWords); err != nil {
 		return err

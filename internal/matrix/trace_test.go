@@ -9,13 +9,13 @@ import (
 )
 
 func TestTraceValidation(t *testing.T) {
-	if _, err := TraceMulScan(12, 8); err == nil {
+	if _, err := materialize(EmitMulScan, 12, 8); err == nil {
 		t.Error("non-power dim accepted")
 	}
-	if _, err := TraceMulScan(4, 8); err == nil {
+	if _, err := materialize(EmitMulScan, 4, 8); err == nil {
 		t.Error("dim below base accepted")
 	}
-	if _, err := TraceMulScan(64, 0); err == nil {
+	if _, err := materialize(EmitMulScan, 64, 0); err == nil {
 		t.Error("block size 0 accepted")
 	}
 }
@@ -24,14 +24,14 @@ func TestTraceLeafCounts(t *testing.T) {
 	// Both algorithms perform (dim/base)^3 base-case products.
 	for _, dim := range []int{16, 32, 64} {
 		wantLeaves := int64((dim / baseDim) * (dim / baseDim) * (dim / baseDim))
-		scan, err := TraceMulScan(dim, 8)
+		scan, err := materialize(EmitMulScan, dim, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if scan.Leaves() != wantLeaves {
 			t.Errorf("dim=%d: MM-Scan leaves %d, want %d", dim, scan.Leaves(), wantLeaves)
 		}
-		inp, err := TraceMulInPlace(dim, 8)
+		inp, err := materialize(EmitMulInPlace, dim, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,8 +44,8 @@ func TestTraceLeafCounts(t *testing.T) {
 func TestTraceFootprints(t *testing.T) {
 	const dim, bw = 64, 8
 	d2 := int64(dim * dim)
-	scan, _ := TraceMulScan(dim, bw)
-	inp, _ := TraceMulInPlace(dim, bw)
+	scan, _ := materialize(EmitMulScan, dim, bw)
+	inp, _ := materialize(EmitMulInPlace, dim, bw)
 
 	// MM-InPlace touches exactly the 3 matrices: 3·dim²/B blocks.
 	if got, want := inp.DistinctBlocks(), 3*d2/bw; got != want {
@@ -71,7 +71,7 @@ func TestTraceTempReuse(t *testing.T) {
 	// The stack allocator must reuse temp space across sibling calls: the
 	// footprint of dim=32 must be far below the sum of all temporaries
 	// ever allocated (which would be 2·(dim² + 8·(dim/2)² + ...)).
-	scan, _ := TraceMulScan(32, 8)
+	scan, _ := materialize(EmitMulScan, 32, 8)
 	d2 := int64(32 * 32)
 	// All-distinct temps would be 2·d²·(1 + 8/4 + 64/16 + ...) ≈ many d²;
 	// stack reuse keeps it under 3·d² (matrices) + ~3.6·d² (temp stack).
@@ -83,7 +83,7 @@ func TestTraceTempReuse(t *testing.T) {
 // With a cache as big as the whole working set, one box should serve an
 // entire multiply.
 func TestTraceSingleBoxServesMultiply(t *testing.T) {
-	scan, _ := TraceMulScan(32, 8)
+	scan, _ := materialize(EmitMulScan, 32, 8)
 	src, _ := profile.NewSliceSource(profile.MustNew([]int64{scan.DistinctBlocks()}))
 	stats, err := paging.PolicyRun(paging.SquareReplayName, scan, src, 0)
 	if err != nil {
@@ -130,7 +130,7 @@ func multipliesOn(t *testing.T, tr *trace.Trace, boxes []int64, reps int, stride
 // run again out of the same cache, so one box of the trace's footprint
 // serves every copy; fewer than one repetition is rejected.
 func TestRepeatTrace(t *testing.T) {
-	tr, _ := TraceMulInPlace(16, 8)
+	tr, _ := materialize(EmitMulInPlace, 16, 8)
 	foot := int64(tr.DistinctBlocks())
 	if got := multipliesOn(t, tr, []int64{foot}, 3, 0); got != 3 {
 		t.Errorf("one footprint-sized box completed %d of 3 verbatim repetitions", got)
@@ -150,11 +150,11 @@ func TestRepeatTrace(t *testing.T) {
 // profile, MM-InPlace completes strictly more multiplies than MM-Scan.
 func TestScanVsInPlaceOnWorstCaseProfile(t *testing.T) {
 	const dim, bw = 64, 8
-	scanTr, err := TraceMulScan(dim, bw)
+	scanTr, err := materialize(EmitMulScan, dim, bw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inpTr, err := TraceMulInPlace(dim, bw)
+	inpTr, err := materialize(EmitMulInPlace, dim, bw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestInPlaceMultipliesGrowLogarithmically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inpTr, err := TraceMulInPlace(dim, bw)
+		inpTr, err := materialize(EmitMulInPlace, dim, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestInPlaceMultipliesGrowLogarithmically(t *testing.T) {
 func TestTraceStrassenShape(t *testing.T) {
 	const bw = 8
 	for _, dim := range []int{16, 32, 64} {
-		tr, err := TraceMulStrassen(dim, bw)
+		tr, err := materialize(EmitMulStrassen, dim, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,11 +228,11 @@ func TestTraceStrassenTrendsBelowScan(t *testing.T) {
 	// of trace lengths must strictly decrease as the dimension doubles.
 	const bw = 8
 	ratio := func(dim int) float64 {
-		st, err := TraceMulStrassen(dim, bw)
+		st, err := materialize(EmitMulStrassen, dim, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := TraceMulScan(dim, bw)
+		sc, err := materialize(EmitMulScan, dim, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,12 @@ func TestTraceStrassenTrendsBelowScan(t *testing.T) {
 }
 
 func TestTraceStrassenValidation(t *testing.T) {
-	if _, err := TraceMulStrassen(12, 8); err == nil {
+	if _, err := materialize(EmitMulStrassen, 12, 8); err == nil {
 		t.Error("non-power dim accepted")
 	}
+}
+
+// materialize buffers one of this package's emitters into a trace.
+func materialize(emit func(int, int64, trace.Sink) error, size int, bw int64) (*trace.Trace, error) {
+	return trace.Materialize(func(s trace.Sink) error { return emit(size, bw, s) })
 }

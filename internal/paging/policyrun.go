@@ -205,11 +205,11 @@ func Replay(name string, emit func(trace.Sink) error, totalRefs, maxBlock int64,
 		if totalRefs > optMaxRefs {
 			return nil, fmt.Errorf("paging: opt replay of %d references is too large to materialize (ceiling %d)", totalRefs, optMaxRefs)
 		}
-		b := &trace.Builder{}
-		if err := emit(b); err != nil {
+		tr, err := trace.Materialize(emit)
+		if err != nil {
 			return nil, err
 		}
-		return optRunBoxes(b.Build(), src, maxBoxes)
+		return optRunBoxes(tr, src, maxBoxes)
 	}
 	p, err := NewReplacementPolicy(name, 1)
 	if err != nil {

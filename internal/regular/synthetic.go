@@ -29,9 +29,7 @@ func SyntheticTrace(spec Spec, n int64) (*trace.Trace, error) {
 	if cost := spec.IOCost(n); cost > 1<<28 {
 		return nil, fmt.Errorf("regular: synthetic trace for n = %d would have %.3g references; too large", n, cost)
 	}
-	b := &trace.Builder{}
-	emitSynthetic(b, spec, n, 0)
-	return b.Build(), nil
+	return trace.Materialize(func(s trace.Sink) error { return EmitSynthetic(spec, n, s) })
 }
 
 // EmitSynthetic streams the canonical trace into s without materializing
@@ -82,26 +80,13 @@ func emitSyntheticRec(s trace.Sink, st trace.Stopper, spec Spec, m, off int64) {
 	s.AccessRange(off, spec.ScanLen(m))
 }
 
-// SyntheticTraceShuffled is SyntheticTrace with the a subproblems of every
-// node executed in an independent uniformly random order — the natural
-// first candidate for the paper's open question about randomised
-// algorithms defeating worst-case profiles. Each child keeps its data slot
-// (slot = original index mod b), so only the execution order is
-// randomised, exactly as a randomised divide-and-conquer would behave.
-func SyntheticTraceShuffled(spec Spec, n int64, rng *xrand.Source) (*trace.Trace, error) {
-	if err := validateSynthetic(spec, n); err != nil {
-		return nil, err
-	}
-	if cost := spec.IOCost(n); cost > 1<<28 {
-		return nil, fmt.Errorf("regular: synthetic trace for n = %d would have %.3g references; too large", n, cost)
-	}
-	b := &trace.Builder{}
-	emitSyntheticShuffled(b, spec, n, 0, rng)
-	return b.Build(), nil
-}
-
-// EmitSyntheticShuffled streams the shuffled canonical trace into s, with
-// no reference-count ceiling (see EmitSynthetic).
+// EmitSyntheticShuffled streams into s the canonical trace with the a
+// subproblems of every node executed in an independent uniformly random
+// order — the natural first candidate for the paper's open question about
+// randomised algorithms defeating worst-case profiles. Each child keeps
+// its data slot (slot = original index mod b), so only the execution
+// order is randomised, exactly as a randomised divide-and-conquer would
+// behave. Like EmitSynthetic it has no reference-count ceiling.
 func EmitSyntheticShuffled(spec Spec, n int64, rng *xrand.Source, s trace.Sink) error {
 	if err := validateSynthetic(spec, n); err != nil {
 		return err

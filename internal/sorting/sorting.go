@@ -78,21 +78,11 @@ func RandomSlice(n int, bound int64, src *xrand.Source) []int64 {
 // sortBaseLen is the traced recursion's cutoff in words.
 const sortBaseLen = 8
 
-// TraceMergeSort emits the block trace of merge-sorting n words (power of
-// two, >= sortBaseLen) with blockWords words per block. The array lives at
-// word offset 0 and the merge buffer at offset n; a subproblem on
-// [off, off+m) touches its ⌈m/B⌉ array blocks and, when merging, the
-// matching buffer blocks — the (2,2,1) shape in blocks.
-func TraceMergeSort(n int, blockWords int64) (*trace.Trace, error) {
-	b := &trace.Builder{}
-	if err := EmitMergeSort(n, blockWords, b); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// EmitMergeSort streams the merge-sort trace into s without materializing
-// it.
+// EmitMergeSort streams into s the block trace of merge-sorting n words
+// (power of two, >= sortBaseLen) with blockWords words per block. The
+// array lives at word offset 0 and the merge buffer at offset n; a
+// subproblem on [off, off+m) touches its ⌈m/B⌉ array blocks and, when
+// merging, the matching buffer blocks — the (2,2,1) shape in blocks.
 func EmitMergeSort(n int, blockWords int64, s trace.Sink) error {
 	if n < sortBaseLen || n&(n-1) != 0 {
 		return fmt.Errorf("sorting: traced sort needs power-of-two length >= %d, got %d", sortBaseLen, n)
@@ -133,7 +123,7 @@ func (g *sortTraceGen) rec(off, m int64) {
 }
 
 // WorstCaseProfile builds the adversarial profile matched to
-// TraceMergeSort, Figure-1 style: recursively two copies of the half-size
+// EmitMergeSort, Figure-1 style: recursively two copies of the half-size
 // profile followed by one box the size of a merge's distinct footprint
 // (array chunk + buffer chunk = 2·⌈m/B⌉ blocks); base cases get a box of
 // their ⌈m/B⌉-block footprint.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -79,19 +80,19 @@ func TestMergeSortProperty(t *testing.T) {
 }
 
 func TestTraceMergeSortValidation(t *testing.T) {
-	if _, err := TraceMergeSort(12, 4); err == nil {
+	if _, err := materialize(EmitMergeSort, 12, 4); err == nil {
 		t.Error("non-power accepted")
 	}
-	if _, err := TraceMergeSort(4, 4); err == nil {
+	if _, err := materialize(EmitMergeSort, 4, 4); err == nil {
 		t.Error("below base accepted")
 	}
-	if _, err := TraceMergeSort(64, 0); err == nil {
+	if _, err := materialize(EmitMergeSort, 64, 0); err == nil {
 		t.Error("block 0 accepted")
 	}
 }
 
 func TestTraceMergeSortShape(t *testing.T) {
-	tr, err := TraceMergeSort(256, 4)
+	tr, err := materialize(EmitMergeSort, 256, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,4 +138,9 @@ func TestIsSortedEdge(t *testing.T) {
 	if IsSorted([]int64{2, 1}) {
 		t.Error("descending pair reported sorted")
 	}
+}
+
+// materialize buffers one of this package's emitters into a trace.
+func materialize(emit func(int, int64, trace.Sink) error, size int, bw int64) (*trace.Trace, error) {
+	return trace.Materialize(func(s trace.Sink) error { return emit(size, bw, s) })
 }

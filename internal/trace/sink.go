@@ -2,11 +2,11 @@ package trace
 
 // Sink consumes a block-reference stream as it is generated. It is the
 // streaming half of the trace pipeline: algorithm generators
-// (internal/matrix, internal/dp, internal/fft, internal/gep,
-// internal/sorting, internal/regular) emit into a Sink, and the consumer
-// decides whether to materialize (Builder), replay online against a cache
-// (internal/paging's streaming kernels), or just count. Streaming keeps
-// memory bounded by the consumer's state — O(distinct blocks) for the
+// (internal/matrix, internal/dp, internal/gep, internal/sorting,
+// internal/regular) emit into a Sink, and the consumer decides whether to
+// replay online against a cache (internal/paging's streaming kernels),
+// just count, or materialize (Materialize, through a Builder). Streaming
+// keeps memory bounded by the consumer's state — O(distinct blocks) for the
 // paging kernels — instead of the Θ(T(n)) references a materialized
 // Trace costs, which is what caps problem sizes on the materialized path.
 //
@@ -64,7 +64,7 @@ func (o OffsetSink) Stopped() bool {
 
 // CountingSink tallies the stream without storing it: reference and leaf
 // counts plus the largest block seen. A full-size workload can be
-// measured in O(1) memory (mmtrace -stream -stats uses it).
+// measured in O(1) memory (mmtrace -stats uses it).
 type CountingSink struct {
 	Refs     int64
 	Leaves   int64

@@ -13,9 +13,12 @@
 // the paper's progress measure counts base cases completed within each
 // memory-profile box.
 //
-// Generators emit through the Sink interface (sink.go); Builder is the
-// materializing Sink, and the streaming kernels in internal/paging consume
-// the same stream without storing it.
+// Generators emit through the Sink interface (sink.go) and consumers take
+// the emitter itself, so by default nothing is stored: the streaming
+// kernels in internal/paging consume the stream as it is generated.
+// Materialize is the one place an emitter is buffered into a Trace, for
+// the consumers that need the whole trace at once (OPT's next-use pass,
+// a trace replayed more often than it can be regenerated).
 package trace
 
 import (
@@ -73,6 +76,18 @@ func (b *Builder) EndLeaf() {
 		b.leafBits[i>>6] |= 1 << (uint(i) & 63)
 		b.leaves++
 	}
+}
+
+// Materialize runs emit into a Builder and returns the trace it recorded:
+// the single bridge from a streaming generator to a materialized Trace. On
+// error the partial trace is discarded. Materialize sets no size ceiling;
+// callers that accept unbounded inputs check one before calling it.
+func Materialize(emit func(Sink) error) (*Trace, error) {
+	b := &Builder{}
+	if err := emit(b); err != nil {
+		return nil, err
+	}
+	return b.Build(), nil
 }
 
 // Len reports the number of accesses recorded so far.

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: formatting, vet, the cadaptivelint determinism checks, build, the
-# full test suite (shuffled), then a race-detector pass over the
-# concurrency-sensitive packages (the engine and everything that fans out on
-# it), including the worker-count determinism test. Run from the repo root:
+# full test suite (shuffled), the separate perfbench module, then a
+# race-detector pass over the concurrency-sensitive packages (the engine and
+# everything that fans out on it), including the worker-count determinism
+# test. Run from the repo root:
 #
 #   ./scripts/ci.sh
 set -eu
@@ -68,6 +69,14 @@ echo "== go test =="
 # -shuffle=on randomizes test order within each package, so tests that
 # secretly depend on a sibling's side effects fail here instead of later.
 go test -shuffle=on ./...
+
+echo "== perfbench module =="
+# perfbench/ is a module of its own (joined to the checkout by its go.work),
+# so the ./... steps above never compile it. It calls exported names no
+# product code may still need (regular.SyntheticTrace, paging.PolicyRun,
+# paging.RunPolicyFixed, paging.SquareEmitParallel, ...); vetting and
+# testing it here makes deleting one of them fail CI.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (short) =="
 gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers' \
