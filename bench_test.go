@@ -243,12 +243,12 @@ func BenchmarkSquareStreamEmit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		q := paging.NewSquareStream(src, 0)
+		q := paging.NewSquareStream(src, 0, func(paging.BoxStat) {})
 		q.Reserve(n - 1)
 		if err := regular.EmitSynthetic(spec, n, q); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := q.Finish(); err != nil {
+		if err := q.Finish(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -246,13 +246,17 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		st, err := paging.Replay(name, emit, c.Refs, c.MaxBlock, src, 0)
+		var boxes, ios, leaves int64
+		err = paging.Replay(name, emit, c.Refs, c.MaxBlock, src, 0, func(b paging.BoxStat) {
+			boxes++
+			ios += b.IOs
+			leaves += b.Leaves
+		})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "custom profile %s (%d boxes, cycled as needed) under %s:\n", *profPath, prof.Len(), name)
-		fmt.Fprintf(stdout, "boxes used=%d IOs=%d base-cases completed=%d\n",
-			len(st), paging.TotalIOs(st), paging.TotalLeaves(st))
+		fmt.Fprintf(stdout, "boxes used=%d IOs=%d base-cases completed=%d\n", boxes, ios, leaves)
 		did = true
 	}
 	if !did {
@@ -264,14 +268,12 @@ func run(args []string, stdout io.Writer) error {
 // optMisses replays the stream under Belady OPT at a fixed capacity: the
 // opt box replay over a constant profile, whose I/Os are exactly
 // fixed-capacity OPT's misses. c is the stream's count, which the replay
-// checks against its materialization ceiling before building the trace.
+// checks against its ceiling before recording the stream.
 func optMisses(capacity int64, c *trace.CountingSink, emit func(trace.Sink) error) (int64, error) {
 	src := profile.FuncSource(func() int64 { return capacity })
-	st, err := paging.Replay(paging.OPTReplayName, emit, c.Refs, c.MaxBlock, src, 0)
-	if err != nil {
-		return 0, err
-	}
-	return paging.TotalIOs(st), nil
+	var misses int64
+	err := paging.Replay(paging.OPTReplayName, emit, c.Refs, c.MaxBlock, src, 0, func(b paging.BoxStat) { misses += b.IOs })
+	return misses, err
 }
 
 // kernelMisses replays the stream through the named registry kernel at a

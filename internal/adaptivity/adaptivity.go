@@ -50,6 +50,16 @@ func (r RunResult) Gap() float64 {
 	return r.BoundedPotential / r.Spec.Potential(r.N)
 }
 
+// addBox folds one consumed box into the run, pricing it from pot. Both
+// backends add their boxes here in box order; the float accumulation order
+// is part of the golden tables' byte identity.
+func (r *RunResult) addBox(pot *regular.Potentials, size, progress int64) {
+	r.Boxes++
+	r.BoundedPotential += pot.Of(size)
+	r.Progress += progress
+	r.BoxSizeSum += size
+}
+
 // OpGap returns the operation-based efficiency reading (footnote 4 of the
 // paper): total box I/O-time granted divided by the algorithm's serial I/O
 // cost T(n). For a < b, c = 1 algorithms — which run in linear time
@@ -83,16 +93,9 @@ func MeasureSymbolicExec(e *regular.Exec, src profile.Source, maxBoxes int64) (R
 	e.Reset()
 	spec, n := e.Spec(), e.N()
 	res := RunResult{Spec: spec, N: n}
-	err := e.Run(src.Next, maxBoxes, func(box, prog int64) {
-		res.Boxes++
-		res.BoundedPotential += spec.BoundedPotential(box, n)
-		res.Progress += prog
-		res.BoxSizeSum += box
-	})
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	pot := spec.Potentials(n)
+	err := e.Run(src.Next, maxBoxes, func(box, prog int64) { res.addBox(&pot, box, prog) })
+	return res, err
 }
 
 // MeasureTracePolicy streams the canonical synthetic trace for spec on n
@@ -105,30 +108,22 @@ func MeasureSymbolicExec(e *regular.Exec, src profile.Source, maxBoxes int64) (R
 //     stream fine.
 //   - A registered kernel (paging.PolicyNames) replays live, with the box
 //     profile driving its capacity.
-//   - "opt" is the clairvoyant box replay. It needs the future, so its
-//     trace is materialized under SyntheticTrace's ceiling.
+//   - "opt" is the clairvoyant box replay. It needs the future, so it
+//     records the stream, under the same ceiling as SyntheticTrace.
 func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.Source, maxBoxes int64) (RunResult, error) {
 	if policy == "" {
 		policy = paging.SquareReplayName
 	}
 	emit := func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
-	stats, err := paging.Replay(policy, emit, int64(spec.IOCost(n)), n-1, src, maxBoxes)
+	res := RunResult{Spec: spec, N: n}
+	pot := spec.Potentials(n)
+	err := paging.Replay(policy, emit, int64(spec.IOCost(n)), n-1, src, maxBoxes, func(b paging.BoxStat) {
+		res.addBox(&pot, b.Size, b.Leaves)
+	})
 	if err != nil {
 		return RunResult{}, err
 	}
-	return traceResult(spec, n, stats), nil
-}
-
-// traceResult folds a per-box ledger into a RunResult in box order — the
-// float accumulation order is part of the golden tables' byte identity.
-func traceResult(spec regular.Spec, n int64, stats []paging.BoxStat) RunResult {
-	res := RunResult{Spec: spec, N: n, Boxes: int64(len(stats))}
-	for _, s := range stats {
-		res.BoundedPotential += spec.BoundedPotential(s.Size, n)
-		res.Progress += s.Leaves
-		res.BoxSizeSum += s.Size
-	}
-	return res
+	return res, nil
 }
 
 // GapOnProfile runs spec on n blocks against prof (cycled if the algorithm

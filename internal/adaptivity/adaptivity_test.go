@@ -2,6 +2,7 @@ package adaptivity
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -149,15 +150,15 @@ func TestMeasureTracePolicySquareRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := profile.NewSliceSource(wc)
-	q := paging.NewSquareStream(src, 0)
+	var ledger []paging.BoxStat
+	q := paging.NewSquareStream(src, 0, func(s paging.BoxStat) { ledger = append(ledger, s) })
 	if err := regular.EmitSynthetic(spec, n, q); err != nil {
 		t.Fatal(err)
 	}
-	ledger, err := q.Finish()
-	if err != nil {
+	if err := q.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	want := traceResult(spec, n, ledger)
+	want := sumLedger(spec, n, ledger)
 	for _, name := range []string{"square", ""} {
 		src2, _ := profile.NewSliceSource(wc)
 		got, err := MeasureTracePolicy(spec, n, name, src2, 0)
@@ -209,6 +210,50 @@ func TestMeasureTracePolicyProgressIsLeafCount(t *testing.T) {
 		}
 		if res.Progress != want {
 			t.Errorf("%s: progress %d, want the %d leaves of the algorithm", name, res.Progress, want)
+		}
+	}
+}
+
+// TestMeasureTracePolicyBytesPerRef pins what a replay allocates per
+// reference: the box ledger is folded as boxes close, so a kernel or
+// square replay allocates only its O(n) state, and opt only its recording
+// of the stream (an int32 block and an int32 next use per reference). The
+// boxes are an i.i.d. draw from M_{8,4}(n/16)'s size distribution, drawn
+// before the measurement.
+func TestMeasureTracePolicyBytesPerRef(t *testing.T) {
+	spec := regular.MMScanSpec
+	n := profile.Pow(4, 6)
+	dist, err := xrand.WorstCaseBoxDist(8, 4, n/16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(xrand.Split(61, "bytes-per-ref", 0))
+	boxes := make([]int64, 1<<14)
+	for i := range boxes {
+		boxes[i] = dist.Sample(rng)
+	}
+	refs := spec.IOCost(n)
+	for _, name := range paging.ReplayNames() {
+		src, err := profile.NewBoxesSource(boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := MeasureTracePolicy(spec, n, name, src, 0)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Boxes < 1000 {
+			t.Fatalf("%s: only %d boxes; the draw no longer exercises box closing", name, res.Boxes)
+		}
+		limit := 1.0
+		if name == paging.OPTReplayName {
+			limit = 9
+		}
+		if perRef := float64(after.TotalAlloc-before.TotalAlloc) / refs; perRef >= limit {
+			t.Errorf("%s: %.2f B/ref allocated over %d boxes, want under %g", name, perRef, res.Boxes, limit)
 		}
 	}
 }

@@ -11,21 +11,28 @@ import (
 )
 
 // measureMaterialized is the materialize-then-replay reference: build the
-// full trace, then replay it into one SquareStream.
+// full trace, replay it into one SquareStream, and sum its ledger with
+// BoundedPotential.
 func measureMaterialized(spec regular.Spec, tr *trace.Trace, src profile.Source) (RunResult, error) {
-	q := paging.NewSquareStream(src, 0)
+	var stats []paging.BoxStat
+	q := paging.NewSquareStream(src, 0, func(s paging.BoxStat) { stats = append(stats, s) })
 	trace.Replay(tr, q)
-	stats, err := q.Finish()
-	if err != nil {
+	if err := q.Finish(); err != nil {
 		return RunResult{}, err
 	}
-	res := RunResult{Spec: spec, N: tr.MaxBlock() + 1, Boxes: int64(len(stats))}
+	return sumLedger(spec, tr.MaxBlock()+1, stats), nil
+}
+
+// sumLedger folds a per-box ledger into a RunResult in box order with the
+// reference BoundedPotential.
+func sumLedger(spec regular.Spec, n int64, stats []paging.BoxStat) RunResult {
+	res := RunResult{Spec: spec, N: n, Boxes: int64(len(stats))}
 	for _, s := range stats {
-		res.BoundedPotential += spec.BoundedPotential(s.Size, res.N)
+		res.BoundedPotential += spec.BoundedPotential(s.Size, n)
 		res.Progress += s.Leaves
 		res.BoxSizeSum += s.Size
 	}
-	return res, nil
+	return res
 }
 
 // TestMeasureTraceBeyondMaterializationCeiling demonstrates the raised

@@ -79,20 +79,7 @@ func runA1(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			q := paging.NewSquareStream(src, 0)
-			q.Reserve(n - 1)
-			if err := emit(q); err != nil {
-				return 0, err
-			}
-			st, err := q.Finish()
-			if err != nil {
-				return 0, err
-			}
-			var pot float64
-			for _, s := range st {
-				pot += spec.BoundedPotential(s.Size, n)
-			}
-			return pot / spec.Potential(n), nil
+			return squareGap(spec, n, emit, src)
 		}
 
 		canon, err := gapOf(func(s trace.Sink) error {
@@ -244,6 +231,21 @@ func runA2(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// squareGap replays a generated n-block stream under square semantics
+// against src and returns its gap: the boxes' summed bounded potential
+// over n^{log_b a}.
+func squareGap(spec regular.Spec, n int64, emit func(trace.Sink) error, src profile.Source) (float64, error) {
+	pot := spec.Potentials(n)
+	var sum float64
+	err := paging.Replay(paging.SquareReplayName, emit, int64(spec.IOCost(n)), n-1, src, 0, func(b paging.BoxStat) {
+		sum += pot.Of(b.Size)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return sum / spec.Potential(n), nil
+}
+
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a
@@ -279,20 +281,10 @@ func runA3(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			q := paging.NewSquareStream(src, 0)
-			q.Reserve(n - 1)
-			if err := regular.EmitSynthetic(spec, n, q); err != nil {
-				return nil, err
-			}
-			st, err := q.Finish()
+			gap, err := squareGap(spec, n, func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }, src)
 			if err != nil {
 				return nil, err
 			}
-			var pot float64
-			for _, s := range st {
-				pot += spec.BoundedPotential(s.Size, n)
-			}
-			gap := pot / spec.Potential(n)
 			t.AddRow(fmt.Sprintf("%.2f", c), k, n, gap)
 			ks = append(ks, float64(k))
 			gaps = append(gaps, gap)

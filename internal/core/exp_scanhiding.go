@@ -94,10 +94,11 @@ func runA6(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
+			price := spec.Potentials(n)
 			var pot float64
 			maxBoxes := int64(spec.IOCost(n)) + 1
 			err = e.Run(src.Next, maxBoxes, func(box, _ int64) {
-				pot += spec.BoundedPotential(box, n)
+				pot += price.Of(box)
 			})
 			if err != nil {
 				return 0, err

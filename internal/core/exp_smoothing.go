@@ -421,10 +421,11 @@ func runE8(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			price := spec.Potentials(n)
 			var pot float64
 			for !e.Done() {
 				box := src.Next()
-				pot += spec.BoundedPotential(box, n)
+				pot += price.Of(box)
 				e.Step(box)
 			}
 			alignedGaps = append(alignedGaps, pot/spec.Potential(n))

@@ -109,7 +109,7 @@ func TestTwoQZeroAllocSteadyState(t *testing.T) {
 func TestSquareStreamBoundedState(t *testing.T) {
 	src := xrand.New(xrand.Split(50, "alloc-square", 0))
 	tr := localTrace(src, 1000, 64)
-	q := NewSquareStream(constSource{8}, 0)
+	q := NewSquareStream(constSource{8}, 0, discardBoxes)
 	q.Reserve(tr.MaxBlock())
 	for i := 0; i < tr.Len(); i++ {
 		q.Access(tr.Block(i))
@@ -119,54 +119,91 @@ func TestSquareStreamBoundedState(t *testing.T) {
 	}
 }
 
+// discardBoxes is a box fold that drops every box.
+func discardBoxes(BoxStat) {}
+
 // constSource is a fixed-size box source for tests.
 type constSource struct{ size int64 }
 
 func (c constSource) Next() int64 { return c.size }
 
 // TestOptHeapZeroAllocSteadyState: once the heap's backing array has grown
-// to the peak population, balanced push/pop churn reuses it.
+// to its peak population, push/pop churn reuses it, and so does the
+// compaction the churn triggers. Each round re-keys every resident block,
+// leaving its old key stale the way a hit does in the opt replay.
 //
 //allocguard:optHeap.push
 //allocguard:optHeap.pop
+//allocguard:optHeap.compact
 func TestOptHeapZeroAllocSteadyState(t *testing.T) {
-	src := xrand.New(xrand.Split(50, "alloc-opt", 0))
-	keys := make([]uint64, 256)
-	for i := range keys {
-		keys[i] = src.Uint64()
-	}
+	const resident = 64
+	curNext := make([]int32, resident)
 	var h optHeap
-	for _, k := range keys {
-		h.push(k)
-	}
-	for len(h) > 0 {
-		h.pop()
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		for _, k := range keys {
-			h.push(k)
+	var nu int32
+	compactions := 0
+	churn := func() {
+		for round := 0; round < 8; round++ {
+			for b := range curNext {
+				nu++
+				curNext[b] = nu
+				h.push(uint64(uint32(nu))<<32 | uint64(b))
+				if len(h) > 2*resident+64 {
+					h.compact(curNext)
+					compactions++
+					if len(h) != resident {
+						t.Fatalf("compaction kept %d keys, want the %d live ones", len(h), resident)
+					}
+				}
+			}
 		}
 		for len(h) > 0 {
 			h.pop()
 		}
-	})
+	}
+	churn()
+	avg := testing.AllocsPerRun(10, churn)
 	if avg != 0 {
-		t.Fatalf("optHeap push/pop churn allocates %.1f times per run, want 0", avg)
+		t.Fatalf("optHeap push/pop/compact churn allocates %.1f times per run, want 0", avg)
+	}
+	if compactions == 0 {
+		t.Fatal("churn never crossed the compaction threshold")
 	}
 }
 
-// TestSquareStreamZeroAllocSteadyState: with the residency array reserved
-// and a box large enough to never close, serving references allocates
-// nothing. (Closing a box appends a BoxStat — amortised by box, not by
-// reference — so the steady state within a box is the hot path.)
+// TestOptRecorderZeroAllocSteadyState: a recorder pre-sized from the
+// stream length and largest block, as Replay sizes it, records every
+// reference without allocating.
+//
+// allocguard:optRecorder.Access
+func TestOptRecorderZeroAllocSteadyState(t *testing.T) {
+	src := xrand.New(xrand.Split(50, "alloc-optrecorder", 0))
+	tr := localTrace(src, 2000, 128)
+	const runs = 10
+	r := newOptRecorder(int64((runs+1)*tr.Len()), tr.MaxBlock())
+	avg := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < tr.Len(); i++ {
+			r.Access(tr.Block(i))
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("optRecorder pre-sized recording allocates %.1f times per run, want 0", avg)
+	}
+	if r.err != nil || len(r.blocks) != (runs+1)*tr.Len() {
+		t.Fatalf("recorded %d references (err %v), want %d", len(r.blocks), r.err, (runs+1)*tr.Len())
+	}
+}
+
+// TestSquareStreamZeroAllocSteadyState: with the residency array reserved,
+// serving references allocates nothing, including closing a box and
+// passing it to the fold.
 //
 // allocguard:SquareStream.Access
 func TestSquareStreamZeroAllocSteadyState(t *testing.T) {
 	src := xrand.New(xrand.Split(50, "alloc-squarestream", 0))
 	tr := localTrace(src, 2000, 128)
-	q := NewSquareStream(constSource{1 << 40}, 0)
+	var boxes int64
+	q := NewSquareStream(constSource{8}, 0, func(BoxStat) { boxes++ })
 	q.Reserve(tr.MaxBlock())
-	q.Access(tr.Block(0)) // open the one huge box
 	avg := testing.AllocsPerRun(10, func() {
 		for i := 0; i < tr.Len(); i++ {
 			q.Access(tr.Block(i))
@@ -174,6 +211,9 @@ func TestSquareStreamZeroAllocSteadyState(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("SquareStream steady-state replay allocates %.1f times per run, want 0", avg)
+	}
+	if boxes == 0 {
+		t.Fatal("no box closed during the measured replay")
 	}
 }
 
@@ -218,10 +258,10 @@ func TestServedEmitRepeatAllocsIndependentOfLength(t *testing.T) {
 	}
 }
 
-// TestPolicyStreamZeroAllocSteadyState: with the kernel reserved and a box
-// large enough to never close, serving references through the live-policy
-// box replay allocates nothing. (Closing a box appends a BoxStat —
-// amortised by box, not by reference.)
+// TestPolicyStreamZeroAllocSteadyState: with the kernel reserved and
+// warmed, serving references through the live-policy box replay allocates
+// nothing, including closing a box, resizing the kernel to the next one
+// and passing the closed box to the fold.
 //
 // allocguard:PolicyStream.Access
 func TestPolicyStreamZeroAllocSteadyState(t *testing.T) {
@@ -232,7 +272,8 @@ func TestPolicyStreamZeroAllocSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := NewPolicyStream(p, constSource{1 << 40}, 0)
+		var boxes int64
+		q := NewPolicyStream(p, constSource{8}, 0, func(BoxStat) { boxes++ })
 		q.Reserve(tr.MaxBlock())
 		for i := 0; i < tr.Len(); i++ {
 			q.Access(tr.Block(i))
@@ -244,6 +285,9 @@ func TestPolicyStreamZeroAllocSteadyState(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Fatalf("%s PolicyStream steady-state replay allocates %.1f times per run, want 0", name, avg)
+		}
+		if boxes == 0 {
+			t.Fatalf("%s: no box closed during the replay", name)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/trace"
+	"repro/internal/xrand"
 )
 
 // Replay micro-benchmarks: the array-backed kernels against the map-backed
@@ -194,10 +195,10 @@ func BenchmarkPolicyStreamReplay(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				q := NewPolicyStream(p, src, 0)
+				q := NewPolicyStream(p, src, 0, discardBoxes)
 				q.Reserve(tr.MaxBlock())
 				trace.Replay(tr, q)
-				if _, err := q.Finish(); err != nil {
+				if err := q.Finish(); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -214,11 +215,58 @@ func BenchmarkSquareStreamReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		q := NewSquareStream(src, 0)
+		q := NewSquareStream(src, 0, discardBoxes)
 		q.Reserve(tr.MaxBlock())
 		trace.Replay(tr, q)
-		if _, err := q.Finish(); err != nil {
+		if err := q.Finish(); err != nil {
 			b.Fatal(err)
 		}
 	})
+}
+
+// smallBoxReplay benchmarks one replay name end to end through Replay, the
+// path MeasureTracePolicy takes: the canonical (8,4,1) generator at n = 4^6
+// emitting into the replay, under box sizes drawn i.i.d. from
+// M_{8,4}(n/16)'s size distribution. The boxes are small against the
+// trace, so about one reference in four closes a box, and the per-box
+// costs (ledger, potential) weigh as much as the kernel's.
+func smallBoxReplay(b *testing.B, name string) {
+	spec := regular.MMScanSpec
+	n := profile.Pow(4, 6)
+	dist, err := xrand.WorstCaseBoxDist(8, 4, n/16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(xrand.Split(62, "bench-small-boxes", 0))
+	boxes := make([]int64, 1<<14)
+	for i := range boxes {
+		boxes[i] = dist.Sample(rng)
+	}
+	emit := func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
+	refs := int64(spec.IOCost(n))
+	perAccess(b, int(refs), func() {
+		src, err := profile.NewBoxesSource(boxes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var leaves int64
+		if err := Replay(name, emit, refs, n-1, src, 0, func(s BoxStat) { leaves += s.Leaves }); err != nil {
+			b.Fatal(err)
+		}
+		if leaves != int64(spec.LeafCount(n)) {
+			b.Fatalf("%s credited %d leaves, want %d", name, leaves, int64(spec.LeafCount(n)))
+		}
+	})
+}
+
+// BenchmarkOPTBoxReplay measures the opt box replay: recording the stream
+// with its next-use index, then Belady's choice under the small boxes.
+func BenchmarkOPTBoxReplay(b *testing.B) { smallBoxReplay(b, OPTReplayName) }
+
+// BenchmarkPolicyStreamSmallBoxes measures each live kernel's box replay,
+// and the square replay, under the small boxes.
+func BenchmarkPolicyStreamSmallBoxes(b *testing.B) {
+	for _, name := range append(PolicyNames(), SquareReplayName) {
+		b.Run(name, func(b *testing.B) { smallBoxReplay(b, name) })
+	}
 }

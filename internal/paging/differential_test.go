@@ -1,8 +1,10 @@
 package paging
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -111,7 +113,9 @@ func TestOPTMatchesOracle(t *testing.T) {
 // fuzz-chosen reference strings and capacity schedules. Bytes < 200 are
 // block references (universe of 64); bytes >= 200 also retarget the
 // capacity first, so growth, shrink-eviction, and refetch paths all get
-// exercised.
+// exercised. Bytes divisible by 5 also end a leaf. The same string then
+// drives OPT at fixed capacity and the opt box replay under a profile
+// drawn from its bytes, each against its oracle.
 func FuzzKernelsMatchOracles(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3, 200, 1, 4, 5, 1}, uint8(3))
 	f.Add([]byte{0, 0, 0, 255, 7, 7, 201, 63, 0, 7}, uint8(1))
@@ -144,6 +148,9 @@ func FuzzKernelsMatchOracles(f *testing.F) {
 			}
 			blk := int64(by & 63)
 			b.Access(blk)
+			if by%5 == 0 {
+				b.EndLeaf()
+			}
 			if gl, wl := l.Access(blk), ol.Access(blk); gl != wl {
 				t.Fatalf("LRU access %d (block %d): hit=%v, oracle %v", i, blk, gl, wl)
 			}
@@ -170,6 +177,22 @@ func FuzzKernelsMatchOracles(f *testing.F) {
 		}
 		if want := runOracleOPT(tr, capacity); got != want {
 			t.Fatalf("OPT capacity %d: %d misses, oracle %d", capacity, got, want)
+		}
+
+		boxes := make([]int64, len(data))
+		for i, by := range data {
+			boxes[i] = int64((by+c)%12) + 1
+		}
+		bs, err := profile.NewBoxesSource(boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger, err := PolicyRun(OPTReplayName, tr, bs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleOPTBoxes(tr, boxes); !reflect.DeepEqual(ledger, want) {
+			t.Fatalf("opt box replay over boxes %v: ledger %+v, oracle %+v", boxes, ledger, want)
 		}
 	})
 }

@@ -252,3 +252,55 @@ func runOracleOPT(tr *trace.Trace, capacity int64) int64 {
 	}
 	return misses
 }
+
+// oracleOPTBoxes replays tr under the box profile boxes (cycled) with
+// farthest-in-future eviction, by explicit box accounting and linear
+// scans: a miss with the box's budget spent opens the next box, and a miss
+// with as many resident blocks as the box's size evicts, one at a time,
+// the resident block whose next use is farthest (never used again counts
+// as farthest; ties, which only occur among such blocks, go to the larger
+// block ID). Each leaf marker is credited to the box serving its access.
+func oracleOPTBoxes(tr *trace.Trace, boxes []int64) []BoxStat {
+	nextUse := func(i int, blk int64) int {
+		for j := i + 1; j < tr.Len(); j++ {
+			if tr.Block(j) == blk {
+				return j
+			}
+		}
+		return tr.Len()
+	}
+	var resident []int64
+	var ledger []BoxStat
+	bi := 0
+	cur := BoxStat{Size: boxes[0]}
+	for i := 0; i < tr.Len(); i++ {
+		blk := tr.Block(i)
+		hit := false
+		for _, b := range resident {
+			hit = hit || b == blk
+		}
+		if !hit {
+			if cur.IOs == cur.Size {
+				ledger = append(ledger, cur)
+				bi++
+				cur = BoxStat{Size: boxes[bi%len(boxes)]}
+			}
+			for int64(len(resident)) >= cur.Size {
+				v, far := 0, -1
+				for k, b := range resident {
+					if nu := nextUse(i, b); nu > far || (nu == far && b > resident[v]) {
+						v, far = k, nu
+					}
+				}
+				resident = append(resident[:v], resident[v+1:]...)
+			}
+			resident = append(resident, blk)
+			cur.IOs++
+		}
+		cur.Refs++
+		if tr.EndsLeaf(i) {
+			cur.Leaves++
+		}
+	}
+	return append(ledger, cur)
+}

@@ -47,12 +47,14 @@ func ReplayNames() []string {
 // and grants a budget of X misses; the box ends when the budget is spent.
 // Unlike SquareStream the cache is never cleared — the kernel's state is
 // exactly what persists across profile changes. Feed it accesses (directly
-// or via trace.Replay), then call Finish for the per-box statistics.
+// or via trace.Replay), then call Finish to close the last box; each box is
+// passed to the stream's fold as it closes.
 type PolicyStream struct {
 	policy   ReplacementPolicy
 	src      profile.Source
 	maxBoxes int64
-	stats    []BoxStat
+	fold     func(BoxStat)
+	closed   int64 // boxes passed to fold, for the maxBoxes guard
 	cur      BoxStat
 	started  bool
 	err      error
@@ -61,11 +63,11 @@ type PolicyStream struct {
 }
 
 // NewPolicyStream returns a stream replaying through policy against box
-// sizes from src; maxBoxes guards against pathological stalls (0 =
-// unbounded). The policy's starting capacity is irrelevant — the first box
-// resizes it.
-func NewPolicyStream(policy ReplacementPolicy, src profile.Source, maxBoxes int64) *PolicyStream {
-	return &PolicyStream{policy: policy, src: src, maxBoxes: maxBoxes}
+// sizes from src and passing each box to fold as it closes; maxBoxes
+// guards against pathological stalls (0 = unbounded). The policy's
+// starting capacity is irrelevant — the first box resizes it.
+func NewPolicyStream(policy ReplacementPolicy, src profile.Source, maxBoxes int64, fold func(BoxStat)) *PolicyStream {
+	return &PolicyStream{policy: policy, src: src, maxBoxes: maxBoxes, fold: fold}
 }
 
 // Reserve pre-sizes the kernel's dense indexes for block IDs up to maxBlock.
@@ -111,8 +113,9 @@ func (q *PolicyStream) Access(block int64) {
 	// Miss: needs an I/O from the current box's budget.
 	if q.cur.IOs == q.cur.Size {
 		// Budget exhausted: this reference belongs to the next box.
-		q.stats = append(q.stats, q.cur)
-		if q.maxBoxes > 0 && int64(len(q.stats)) >= q.maxBoxes {
+		q.fold(q.cur)
+		q.closed++
+		if q.maxBoxes > 0 && q.closed >= q.maxBoxes {
 			//lint:ignore hotpath error path: the box guard tripping ends the run
 			q.err = fmt.Errorf("paging: run exceeded %d boxes", q.maxBoxes)
 			q.started = false
@@ -156,19 +159,18 @@ func (q *PolicyStream) EndLeaf() {
 // stop feeding a stream that discards everything anyway.
 func (q *PolicyStream) Stopped() bool { return q.err != nil }
 
-// Finish closes the final (typically partial) box and returns the per-box
-// statistics, or the first error the stream hit. An untouched stream
-// returns (nil, nil), matching SquareStream.
-func (q *PolicyStream) Finish() ([]BoxStat, error) {
+// Finish passes the final (typically partial) box to the fold, or returns
+// the first error the stream hit. An untouched stream folds nothing,
+// matching SquareStream.
+func (q *PolicyStream) Finish() error {
 	if q.err != nil {
-		return q.stats, q.err
+		return q.err
 	}
-	if !q.started {
-		return nil, nil
+	if q.started {
+		q.started = false
+		q.fold(q.cur)
 	}
-	q.started = false
-	q.stats = append(q.stats, q.cur)
-	return q.stats, nil
+	return nil
 }
 
 var (
@@ -176,70 +178,81 @@ var (
 	_ trace.Stopper = (*PolicyStream)(nil)
 )
 
-// optMaxRefs is the most references the opt replay materializes — the
-// ceiling regular.SyntheticTrace enforces.
+// optMaxRefs is the most references the opt replay records — the ceiling
+// regular.SyntheticTrace enforces.
 const optMaxRefs = int64(1) << 28
 
 // Replay runs a generated stream under the box profile src by replay name
-// (ReplayNames) and returns the per-box ledger. emit must produce the
-// identical reference sequence on every call; a materialized trace passes
-// tr.Emit. totalRefs is the stream length, which opt checks against its
-// materialization ceiling; maxBlock is its largest block ID (-1 if
-// unknown), used to pre-size state. maxBoxes guards against pathological
-// stalls (0 = unbounded).
+// (ReplayNames) and passes each box to fold as it closes, in box order.
+// emit must produce the identical reference sequence on every call; a
+// materialized trace passes tr.Emit. totalRefs is the stream length, which
+// opt checks against its recording ceiling and pre-sizes its record from;
+// maxBlock is its largest block ID (-1 if unknown), used to pre-size state.
+// maxBoxes guards against pathological stalls (0 = unbounded). On error the
+// boxes closed before it have been folded.
 //
 //   - A registered kernel streams through PolicyStream.
 //   - "square" streams through SquareStream, consuming src directly.
-//   - "opt" needs the future, so it materializes the stream (refusing more
-//     than 2^28 references before building anything) and runs Belady's
+//   - "opt" needs the future, so it records the stream (refusing more than
+//     2^28 references before recording anything) and runs Belady's
 //     farthest-in-future choice under the profile.
 //
 // Unknown names error with every accepted name listed. This is the one
-// dispatch over ReplayNames; PolicyRun and the adaptivity and mmtrace
-// replays all go through it.
-func Replay(name string, emit func(trace.Sink) error, totalRefs, maxBlock int64, src profile.Source, maxBoxes int64) ([]BoxStat, error) {
+// dispatch over ReplayNames; PolicyRun, RunPolicyFixed's opt and the
+// adaptivity and mmtrace replays all go through it.
+func Replay(name string, emit func(trace.Sink) error, totalRefs, maxBlock int64, src profile.Source, maxBoxes int64, fold func(BoxStat)) error {
 	switch name {
 	case SquareReplayName:
-		return replayInto(NewSquareStream(src, maxBoxes), emit, maxBlock)
+		return replayInto(NewSquareStream(src, maxBoxes, fold), emit, maxBlock)
 	case OPTReplayName:
 		if totalRefs > optMaxRefs {
-			return nil, fmt.Errorf("paging: opt replay of %d references is too large to materialize (ceiling %d)", totalRefs, optMaxRefs)
+			return fmt.Errorf("paging: opt replay of %d references is too large to materialize (ceiling %d)", totalRefs, optMaxRefs)
 		}
-		tr, err := trace.Materialize(emit)
-		if err != nil {
-			return nil, err
+		rec := newOptRecorder(totalRefs, maxBlock)
+		if err := emit(rec); err != nil {
+			return err
 		}
-		return optRunBoxes(tr, src, maxBoxes)
+		if rec.err != nil {
+			return rec.err
+		}
+		return optRunBoxes(rec, src, maxBoxes, fold)
 	}
 	p, err := NewReplacementPolicy(name, 1)
 	if err != nil {
-		return nil, fmt.Errorf("paging: unknown replay policy %q (have %v)", name, ReplayNames())
+		return fmt.Errorf("paging: unknown replay policy %q (have %v)", name, ReplayNames())
 	}
-	return replayInto(NewPolicyStream(p, src, maxBoxes), emit, maxBlock)
+	return replayInto(NewPolicyStream(p, src, maxBoxes, fold), emit, maxBlock)
 }
 
 // boxStream is the shared shape of SquareStream and PolicyStream.
 type boxStream interface {
 	trace.Sink
 	Reserve(maxBlock int64)
-	Finish() ([]BoxStat, error)
+	Finish() error
 }
 
-// replayInto emits the stream into q and closes its ledger.
-func replayInto(q boxStream, emit func(trace.Sink) error, maxBlock int64) ([]BoxStat, error) {
+// replayInto emits the stream into q and closes its last box.
+func replayInto(q boxStream, emit func(trace.Sink) error, maxBlock int64) error {
 	if maxBlock >= 0 {
 		q.Reserve(maxBlock)
 	}
 	if err := emit(q); err != nil {
-		return nil, err
+		return err
 	}
 	return q.Finish()
 }
 
+// collect returns a fold that appends each box to *stats.
+func collect(stats *[]BoxStat) func(BoxStat) {
+	return func(s BoxStat) { *stats = append(*stats, s) }
+}
+
 // PolicyRun replays a materialized trace under the box profile src by
-// replay name; see Replay.
+// replay name and returns the per-box ledger; see Replay.
 func PolicyRun(name string, tr *trace.Trace, src profile.Source, maxBoxes int64) ([]BoxStat, error) {
-	return Replay(name, tr.Emit, int64(tr.Len()), tr.MaxBlock(), src, maxBoxes)
+	var stats []BoxStat
+	err := Replay(name, tr.Emit, int64(tr.Len()), tr.MaxBlock(), src, maxBoxes, collect(&stats))
+	return stats, err
 }
 
 // RunPolicyFixed replays tr at a fixed capacity by name — a registered
@@ -253,8 +266,10 @@ func RunPolicyFixed(name string, tr *trace.Trace, capacity int64) (int64, error)
 		if capacity < 1 {
 			return 0, fmt.Errorf("paging: OPT capacity %d < 1", capacity)
 		}
-		stats, err := optRunBoxes(tr, profile.FuncSource(func() int64 { return capacity }), 0)
-		return TotalIOs(stats), err
+		var ios int64
+		src := profile.FuncSource(func() int64 { return capacity })
+		err := Replay(OPTReplayName, tr.Emit, int64(tr.Len()), tr.MaxBlock(), src, 0, func(s BoxStat) { ios += s.IOs })
+		return ios, err
 	}
 	p, err := NewReplacementPolicy(name, capacity)
 	if err != nil {

@@ -76,10 +76,10 @@ func TestPolicyRunSquareRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewSquareStream(bs2, 0)
+	var want []BoxStat
+	q := NewSquareStream(bs2, 0, collect(&want))
 	trace.Replay(tr, q)
-	want, err := q.Finish()
-	if err != nil {
+	if err := q.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -116,7 +116,7 @@ func TestReplayOPTRefusesBeyondCeiling(t *testing.T) {
 		t.Fatal("opt replay started materializing a stream past its ceiling")
 		return nil
 	}
-	if _, err := Replay(OPTReplayName, emit, 1<<28+1, 15, constSource{4}, 0); err == nil {
+	if err := Replay(OPTReplayName, emit, 1<<28+1, 15, constSource{4}, 0, discardBoxes); err == nil {
 		t.Fatal("opt replay accepted a stream past the ceiling")
 	}
 }
@@ -193,6 +193,52 @@ func TestPolicyRunVaryingProfileMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReplayOPTVaryingProfileMatchesOracle drives the opt box replay over
+// sawtooth and i.i.d. profiles and compares its whole ledger, leaves
+// included, with a linear-scan farthest-in-future oracle doing its own box
+// accounting. Traces are long enough against the box sizes that the heap
+// compacts many times per replay.
+func TestReplayOPTVaryingProfileMatchesOracle(t *testing.T) {
+	sawtooth, err := profile.Sawtooth(2, 23, 11, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 12; trial++ {
+		src := xrand.New(xrand.Split(56, "opt-vary", int64(trial)))
+		tr := withLeaves(src, localTrace(src, 700, 1+src.Int63n(80)), 0.2)
+		iid := make([]int64, 64)
+		for i := range iid {
+			iid[i] = 1 + src.Int63n(24)
+		}
+		for _, boxes := range [][]int64{sawtooth, iid} {
+			bs, err := profile.NewBoxesSource(boxes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := PolicyRun(OPTReplayName, tr, bs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleOPTBoxes(tr, boxes); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, boxes %v...: ledger diverges from the oracle:\ngot  %+v\nwant %+v", trial, boxes[:4], got, want)
+			}
+		}
+	}
+}
+
+// withLeaves rebuilds tr with a leaf marker after each access with
+// probability p.
+func withLeaves(src *xrand.Source, tr *trace.Trace, p float64) *trace.Trace {
+	var b trace.Builder
+	for i := 0; i < tr.Len(); i++ {
+		b.Access(tr.Block(i))
+		if src.Float64() < p {
+			b.EndLeaf()
+		}
+	}
+	return b.Build()
 }
 
 // TestPolicyRunUnknownName: the error must list every accepted replay name

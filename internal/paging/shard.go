@@ -190,18 +190,16 @@ func execSquareShards(bounds []Checkpoint, src profile.ForkableSource, maxBlock 
 		}
 		// maxBoxes 0: the planning pass already enforced the caller's bound
 		// over the whole stream.
-		q := NewSquareStream(src.ForkAt(bounds[k].Box), 0)
+		q := NewSquareStream(src.ForkAt(bounds[k].Box), 0, collect(&shardStats[k]))
 		if maxBlock >= 0 {
 			q.Reserve(maxBlock)
 		}
 		if err := emit(trace.NewWindowSink(q, lo, hi)); err != nil {
 			return err
 		}
-		st, err := q.Finish()
-		if err != nil {
+		if err := q.Finish(); err != nil {
 			return fmt.Errorf("paging: parallel shard %d diverged from plan: %v (ForkAt contract violation?)", k, err)
 		}
-		shardStats[k] = st
 		return nil
 	})
 	if err != nil {
@@ -229,15 +227,20 @@ func execSquareShards(bounds []Checkpoint, src profile.ForkableSource, maxBlock 
 // consume it, while a forkable one is never advanced — a single shard or a
 // planning-pass error replays serially from src.ForkAt(0).
 func SquareEmitParallel(emit func(trace.Sink) error, totalRefs, maxBlock int64, src profile.Source, maxBoxes int64, shards int) ([]BoxStat, error) {
+	var stats []BoxStat
+	serial := func(src profile.Source) ([]BoxStat, error) {
+		err := replayInto(NewSquareStream(src, maxBoxes, collect(&stats)), emit, maxBlock)
+		return stats, err
+	}
 	fsrc, ok := src.(profile.ForkableSource)
 	if !ok {
-		return replayInto(NewSquareStream(src, maxBoxes), emit, maxBlock)
+		return serial(src)
 	}
 	if shards <= 0 {
 		shards = DefaultShards()
 	}
 	if shards <= 1 || totalRefs < 2 {
-		return replayInto(NewSquareStream(fsrc.ForkAt(0), maxBoxes), emit, maxBlock)
+		return serial(fsrc.ForkAt(0))
 	}
 	p := newSquarePlanner(fsrc.ForkAt(0), maxBoxes, cutStride(totalRefs, shards))
 	if maxBlock >= 0 {
@@ -247,7 +250,7 @@ func SquareEmitParallel(emit func(trace.Sink) error, totalRefs, maxBlock int64, 
 		return nil, err
 	}
 	if p.err != nil {
-		return replayInto(NewSquareStream(fsrc.ForkAt(0), maxBoxes), emit, maxBlock)
+		return serial(fsrc.ForkAt(0))
 	}
 	return execSquareShards(p.bounds(), fsrc, maxBlock, emit)
 }

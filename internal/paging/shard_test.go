@@ -363,10 +363,10 @@ func TestSquareStreamEndLeafAfterInvalidBoxDoesNotPanic(t *testing.T) {
 	// A generator emits Access then EndLeaf; if the access was rejected
 	// (invalid first box), the marker has no box to credit and must be
 	// ignored, not panic with "EndLeaf before any access".
-	q := NewSquareStream(profile.FuncSource(func() int64 { return 0 }), 0)
+	q := NewSquareStream(profile.FuncSource(func() int64 { return 0 }), 0, discardBoxes)
 	q.Access(1)
 	q.EndLeaf() // must not panic
-	if _, err := q.Finish(); err == nil {
+	if err := q.Finish(); err == nil {
 		t.Fatal("expected invalid-box error")
 	}
 }
@@ -378,13 +378,13 @@ func TestSquareStreamEndLeafAfterMaxBoxesDoesNotMutateClosedBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewSquareStream(src, 1)
+	var stats []BoxStat
+	q := NewSquareStream(src, 1, collect(&stats))
 	q.Access(0)
 	q.EndLeaf()
 	q.Access(1) // needs a second box: exceeds maxBoxes
 	q.EndLeaf() // must not panic, must not touch the closed box
-	stats, err := q.Finish()
-	if err == nil {
+	if err := q.Finish(); err == nil {
 		t.Fatal("expected maxBoxes error")
 	}
 	if len(stats) != 1 || stats[0].Leaves != 1 {
@@ -399,7 +399,7 @@ func TestSquareStreamEndLeafBeforeAccessStillPanics(t *testing.T) {
 		}
 	}()
 	src, _ := profile.NewBoxesSource([]int64{4})
-	NewSquareStream(src, 0).EndLeaf()
+	NewSquareStream(src, 0, discardBoxes).EndLeaf()
 }
 
 // --- Early stop (regression) ------------------------------------------------

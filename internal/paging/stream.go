@@ -17,14 +17,16 @@ import (
 
 // SquareStream consumes a reference stream under square semantics against
 // boxes drawn from a profile source. Feed it accesses (directly or via
-// trace.Replay), then call Finish for the per-box statistics. Memory is
-// O(max block ID), independent of stream length.
+// trace.Replay), then call Finish to close the last box. Each box is passed
+// to the stream's fold as it closes, so memory is O(max block ID),
+// independent of stream length and box count.
 type SquareStream struct {
 	src      profile.Source
 	maxBoxes int64
+	fold     func(BoxStat)
+	closed   int64   // boxes passed to fold, for the maxBoxes guard
 	resident []int64 // epoch-stamped from 1: resident[b] == epoch means cached
 	epoch    int64
-	stats    []BoxStat
 	cur      BoxStat
 	started  bool
 	err      error
@@ -32,10 +34,11 @@ type SquareStream struct {
 	refs     int64 // total refs across all boxes, for markedAt
 }
 
-// NewSquareStream returns a stream drawing box sizes from src; maxBoxes
-// guards against pathological stalls (0 = unbounded).
-func NewSquareStream(src profile.Source, maxBoxes int64) *SquareStream {
-	return &SquareStream{src: src, maxBoxes: maxBoxes, epoch: 1}
+// NewSquareStream returns a stream drawing box sizes from src and passing
+// each box to fold as it closes; maxBoxes guards against pathological
+// stalls (0 = unbounded).
+func NewSquareStream(src profile.Source, maxBoxes int64, fold func(BoxStat)) *SquareStream {
+	return &SquareStream{src: src, maxBoxes: maxBoxes, fold: fold, epoch: 1}
 }
 
 // Reserve pre-sizes the residency array for block IDs up to maxBlock.
@@ -68,8 +71,9 @@ func (q *SquareStream) Access(block int64) {
 		// Miss: needs an I/O from the current box's budget.
 		if q.cur.IOs == q.cur.Size {
 			// Budget exhausted: this reference belongs to the next box.
-			q.stats = append(q.stats, q.cur)
-			if q.maxBoxes > 0 && int64(len(q.stats)) >= q.maxBoxes {
+			q.fold(q.cur)
+			q.closed++
+			if q.maxBoxes > 0 && q.closed >= q.maxBoxes {
 				//lint:ignore hotpath error path: the box guard tripping ends the run
 				q.err = fmt.Errorf("paging: run exceeded %d boxes", q.maxBoxes)
 				q.started = false
@@ -124,19 +128,18 @@ func (q *SquareStream) EndLeaf() {
 // and generators stop feeding a stream that discards everything anyway.
 func (q *SquareStream) Stopped() bool { return q.err != nil }
 
-// Finish closes the final (typically partial) box and returns the per-box
-// statistics, or the first error the stream hit. An untouched stream
-// returns (nil, nil): an empty stream uses no boxes.
-func (q *SquareStream) Finish() ([]BoxStat, error) {
+// Finish passes the final (typically partial) box to the fold, or returns
+// the first error the stream hit. An untouched stream folds nothing: an
+// empty stream uses no boxes.
+func (q *SquareStream) Finish() error {
 	if q.err != nil {
-		return q.stats, q.err
+		return q.err
 	}
-	if !q.started {
-		return nil, nil
+	if q.started {
+		q.started = false
+		q.fold(q.cur)
 	}
-	q.started = false
-	q.stats = append(q.stats, q.cur)
-	return q.stats, nil
+	return nil
 }
 
 // growResident extends an epoch-stamped residency array to cover block.

@@ -148,6 +148,52 @@ func (s Spec) BoundedPotential(box, n int64) float64 {
 	return math.Pow(float64(box), s.Exponent())
 }
 
+// potentialBits sizes a Potentials table at 64 slots, more than the
+// distinct box sizes a profile usually draws.
+const (
+	potentialBits  = 6
+	potentialSlots = 1 << potentialBits
+)
+
+// Potentials prices the boxes of one run on a problem of n blocks: Of(box)
+// is BoundedPotential(box, n), bit for bit. The exponent is computed once
+// and min(n, |□|)^{log_b a} is cached by box size in a direct-mapped
+// table, because a run's box sizes repeat and math.Pow is the per-box
+// cost. The zero value is not usable; get one from Spec.Potentials.
+type Potentials struct {
+	n    int64
+	e    float64
+	size [potentialSlots]int64 // box size cached in each slot; 0 = empty
+	pot  [potentialSlots]float64
+}
+
+// Potentials returns a per-run potential table for problem size n.
+func (s Spec) Potentials(n int64) Potentials {
+	return Potentials{n: n, e: s.Exponent()}
+}
+
+// potentialSlot maps a box size to its table slot by Fibonacci hashing, so
+// that powers of b, which share their low bits, spread over the table.
+func potentialSlot(box int64) int {
+	return int(uint64(box) * 0x9E3779B97F4A7C15 >> (64 - potentialBits))
+}
+
+// Of returns min(n, box)^{log_b a}. It calls math.Pow with the same
+// arguments as BoundedPotential, so the result has the same bits.
+func (p *Potentials) Of(box int64) float64 {
+	if box > p.n {
+		box = p.n
+	}
+	if box < 1 {
+		return math.Pow(float64(box), p.e)
+	}
+	i := potentialSlot(box)
+	if p.size[i] != box {
+		p.size[i], p.pot[i] = box, math.Pow(float64(box), p.e)
+	}
+	return p.pot[i]
+}
+
 // FloorPow rounds s' down to the largest power of b that is <= x (minimum
 // 1). The simplified model uses power-of-b box sizes; general sizes are
 // rounded down for completion decisions, which only weakens boxes and so

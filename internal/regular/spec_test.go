@@ -141,3 +141,43 @@ func TestPotential(t *testing.T) {
 		t.Errorf("bounded ρ(4; n=16) = %g, want 8", got)
 	}
 }
+
+// TestPotentialsMatchBoundedPotentialBits pins the per-run potential table
+// to BoundedPotential bit for bit, for every spec the experiments run:
+// every box size up to 4n (so sizes above n clamp), huge sizes, and a run
+// of sizes that all land in one table slot, so each evicts the last.
+func TestPotentialsMatchBoundedPotentialBits(t *testing.T) {
+	specs := []Spec{MMScanSpec, MMInPlaceSpec, StrassenSpec, LCSSpec,
+		MustSpec(2, 2, 1), MustSpec(2, 4, 1), MustSpec(4, 4, 1)}
+	for _, c := range []float64{0.25, 0.5, 0.75} {
+		specs = append(specs, MustSpec(8, 4, c))
+	}
+	var colliding []int64
+	for box := int64(1); len(colliding) < 8; box++ {
+		if potentialSlot(box) == potentialSlot(1) {
+			colliding = append(colliding, box)
+		}
+	}
+	for _, s := range specs {
+		for _, n := range []int64{1, 16, 64, 1 << 12} {
+			p := s.Potentials(n)
+			check := func(box int64) {
+				t.Helper()
+				if got, want := p.Of(box), s.BoundedPotential(box, n); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v n=%d box=%d: table %v, BoundedPotential %v", s, n, box, got, want)
+				}
+			}
+			for box := int64(1); box <= 4*n; box++ {
+				check(box)
+			}
+			for _, box := range []int64{n + 1, 1 << 40, math.MaxInt64} {
+				check(box)
+			}
+			for round := 0; round < 3; round++ {
+				for _, box := range colliding {
+					check(box)
+				}
+			}
+		}
+	}
+}

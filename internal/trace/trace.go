@@ -17,8 +17,10 @@
 // the emitter itself, so by default nothing is stored: the streaming
 // kernels in internal/paging consume the stream as it is generated.
 // Materialize is the one place an emitter is buffered into a Trace, for
-// the consumers that need the whole trace at once (OPT's next-use pass,
-// a trace replayed more often than it can be regenerated).
+// the consumers that need the whole trace at once (a randomised trace that
+// must replay one draw, a trace replayed more often than it can be
+// regenerated). Even OPT, which needs the future, records the stream into
+// its own compact sink rather than a Trace.
 package trace
 
 import (
