@@ -265,15 +265,15 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// optMisses replays the stream under Belady OPT at a fixed capacity: the
-// opt box replay over a constant profile, whose I/Os are exactly
-// fixed-capacity OPT's misses. c is the stream's count, which the replay
-// checks against its ceiling before recording the stream.
+// optMisses replays the stream under Belady OPT at a fixed capacity. c is
+// the stream's count, which the recording checks against its ceiling before
+// recording the stream.
 func optMisses(capacity int64, c *trace.CountingSink, emit func(trace.Sink) error) (int64, error) {
-	src := profile.FuncSource(func() int64 { return capacity })
-	var misses int64
-	err := paging.Replay(paging.OPTReplayName, emit, c.Refs, c.MaxBlock, src, 0, func(b paging.BoxStat) { misses += b.IOs })
-	return misses, err
+	rec, err := paging.RecordOPT(emit, c.Refs, c.MaxBlock)
+	if err != nil {
+		return 0, err
+	}
+	return rec.Fixed(capacity)
 }
 
 // kernelMisses replays the stream through the named registry kernel at a

@@ -171,7 +171,13 @@ func runE13(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		traces[di] = &traceCurve{tr: tr, faults: make([][]int64, len(policies))}
+		// OPT's recording is read-only, so every opt cell of this trace
+		// shares the one made here.
+		optRec, err := paging.RecordOPT(tr.Emit, int64(tr.Len()), tr.MaxBlock())
+		if err != nil {
+			return nil, err
+		}
+		traces[di] = &traceCurve{tr: tr, opt: optRec, faults: make([][]int64, len(policies))}
 		for p := range policies {
 			traces[di].faults[p] = make([]int64, nM)
 		}
@@ -189,7 +195,13 @@ func runE13(cfg Config) (*Table, error) {
 	if err := g.Map(len(cells), func(i, _ int) error {
 		c := cells[i]
 		m := e13SweepLo + int64(c.mi)
-		faults, err := paging.RunPolicyFixed(policies[c.p], traces[c.di].tr, m)
+		var faults int64
+		var err error
+		if policies[c.p] == paging.OPTReplayName {
+			faults, err = traces[c.di].opt.Fixed(m)
+		} else {
+			faults, err = paging.RunPolicyFixed(policies[c.p], traces[c.di].tr, m)
+		}
 		if err != nil {
 			return err
 		}
@@ -230,9 +242,10 @@ func runE13(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// traceCurve bundles one dim's shared trace with its per-policy fault
-// curves over the E13 sweep.
+// traceCurve bundles one dim's shared trace and OPT recording with its
+// per-policy fault curves over the E13 sweep.
 type traceCurve struct {
 	tr     *trace.Trace
+	opt    *paging.OPTRecording
 	faults [][]int64
 }

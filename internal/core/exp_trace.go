@@ -192,13 +192,17 @@ func runE11(cfg Config) (*Table, error) {
 		Title:  "DAM sanity: MM-Scan trace under fixed-capacity LRU (dim 128, B=8)",
 		Header: []string{"M (blocks)", "LRU misses", "OPT misses", "LRU/OPT", "misses·√(M·B)·B/N^1.5"},
 	}
+	optRec, err := paging.RecordOPT(tr.Emit, int64(tr.Len()), tr.MaxBlock())
+	if err != nil {
+		return nil, err
+	}
 	var logM, logMiss []float64
 	for _, m := range []int64{16, 32, 64, 128, 256, 512, 1024} {
 		lru, err := paging.RunPolicyFixed("lru", tr, m)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := paging.RunPolicyFixed(paging.OPTReplayName, tr, m)
+		opt, err := optRec.Fixed(m)
 		if err != nil {
 			return nil, err
 		}

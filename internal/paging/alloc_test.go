@@ -103,6 +103,47 @@ func TestTwoQZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestKernelHitZeroAllocSteadyState: each kernel's hit path allocates
+// nothing, on hits and misses alike (including IDs outside the reserved
+// index), as PolicyStream drives it: Hit first, Access only on a miss.
+//
+// allocguard:LRU.Hit
+// allocguard:FIFO.Hit
+// allocguard:ARC.Hit
+// allocguard:TwoQ.Hit
+func TestKernelHitZeroAllocSteadyState(t *testing.T) {
+	src := xrand.New(xrand.Split(50, "alloc-hit", 0))
+	tr := localTrace(src, 2000, 128)
+	for _, name := range PolicyNames() {
+		p, err := NewReplacementPolicy(name, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Reserve(tr.MaxBlock())
+		for i := 0; i < tr.Len(); i++ {
+			p.Access(tr.Block(i))
+		}
+		var hits int64
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < tr.Len(); i++ {
+				if p.Hit(tr.Block(i)) {
+					hits++
+				} else {
+					p.Access(tr.Block(i))
+				}
+				p.Hit(-1 - tr.Block(i))
+				p.Hit(tr.MaxBlock() + 1 + tr.Block(i))
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%s Hit-then-Access replay allocates %.1f times per run, want 0", name, avg)
+		}
+		if hits == 0 {
+			t.Fatalf("%s: no hit during the measured replay", name)
+		}
+	}
+}
+
 // TestSquareStreamBoundedState: the streaming square consumer's state
 // depends on the block universe, not the stream length — feeding 10× more
 // references of the same working set must not grow residency state.
@@ -127,46 +168,83 @@ type constSource struct{ size int64 }
 
 func (c constSource) Next() int64 { return c.size }
 
-// TestOptHeapZeroAllocSteadyState: once the heap's backing array has grown
-// to its peak population, push/pop churn reuses it, and so does the
-// compaction the churn triggers. Each round re-keys every resident block,
-// leaving its old key stale the way a hit does in the opt replay.
+// TestOptHeapZeroAllocSteadyState: once the key array has grown to its
+// peak population, push/up/pop churn reuses it. Each round re-keys every
+// resident block the way a hit does in the opt replay (its key rises in
+// place), then evicts the maximum keys and fills other blocks the way a
+// miss does. After every operation the heap holds exactly one key per
+// resident block, in heap order, with every position indexed.
 //
 //allocguard:optHeap.push
 //allocguard:optHeap.pop
-//allocguard:optHeap.compact
+//allocguard:optHeap.up
 func TestOptHeapZeroAllocSteadyState(t *testing.T) {
-	const resident = 64
-	curNext := make([]int32, resident)
-	var h optHeap
-	var nu int32
-	compactions := 0
+	const universe, resident = 96, 64
+	h := newOptHeap(universe)
+	live := 0
+	check := func(op string) {
+		if len(h.keys) != live {
+			t.Fatalf("after %s: heap holds %d keys, want the %d resident blocks", op, len(h.keys), live)
+		}
+		indexed := 0
+		for b, p := range h.pos {
+			if p == optNever {
+				continue
+			}
+			indexed++
+			if uint32(h.keys[p]) != uint32(b) {
+				t.Fatalf("after %s: pos[%d] = %d holds block %d", op, b, p, uint32(h.keys[p]))
+			}
+		}
+		if indexed != live {
+			t.Fatalf("after %s: %d blocks indexed, want %d", op, indexed, live)
+		}
+		for i := 1; i < len(h.keys); i++ {
+			if h.keys[(i-1)/2] < h.keys[i] {
+				t.Fatalf("after %s: key %d exceeds its parent", op, i)
+			}
+		}
+	}
+	var nu uint64
+	fill := func(want int) {
+		for b := 0; b < universe && live < want; b++ {
+			if h.pos[b] == optNever {
+				nu++
+				h.push(nu<<32 | uint64(b))
+				live++
+				check("push")
+			}
+		}
+	}
 	churn := func() {
 		for round := 0; round < 8; round++ {
-			for b := range curNext {
-				nu++
-				curNext[b] = nu
-				h.push(uint64(uint32(nu))<<32 | uint64(b))
-				if len(h) > 2*resident+64 {
-					h.compact(curNext)
-					compactions++
-					if len(h) != resident {
-						t.Fatalf("compaction kept %d keys, want the %d live ones", len(h), resident)
-					}
+			fill(resident)
+			for b, p := range h.pos {
+				if p != optNever {
+					nu++
+					h.up(int(p), nu<<32|uint64(b))
+					check("up")
+				}
+			}
+			for j := 0; j < 1+round; j++ {
+				top := h.pop()
+				live--
+				check("pop")
+				if len(h.keys) > 0 && h.keys[0] > top {
+					t.Fatalf("pop returned %x below the remaining maximum %x", top, h.keys[0])
 				}
 			}
 		}
-		for len(h) > 0 {
+		for len(h.keys) > 0 {
 			h.pop()
+			live--
+			check("pop")
 		}
 	}
 	churn()
 	avg := testing.AllocsPerRun(10, churn)
 	if avg != 0 {
-		t.Fatalf("optHeap push/pop/compact churn allocates %.1f times per run, want 0", avg)
-	}
-	if compactions == 0 {
-		t.Fatal("churn never crossed the compaction threshold")
+		t.Fatalf("optHeap push/up/pop churn allocates %.1f times per run, want 0", avg)
 	}
 }
 
@@ -188,8 +266,8 @@ func TestOptRecorderZeroAllocSteadyState(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("optRecorder pre-sized recording allocates %.1f times per run, want 0", avg)
 	}
-	if r.err != nil || len(r.blocks) != (runs+1)*tr.Len() {
-		t.Fatalf("recorded %d references (err %v), want %d", len(r.blocks), r.err, (runs+1)*tr.Len())
+	if r.err != nil || len(r.rec.blocks) != (runs+1)*tr.Len() {
+		t.Fatalf("recorded %d references (err %v), want %d", len(r.rec.blocks), r.err, (runs+1)*tr.Len())
 	}
 }
 

@@ -98,6 +98,24 @@ func (a *ARC) Contains(block int64) bool {
 	return w == arcT1 || w == arcT2
 }
 
+// Hit promotes a resident block to the frequency list's MRU end and
+// returns true; a block that is not resident (a ghost, or out of the
+// index's range) returns false untouched.
+//
+//lint:hotpath
+func (a *ARC) Hit(block int64) bool {
+	if uint64(block) >= uint64(len(a.where)) {
+		return false
+	}
+	if w := a.where[block]; w != arcT1 && w != arcT2 {
+		return false
+	}
+	a.hits++
+	a.unlink(block)
+	a.pushFront(arcT2, block)
+	return true
+}
+
 // Reserve pre-sizes the dense indexes for block IDs up to maxBlock.
 func (a *ARC) Reserve(maxBlock int64) { a.ensure(maxBlock) }
 
@@ -149,14 +167,11 @@ func (a *ARC) Clear() {
 //
 //lint:hotpath
 func (a *ARC) Access(block int64) bool {
+	if a.Hit(block) {
+		return true
+	}
 	a.ensure(block)
 	switch a.where[block] {
-	case arcT1, arcT2:
-		// Hit: promote to the frequency list's MRU end.
-		a.hits++
-		a.unlink(block)
-		a.pushFront(arcT2, block)
-		return true
 	case arcB1:
 		// Ghost hit in B1: recency was undervalued — grow p.
 		a.misses++

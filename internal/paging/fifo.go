@@ -73,11 +73,10 @@ func (f *FIFO) Clear() {
 //
 //lint:hotpath
 func (f *FIFO) Access(block int64) bool {
-	f.ensure(block)
-	if f.resident[block] {
-		f.hits++
+	if f.Hit(block) {
 		return true
 	}
+	f.ensure(block)
 	f.misses++
 	if f.Len() >= f.capacity {
 		f.evict()
@@ -85,6 +84,18 @@ func (f *FIFO) Access(block int64) bool {
 	f.push(block)
 	f.resident[block] = true
 	return false
+}
+
+// Hit counts a hit on a resident block and returns true (no reordering);
+// a block that is not resident returns false untouched.
+//
+//lint:hotpath
+func (f *FIFO) Hit(block int64) bool {
+	if uint64(block) >= uint64(len(f.resident)) || !f.resident[block] {
+		return false
+	}
+	f.hits++
+	return true
 }
 
 // Contains reports whether block is resident without recording a hit.

@@ -86,12 +86,10 @@ func (l *LRU) Clear() {
 //
 //lint:hotpath
 func (l *LRU) Access(block int64) bool {
-	l.ensure(block)
-	if s := l.slot[block]; s != nilNode {
-		l.hits++
-		l.moveToFront(s)
+	if l.Hit(block) {
 		return true
 	}
+	l.ensure(block)
 	l.misses++
 	if l.size >= l.capacity {
 		l.evict()
@@ -101,6 +99,23 @@ func (l *LRU) Access(block int64) bool {
 	l.pushFront(s)
 	l.size++
 	return false
+}
+
+// Hit moves a resident block to the front and returns true; a block that
+// is not resident (or out of the index's range) returns false untouched.
+//
+//lint:hotpath
+func (l *LRU) Hit(block int64) bool {
+	if uint64(block) >= uint64(len(l.slot)) {
+		return false
+	}
+	s := l.slot[block]
+	if s == nilNode {
+		return false
+	}
+	l.hits++
+	l.moveToFront(s)
+	return true
 }
 
 // ensure grows the dense index (geometrically, so growth cost amortises to

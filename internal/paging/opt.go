@@ -17,109 +17,163 @@ import (
 // classical 2-competitiveness with capacity augmentation shows up
 // clearly).
 //
-// The replay records its stream once (optRecorder) and builds the next-use
-// index in the same forward pass. The farthest-in-future choice is a
-// hand-rolled max-heap of packed uint64 keys (nextUse in the high 32 bits,
-// block in the low 32) — no interface boxing, no per-entry allocation.
-// Every reference pushes its block's new key, and an entry is live iff its
-// nextUse matches the block's current one. That is unambiguous because a
-// block's successive next-use positions are distinct (the "never used
-// again" sentinel appears at most once per block), so live keys are
-// unique and ties can only occur among never-used-again blocks, where the
-// eviction choice cannot change the miss count. Stale entries are skipped
-// when popped, and once they outnumber the resident set the heap is
-// compacted to its live keys, so it stays O(resident) instead of growing
-// with the trace.
+// The replay records its stream once (optRecorder, into an OPTRecording)
+// and builds the next-use index in the same forward pass. The recording is
+// read-only afterwards, so any number of replays can share it. The
+// farthest-in-future choice is an indexed max-heap of packed uint64 keys
+// (nextUse in the high 32 bits, block in the low 32) holding exactly one
+// key per resident block, with a per-block position array — no interface
+// boxing, no per-entry allocation, no stale keys. A hit raises the block's
+// key in place: its old key's nextUse is the current position, the least
+// live key, and its new one is larger, so the key only sifts up. A miss
+// pops the maximum until the box has room, then inserts. A block's
+// successive next-use positions are distinct (the "never used again"
+// sentinel appears at most once per block), so live keys are unique, ties
+// can only occur among never-used-again blocks (where the eviction choice
+// cannot change the miss count), and the pop order is fully determined.
 
 const (
-	// optNever marks a block with no live heap key (not resident).
+	// optNever marks a block with no heap key (not resident) or, while
+	// recording, a block not yet referenced.
 	optNever = int32(-1)
 	// optNoNext is the next use of a reference whose block is never used
 	// again; it sorts after every real position.
 	optNoNext = int32(math.MaxInt32)
 )
 
-// optHeap is a max-heap of packed (nextUse<<32 | block) keys.
-type optHeap []uint64
-
-//lint:hotpath
-func (h *optHeap) push(x uint64) {
-	*h = append(*h, x)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p] >= s[i] {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
+// optHeap is an indexed max-heap of packed (nextUse<<32 | block) keys, one
+// per resident block; pos[b] is block b's index in keys, or optNever when b
+// is not resident.
+type optHeap struct {
+	keys []uint64
+	pos  []int32
 }
 
+// newOptHeap returns an empty heap over blocks [0, universe).
+func newOptHeap(universe int) *optHeap {
+	h := &optHeap{pos: make([]int32, universe)}
+	for i := range h.pos {
+		h.pos[i] = optNever
+	}
+	return h
+}
+
+// push inserts the key of a block that is not resident.
+//
+//lint:hotpath
+func (h *optHeap) push(x uint64) {
+	h.keys = append(h.keys, x)
+	h.up(len(h.keys)-1, x)
+}
+
+// pop removes the maximum key and marks its block non-resident.
+//
 //lint:hotpath
 func (h *optHeap) pop() uint64 {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	s.down(0)
+	k := h.keys
+	top := k[0]
+	h.pos[uint32(top)] = optNever
+	n := len(k) - 1
+	last := k[n]
+	h.keys = k[:n]
+	if n > 0 {
+		h.down(0, last)
+	}
 	return top
 }
 
-// down sifts the key at i down to its place.
-func (s optHeap) down(i int) {
-	n := len(s)
-	for {
-		l, r, big := 2*i+1, 2*i+2, i
-		if l < n && s[l] > s[big] {
-			big = l
-		}
-		if r < n && s[r] > s[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		s[i], s[big] = s[big], s[i]
-		i = big
-	}
-}
-
-// compact drops the stale keys in place and rebuilds the heap from the live
-// ones — one per resident block, the key whose nextUse is the block's
-// curNext. Live keys are unique, so the order in which they pop, and with
-// it every eviction, is unchanged.
+// up places key x at index i and sifts it towards the root. A hit calls it
+// directly to raise its block's key in place: x replaces the smaller key
+// of the same block at i.
 //
 //lint:hotpath
-func (h *optHeap) compact(curNext []int32) {
-	s := *h
-	k := 0
-	for _, x := range s {
-		if curNext[uint32(x)] == int32(x>>32) {
-			s[k] = x
-			k++
+func (h *optHeap) up(i int, x uint64) {
+	k := h.keys
+	for i > 0 {
+		p := (i - 1) / 2
+		if k[p] >= x {
+			break
 		}
+		k[i] = k[p]
+		h.pos[uint32(k[i])] = int32(i)
+		i = p
 	}
-	s = s[:k]
-	for i := k/2 - 1; i >= 0; i-- {
-		s.down(i)
-	}
-	*h = s
+	k[i] = x
+	h.pos[uint32(x)] = int32(i)
 }
 
-// optRecorder is the trace.Sink the opt replay records its stream into: an
-// int32 block and an int32 next use per reference, plus one leaf bit. Next
-// uses are filled forward — reference i to block b sets
-// nextUse[last[b]] = i — so the index is complete when the stream ends.
-type optRecorder struct {
+// down places key x at index i and sifts it towards the leaves.
+func (h *optHeap) down(i int, x uint64) {
+	k := h.keys
+	n := len(k)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && k[r] > k[c] {
+			c = r
+		}
+		if k[c] <= x {
+			break
+		}
+		k[i] = k[c]
+		h.pos[uint32(k[i])] = int32(i)
+		i = c
+	}
+	k[i] = x
+	h.pos[uint32(x)] = int32(i)
+}
+
+// OPTRecording is a reference stream recorded for Belady's OPT: an int32
+// block and an int32 next use per reference, plus one leaf bit. It is
+// read-only once recorded, so replays over it may run concurrently: each
+// allocates its own heap.
+type OPTRecording struct {
 	blocks   []int32
 	nextUse  []int32 // position of the block's next reference, or optNoNext
 	leafBits []uint64
-	last     []int32 // last[b] = position of b's latest reference, or optNever
-	err      error
+	universe int // every recorded block is below it
+}
+
+// RecordOPT records a generated stream for OPT replays; emit, totalRefs and
+// maxBlock are as for Replay. It refuses streams longer than 2^28
+// references before recording anything.
+func RecordOPT(emit func(trace.Sink) error, totalRefs, maxBlock int64) (*OPTRecording, error) {
+	if totalRefs > optMaxRefs {
+		return nil, fmt.Errorf("paging: opt replay of %d references is too large to materialize (ceiling %d)", totalRefs, optMaxRefs)
+	}
+	r := newOptRecorder(totalRefs, maxBlock)
+	if err := emit(r); err != nil {
+		return nil, err
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	rec := r.rec
+	rec.universe = len(r.last)
+	return &rec, nil
+}
+
+// Fixed returns fixed-capacity OPT's miss count over the recording: the
+// box replay at a constant profile, whose I/Os are exactly its misses.
+func (r *OPTRecording) Fixed(capacity int64) (int64, error) {
+	if capacity < 1 {
+		return 0, fmt.Errorf("paging: OPT capacity %d < 1", capacity)
+	}
+	var ios int64
+	src := profile.FuncSource(func() int64 { return capacity })
+	err := r.replay(src, 0, func(s BoxStat) { ios += s.IOs })
+	return ios, err
+}
+
+// optRecorder is the trace.Sink an OPTRecording is recorded through. Next
+// uses are filled forward — reference i to block b sets
+// nextUse[last[b]] = i — so the index is complete when the stream ends.
+type optRecorder struct {
+	rec  OPTRecording
+	last []int32 // last[b] = position of b's latest reference, or optNever
+	err  error
 }
 
 // newOptRecorder returns a recorder pre-sized for totalRefs references to
@@ -127,9 +181,9 @@ type optRecorder struct {
 func newOptRecorder(totalRefs, maxBlock int64) *optRecorder {
 	r := &optRecorder{}
 	if totalRefs > 0 {
-		r.blocks = make([]int32, 0, totalRefs)
-		r.nextUse = make([]int32, 0, totalRefs)
-		r.leafBits = make([]uint64, 0, (totalRefs+63)/64)
+		r.rec.blocks = make([]int32, 0, totalRefs)
+		r.rec.nextUse = make([]int32, 0, totalRefs)
+		r.rec.leafBits = make([]uint64, 0, (totalRefs+63)/64)
 	}
 	if maxBlock >= 0 && maxBlock <= math.MaxInt32 {
 		r.growLast(maxBlock)
@@ -145,7 +199,7 @@ func (r *optRecorder) Access(block int64) {
 	if r.err != nil {
 		return
 	}
-	i := len(r.blocks)
+	i := len(r.rec.blocks)
 	if i >= int(optNoNext) || block > math.MaxInt32 {
 		//lint:ignore hotpath error path: the recording is dead after this, one allocation to say why is fine
 		r.err = fmt.Errorf("paging: OPT index overflow (%d refs, block %d)", i+1, block)
@@ -155,14 +209,14 @@ func (r *optRecorder) Access(block int64) {
 		r.growLast(block)
 	}
 	if j := r.last[block]; j != optNever {
-		r.nextUse[j] = int32(i)
+		r.rec.nextUse[j] = int32(i)
 	}
 	r.last[block] = int32(i)
 	if i&63 == 0 {
-		r.leafBits = append(r.leafBits, 0)
+		r.rec.leafBits = append(r.rec.leafBits, 0)
 	}
-	r.blocks = append(r.blocks, int32(block))
-	r.nextUse = append(r.nextUse, optNoNext)
+	r.rec.blocks = append(r.rec.blocks, int32(block))
+	r.rec.nextUse = append(r.rec.nextUse, optNoNext)
 }
 
 // growLast extends last to cover block, marking the new entries unseen.
@@ -192,11 +246,11 @@ func (r *optRecorder) EndLeaf() {
 	if r.err != nil {
 		return
 	}
-	i := len(r.blocks) - 1
+	i := len(r.rec.blocks) - 1
 	if i < 0 {
 		panic("paging: EndLeaf before any access")
 	}
-	r.leafBits[i>>6] |= 1 << (uint(i) & 63)
+	r.rec.leafBits[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // Stopped reports whether the recording has failed, so emitters stop
@@ -204,7 +258,7 @@ func (r *optRecorder) EndLeaf() {
 func (r *optRecorder) Stopped() bool { return r.err != nil }
 
 // leaves counts the leaf bits at positions [lo, hi).
-func (r *optRecorder) leaves(lo, hi int) int64 {
+func (r *OPTRecording) leaves(lo, hi int) int64 {
 	if lo >= hi {
 		return 0
 	}
@@ -226,7 +280,7 @@ var (
 	_ trace.Stopper = (*optRecorder)(nil)
 )
 
-// optRunBoxes replays a recorded stream through Belady's farthest-in-future
+// replay runs the recorded stream through Belady's farthest-in-future
 // choice while the capacity follows boxes drawn from src, mirroring
 // PolicyStream's accounting: entering a box of size X resizes the cache to
 // X (evicting the farthest-next-use overflow) and grants X misses of
@@ -240,24 +294,18 @@ var (
 // argument needs a fixed capacity. Every online policy still replays
 // against strictly less information, so the baseline is an honest floor in
 // practice on the repository's traces.
-func optRunBoxes(rec *optRecorder, src profile.Source, maxBoxes int64, fold func(BoxStat)) error {
-	n := len(rec.blocks)
+func (r *OPTRecording) replay(src profile.Source, maxBoxes int64, fold func(BoxStat)) error {
+	n := len(r.blocks)
 	if n == 0 {
 		return nil
 	}
-	// curNext[b] = the live heap key's nextUse for resident block b, or
-	// optNever when b is absent. The recording is done with last, so its
-	// backing array is reused.
-	curNext := rec.last
-	for i := range curNext {
-		curNext[i] = optNever
-	}
+	// The heap is this run's own, so runs sharing r never write to it.
+	h := newOptHeap(r.universe)
 
 	// The current box's ledger lives in locals (boxSize, ios, and the index
 	// it started at) and is folded when the box closes; its leaves are the
 	// leaf bits over the references it served.
-	var h optHeap
-	var size, closed int64
+	var closed int64
 	boxSize := src.Next()
 	if boxSize < 1 {
 		return fmt.Errorf("paging: box source produced size %d", boxSize)
@@ -265,48 +313,35 @@ func optRunBoxes(rec *optRecorder, src profile.Source, maxBoxes int64, fold func
 	var ios int64
 	boxStart := 0
 	closeBox := func(end int) {
-		fold(BoxStat{Size: boxSize, IOs: ios, Leaves: rec.leaves(boxStart, end), Refs: int64(end - boxStart)})
+		fold(BoxStat{Size: boxSize, IOs: ios, Leaves: r.leaves(boxStart, end), Refs: int64(end - boxStart)})
 	}
-	for i, blk := range rec.blocks {
-		if curNext[blk] == optNever {
-			// Miss: needs an I/O from the current box's budget.
-			if ios == boxSize {
-				// Budget exhausted: this reference belongs to the next box.
-				closeBox(i)
-				closed++
-				if maxBoxes > 0 && closed >= maxBoxes {
-					return fmt.Errorf("paging: run exceeded %d boxes", maxBoxes)
-				}
-				boxSize, ios, boxStart = src.Next(), 0, i
-				if boxSize < 1 {
-					return fmt.Errorf("paging: box source produced size %d", boxSize)
-				}
-			}
-			// Evict the resident blocks with the farthest valid next use
-			// until the new box's capacity has room, skipping stale heap
-			// entries.
-			for size >= boxSize {
-				if len(h) == 0 {
-					return fmt.Errorf("paging: OPT heap exhausted with %d resident", size)
-				}
-				top := h.pop()
-				b := uint32(top)
-				if curNext[b] != int32(top>>32) {
-					continue // stale entry
-				}
-				curNext[b] = optNever
-				size--
-			}
-			size++
-			ios++
+	for i, blk := range r.blocks {
+		key := uint64(uint32(r.nextUse[i]))<<32 | uint64(uint32(blk))
+		if p := h.pos[blk]; p != optNever {
+			// Hit: re-key the block by its next use.
+			h.up(int(p), key)
+			continue
 		}
-		// Hit or fill: (re)key the block by its next use.
-		nu := rec.nextUse[i]
-		curNext[blk] = nu
-		h.push(uint64(uint32(nu))<<32 | uint64(uint32(blk)))
-		if len(h) > 2*int(size)+64 {
-			h.compact(curNext)
+		// Miss: needs an I/O from the current box's budget.
+		if ios == boxSize {
+			// Budget exhausted: this reference belongs to the next box.
+			closeBox(i)
+			closed++
+			if maxBoxes > 0 && closed >= maxBoxes {
+				return fmt.Errorf("paging: run exceeded %d boxes", maxBoxes)
+			}
+			boxSize, ios, boxStart = src.Next(), 0, i
+			if boxSize < 1 {
+				return fmt.Errorf("paging: box source produced size %d", boxSize)
+			}
 		}
+		// Evict the resident blocks with the farthest next use until the
+		// box's capacity has room, then fill.
+		for int64(len(h.keys)) >= boxSize {
+			h.pop()
+		}
+		h.push(key)
+		ios++
 	}
 	closeBox(n)
 	return nil

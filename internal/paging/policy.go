@@ -31,6 +31,13 @@ type ReplacementPolicy interface {
 	// true on a hit; on a miss the block is fetched, self-evicting per
 	// the policy when the cache is full.
 	Access(block int64) bool
+	// Hit is Access's hit path alone: if block is resident it records
+	// the hit exactly as Access would and returns true; otherwise it
+	// returns false and changes nothing (an out-of-range or negative ID
+	// grows no index). A replay that must act between detecting a miss
+	// and serving it (PolicyStream rolls its box there) calls Hit, then
+	// Access only on a miss, so a hit costs one dispatch.
+	Hit(block int64) bool
 	// Contains reports whether block is resident, without recording a
 	// hit or perturbing the replacement state.
 	Contains(block int64) bool

@@ -90,7 +90,9 @@ func (q *PolicyStream) openBox() {
 
 // Access serves one block reference: a resident block is a free hit against
 // the current box; a miss spends one unit of the box's budget, rolling to
-// the next box (and capacity) first when the budget is already spent.
+// the next box (and capacity) first when the budget is already spent. The
+// kernel's Hit serves a hit in one call; Access runs only on a miss, after
+// the box has rolled.
 //
 //lint:hotpath
 func (q *PolicyStream) Access(block int64) {
@@ -104,8 +106,7 @@ func (q *PolicyStream) Access(block int64) {
 			return
 		}
 	}
-	if q.policy.Contains(block) {
-		q.policy.Access(block)
+	if q.policy.Hit(block) {
 		q.cur.Refs++
 		q.refs++
 		return
@@ -198,24 +199,19 @@ const optMaxRefs = int64(1) << 28
 //     farthest-in-future choice under the profile.
 //
 // Unknown names error with every accepted name listed. This is the one
-// dispatch over ReplayNames; PolicyRun, RunPolicyFixed's opt and the
-// adaptivity and mmtrace replays all go through it.
+// dispatch over ReplayNames; PolicyRun and the adaptivity and mmtrace box
+// replays all go through it. Fixed-capacity OPT (OPTRecording.Fixed) runs
+// the same OPT loop at a constant profile.
 func Replay(name string, emit func(trace.Sink) error, totalRefs, maxBlock int64, src profile.Source, maxBoxes int64, fold func(BoxStat)) error {
 	switch name {
 	case SquareReplayName:
 		return replayInto(NewSquareStream(src, maxBoxes, fold), emit, maxBlock)
 	case OPTReplayName:
-		if totalRefs > optMaxRefs {
-			return fmt.Errorf("paging: opt replay of %d references is too large to materialize (ceiling %d)", totalRefs, optMaxRefs)
-		}
-		rec := newOptRecorder(totalRefs, maxBlock)
-		if err := emit(rec); err != nil {
+		rec, err := RecordOPT(emit, totalRefs, maxBlock)
+		if err != nil {
 			return err
 		}
-		if rec.err != nil {
-			return rec.err
-		}
-		return optRunBoxes(rec, src, maxBoxes, fold)
+		return rec.replay(src, maxBoxes, fold)
 	}
 	p, err := NewReplacementPolicy(name, 1)
 	if err != nil {
@@ -259,17 +255,17 @@ func PolicyRun(name string, tr *trace.Trace, src profile.Source, maxBoxes int64)
 // kernel, or "opt" for Belady's baseline — and returns the miss count.
 // This is the DAM-model counterpart of Replay, used by the DAM-validation
 // and smoothness experiments. Registry kernels run a bare access loop, the
-// cheapest fixed-capacity replay there is; "opt" is the box replay at a
-// constant profile, whose I/Os are exactly fixed-capacity OPT's misses.
+// cheapest fixed-capacity replay there is; "opt" records tr and runs
+// OPTRecording.Fixed, the box replay at a constant profile. A caller
+// sweeping many capacities over one trace records it once (RecordOPT) and
+// calls Fixed per capacity instead.
 func RunPolicyFixed(name string, tr *trace.Trace, capacity int64) (int64, error) {
 	if name == OPTReplayName {
-		if capacity < 1 {
-			return 0, fmt.Errorf("paging: OPT capacity %d < 1", capacity)
+		rec, err := RecordOPT(tr.Emit, int64(tr.Len()), tr.MaxBlock())
+		if err != nil {
+			return 0, err
 		}
-		var ios int64
-		src := profile.FuncSource(func() int64 { return capacity })
-		err := Replay(OPTReplayName, tr.Emit, int64(tr.Len()), tr.MaxBlock(), src, 0, func(s BoxStat) { ios += s.IOs })
-		return ios, err
+		return rec.Fixed(capacity)
 	}
 	p, err := NewReplacementPolicy(name, capacity)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -199,7 +200,7 @@ func TestPolicyRunVaryingProfileMatchesOracle(t *testing.T) {
 // sawtooth and i.i.d. profiles and compares its whole ledger, leaves
 // included, with a linear-scan farthest-in-future oracle doing its own box
 // accounting. Traces are long enough against the box sizes that the heap
-// compacts many times per replay.
+// evicts and re-keys many times per replay.
 func TestReplayOPTVaryingProfileMatchesOracle(t *testing.T) {
 	sawtooth, err := profile.Sawtooth(2, 23, 11, 4000)
 	if err != nil {
@@ -279,6 +280,66 @@ func TestOPTRunBoxesNeverWorseThanKernels(t *testing.T) {
 						trial, m, totalIOs(opt), name, totalIOs(on))
 				}
 			}
+		}
+	}
+}
+
+// TestSharedOPTRecordingMatchesPerCall: one OPTRecording per trace, shared
+// by concurrent engine cells the way the smoothness sweep shares it, gives
+// every cell the miss count and ledger a fresh per-call recording gives.
+// Run under -race, it also checks that replays only read the recording.
+func TestSharedOPTRecordingMatchesPerCall(t *testing.T) {
+	const nTraces = 3
+	caps := []int64{1, 2, 3, 5, 8, 13, 21, 34}
+	traces := make([]*trace.Trace, nTraces)
+	recs := make([]*OPTRecording, nTraces)
+	for i := range traces {
+		src := xrand.New(xrand.Split(57, "opt-shared", int64(i)))
+		traces[i] = withLeaves(src, localTrace(src, 900, 1+src.Int63n(80)), 0.2)
+		rec, err := RecordOPT(traces[i].Emit, int64(traces[i].Len()), traces[i].MaxBlock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = rec
+	}
+	boxes := []int64{3, 1, 7, 2, 12, 5, 1, 9}
+	n := nTraces * len(caps)
+	fixed := make([]int64, n)
+	ledgers := make([][]BoxStat, n)
+	g := engine.New(4).Group()
+	if err := g.Map(n, func(cell, _ int) error {
+		rec := recs[cell/len(caps)]
+		var err error
+		if fixed[cell], err = rec.Fixed(caps[cell%len(caps)]); err != nil {
+			return err
+		}
+		bs, err := profile.NewBoxesSource(boxes)
+		if err != nil {
+			return err
+		}
+		return rec.replay(bs, 0, collect(&ledgers[cell]))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for cell := 0; cell < n; cell++ {
+		tr, m := traces[cell/len(caps)], caps[cell%len(caps)]
+		want, err := RunPolicyFixed(OPTReplayName, tr, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fixed[cell] != want {
+			t.Fatalf("trace %d, M=%d: shared recording %d misses, per-call %d", cell/len(caps), m, fixed[cell], want)
+		}
+		bs, err := profile.NewBoxesSource(boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLedger, err := PolicyRun(OPTReplayName, tr, bs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ledgers[cell], wantLedger) {
+			t.Fatalf("trace %d: shared-recording ledger diverges from PolicyRun:\ngot  %+v\nwant %+v", cell/len(caps), ledgers[cell], wantLedger)
 		}
 	}
 }

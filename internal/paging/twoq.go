@@ -86,6 +86,31 @@ func (q *TwoQ) Contains(block int64) bool {
 	return w == twoQA1in || w == twoQAm
 }
 
+// Hit records a hit on a resident block and returns true; a block that is
+// not resident (a ghost, or out of the index's range) returns false
+// untouched.
+//
+//lint:hotpath
+func (q *TwoQ) Hit(block int64) bool {
+	if uint64(block) >= uint64(len(q.where)) {
+		return false
+	}
+	switch q.where[block] {
+	case twoQAm:
+		// Hit in the main list: standard LRU promotion.
+		q.hits++
+		q.unlink(block)
+		q.pushFront(twoQAm, block)
+		return true
+	case twoQA1in:
+		// Hit in probation: deliberately *not* reordered — repeated
+		// references inside one correlated burst shouldn't look hot.
+		q.hits++
+		return true
+	}
+	return false
+}
+
 // Reserve pre-sizes the dense indexes for block IDs up to maxBlock.
 func (q *TwoQ) Reserve(maxBlock int64) { q.ensure(maxBlock) }
 
@@ -147,19 +172,11 @@ func (q *TwoQ) Clear() {
 //
 //lint:hotpath
 func (q *TwoQ) Access(block int64) bool {
+	if q.Hit(block) {
+		return true
+	}
 	q.ensure(block)
 	switch q.where[block] {
-	case twoQAm:
-		// Hit in the main list: standard LRU promotion.
-		q.hits++
-		q.unlink(block)
-		q.pushFront(twoQAm, block)
-		return true
-	case twoQA1in:
-		// Hit in probation: deliberately *not* reordered — repeated
-		// references inside one correlated burst shouldn't look hot.
-		q.hits++
-		return true
 	case twoQA1out:
 		// Ghost hit: second (uncorrelated) reference — promote into Am.
 		q.misses++

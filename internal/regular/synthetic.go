@@ -63,19 +63,34 @@ func emitSynthetic(s trace.Sink, spec Spec, m, off int64) {
 	emitSyntheticRec(s, st, spec, m, off)
 }
 
+// emitSyntheticRec emits the subproblem of size m at off. A node whose
+// children are base cases (m == b) emits its a leaves inline, so the
+// recursion — and the early-stop check — runs once per leaf-parent, not
+// once per leaf. After a stop, at most the current leaf-parent's leaves and
+// scan are still emitted: every larger node checks again before its scan.
 func emitSyntheticRec(s trace.Sink, st trace.Stopper, spec Spec, m, off int64) {
 	if st != nil && st.Stopped() {
 		return
 	}
-	if m == 1 {
+	child := m / spec.B
+	switch {
+	case m == 1:
 		s.Access(off)
 		s.EndLeaf()
 		return
-	}
-	child := m / spec.B
-	for i := int64(0); i < spec.A; i++ {
-		slot := i % spec.B
-		emitSyntheticRec(s, st, spec, child, off+slot*child)
+	case child == 1:
+		for i := int64(0); i < spec.A; i++ {
+			s.Access(off + i%spec.B)
+			s.EndLeaf()
+		}
+	default:
+		for i := int64(0); i < spec.A; i++ {
+			slot := i % spec.B
+			emitSyntheticRec(s, st, spec, child, off+slot*child)
+		}
+		if st != nil && st.Stopped() {
+			return
+		}
 	}
 	s.AccessRange(off, spec.ScanLen(m))
 }

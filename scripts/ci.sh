@@ -86,7 +86,7 @@ gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorke
     ./internal/core/
 
 echo "== go test -race (service + paging properties) =="
-gate 'TestService|TestCache|TestLRU|TestFIFO|TestOPT|TestHitsPlusMisses|TestShrink|TestClient' \
+gate 'TestService|TestCache|TestLRU|TestFIFO|TestOPT|TestHitsPlusMisses|TestShrink|TestClient|TestSharedOPTRecordingMatchesPerCall' \
     -race -short \
     ./internal/service/ \
     ./internal/paging/
@@ -106,8 +106,9 @@ echo "== go test -race (policy registry + adaptive kernels) =="
 # The ReplacementPolicy registry end to end: ARC/2Q differential oracles,
 # the by-name box replay (PolicyStream, Replay/PolicyRun and the opt box
 # replay), the registry-name plumbing through MeasureTracePolicy, and the
-# reference conformance suite over every registered policy.
-gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestOPTRunBoxes|TestMeasureTracePolicy' \
+# reference conformance suite over every registered policy, and the
+# Hit-then-Access vs Contains-then-Access differential over every kernel.
+gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestOPTRunBoxes|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess' \
     -race -short -count=1 \
     ./internal/paging/ \
     ./internal/adaptivity/
@@ -168,6 +169,7 @@ go test -run '^$' -fuzz '^FuzzParseIgnoreDirective$' -fuzztime 5s ./internal/lin
 go test -run '^$' -fuzz '^FuzzParseAnnotation$' -fuzztime 5s ./internal/lint/
 go test -run '^$' -fuzz '^FuzzKernelsMatchOracles$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzAdaptivePoliciesMatchOracles$' -fuzztime 5s ./internal/paging/
+go test -run '^$' -fuzz '^FuzzKernelHitMatchesContainsThenAccess$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzShardRouting$' -fuzztime 5s ./internal/service/
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/jobs/
