@@ -27,13 +27,8 @@
 // The cache is bounded two ways — entries (-cache) and bytes (-cache-bytes,
 // the sum of body lengths); either set to 0 disables storing entirely while
 // keeping singleflight de-duplication. It is split over -cache-shards
-// independent shards (0 = auto-size from GOMAXPROCS), each running the
-// -cache-policy eviction kernel — any registered paging policy ("lru",
-// "fifo", "arc", "2q", …; see paging.PolicyNames), rejected at parse time
-// if unknown. -cache-ttl caps replay
-// age (0 = never expire; sound, results are pure functions of the key), and
-// -cache-swr serves a stale body for that much longer while one background
-// refresh recomputes it.
+// independent shards (0 = auto-size from GOMAXPROCS), each evicting in LRU
+// order. Entries never expire: a cached body is a pure function of its key.
 //
 // SIGINT/SIGTERM trigger graceful shutdown: the listener closes immediately,
 // /healthz flips to 503 "draining", in-flight runs drain (bounded by
@@ -57,13 +52,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/paging"
 	"repro/internal/service"
 )
 
@@ -101,9 +94,6 @@ func parseFlags(args []string) (daemonConfig, error) {
 		cache       = fs.Int("cache", 512, "result-cache entry bound (0 = caching disabled)")
 		cacheBytes  = fs.Int64("cache-bytes", 64<<20, "result-cache bytes bound, the sum of cached body lengths (0 = caching disabled)")
 		cacheShards = fs.Int("cache-shards", 0, "cache shard count, rounded up to a power of two (0 = auto: 4×GOMAXPROCS)")
-		cachePolicy = fs.String("cache-policy", "lru", "per-shard eviction policy: one of "+strings.Join(paging.PolicyNames(), ", "))
-		cacheTTL    = fs.Duration("cache-ttl", 0, "cached-result time-to-live (0 = never expire)")
-		cacheSWR    = fs.Duration("cache-swr", 0, "stale-while-revalidate window past -cache-ttl (0 = off; requires -cache-ttl)")
 		maxRuns     = fs.Int("max-runs", 2, "maximum concurrent experiment runs (each fans out on the engine internally)")
 		timeout     = fs.Duration("timeout", 60*time.Second, "per-run timeout, threaded into the engine as context cancellation (negative = unbounded)")
 		jobsDir     = fs.String("jobs-dir", "", "batch-jobs journal directory (empty = volatile jobs, no crash resume)")
@@ -129,15 +119,6 @@ func parseFlags(args []string) (daemonConfig, error) {
 		return daemonConfig{}, fmt.Errorf("-cache-bytes %d < 0 (disable caching with -cache-bytes 0)", *cacheBytes)
 	case *cacheShards < 0:
 		return daemonConfig{}, fmt.Errorf("-cache-shards %d < 0 (0 = auto)", *cacheShards)
-	case *cacheTTL < 0:
-		return daemonConfig{}, fmt.Errorf("-cache-ttl %v < 0 (0 = never expire)", *cacheTTL)
-	case *cacheSWR < 0:
-		return daemonConfig{}, fmt.Errorf("-cache-swr %v < 0", *cacheSWR)
-	case *cacheSWR > 0 && *cacheTTL == 0:
-		return daemonConfig{}, errors.New("-cache-swr without -cache-ttl: a stale window needs an expiry to be stale past")
-	}
-	if !paging.HasPolicy(*cachePolicy) {
-		return daemonConfig{}, fmt.Errorf("-cache-policy %q is not a registered eviction policy (have %v)", *cachePolicy, paging.PolicyNames())
 	}
 	if *chaosSpec == "" && *chaosSeed != 0 {
 		return daemonConfig{}, errors.New("-chaos-seed without -chaos-spec does nothing; give a spec or drop the seed")
@@ -154,9 +135,6 @@ func parseFlags(args []string) (daemonConfig, error) {
 		CacheEntries:      *cache,
 		CacheBytes:        *cacheBytes,
 		CacheShards:       *cacheShards,
-		CachePolicy:       *cachePolicy,
-		CacheTTL:          *cacheTTL,
-		CacheSWR:          *cacheSWR,
 		MaxConcurrentRuns: *maxRuns,
 		RunTimeout:        *timeout,
 		JobsDir:           *jobsDir,
@@ -212,9 +190,9 @@ func run(cfg daemonConfig) error {
 				errc <- fmt.Errorf("listener goroutine panicked: %v", r)
 			}
 		}()
-		log.Printf("cadaptived: listening on %s (workers=%d, cache=%d entries/%d bytes/%d shards/%s, max-runs=%d, timeout=%v)",
+		log.Printf("cadaptived: listening on %s (workers=%d, cache=%d entries/%d bytes/%d shards, max-runs=%d, timeout=%v)",
 			cfg.opts.Addr, engine.Shared().Workers(), cfg.opts.CacheEntries, cfg.opts.CacheBytes,
-			cfg.opts.CacheShards, cfg.opts.CachePolicy, cfg.opts.MaxConcurrentRuns, cfg.opts.RunTimeout)
+			cfg.opts.CacheShards, cfg.opts.MaxConcurrentRuns, cfg.opts.RunTimeout)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/paging"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
@@ -16,11 +14,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.opts.Addr != ":8344" || cfg.opts.CacheEntries != 512 || cfg.opts.CacheBytes != 64<<20 {
 		t.Errorf("defaults: addr=%q entries=%d bytes=%d", cfg.opts.Addr, cfg.opts.CacheEntries, cfg.opts.CacheBytes)
 	}
-	if cfg.opts.CacheShards != 0 || cfg.opts.CachePolicy != "lru" {
-		t.Errorf("defaults: shards=%d (want 0 = auto) policy=%q (want lru)", cfg.opts.CacheShards, cfg.opts.CachePolicy)
-	}
-	if cfg.opts.CacheTTL != 0 || cfg.opts.CacheSWR != 0 {
-		t.Errorf("defaults: ttl=%v swr=%v, want 0", cfg.opts.CacheTTL, cfg.opts.CacheSWR)
+	if cfg.opts.CacheShards != 0 {
+		t.Errorf("defaults: shards=%d, want 0 = auto", cfg.opts.CacheShards)
 	}
 	if cfg.drain != 2*time.Minute || cfg.opts.RunTimeout != 60*time.Second {
 		t.Errorf("defaults: drain=%v timeout=%v", cfg.drain, cfg.opts.RunTimeout)
@@ -45,18 +40,12 @@ func TestParseFlagsCacheOff(t *testing.T) {
 }
 
 func TestParseFlagsCacheKnobs(t *testing.T) {
-	cfg, err := parseFlags([]string{
-		"-cache-shards", "8", "-cache-policy", "fifo",
-		"-cache-ttl", "1h", "-cache-swr", "10m",
-	})
+	cfg, err := parseFlags([]string{"-cache-shards", "8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.opts.CacheShards != 8 || cfg.opts.CachePolicy != "fifo" {
-		t.Errorf("shards=%d policy=%q", cfg.opts.CacheShards, cfg.opts.CachePolicy)
-	}
-	if cfg.opts.CacheTTL != time.Hour || cfg.opts.CacheSWR != 10*time.Minute {
-		t.Errorf("ttl=%v swr=%v", cfg.opts.CacheTTL, cfg.opts.CacheSWR)
+	if cfg.opts.CacheShards != 8 {
+		t.Errorf("shards=%d", cfg.opts.CacheShards)
 	}
 }
 
@@ -86,10 +75,6 @@ func TestParseFlagsRejects(t *testing.T) {
 		{[]string{"-cache", "-1"}, "-cache"},
 		{[]string{"-cache-bytes", "-1"}, "-cache-bytes"},
 		{[]string{"-cache-shards", "-1"}, "-cache-shards"},
-		{[]string{"-cache-ttl", "-1s"}, "-cache-ttl"},
-		{[]string{"-cache-swr", "-1s"}, "-cache-swr"},
-		{[]string{"-cache-swr", "1s"}, "without -cache-ttl"},
-		{[]string{"-cache-policy", "clock-pro"}, "-cache-policy"},
 		{[]string{"-workers", "-1"}, "-workers"},
 		{[]string{"-chaos-seed", "7"}, "without -chaos-spec"},
 		{[]string{"-jobs-max", "0"}, "-jobs-max"},
@@ -108,26 +93,23 @@ func TestParseFlagsRejects(t *testing.T) {
 	}
 }
 
-// TestParseFlagsCachePolicy: every registered policy name must be accepted
-// at parse time, and an unknown name must be rejected with the registry
-// listed so the typo is self-diagnosing.
-func TestParseFlagsCachePolicy(t *testing.T) {
-	for _, name := range paging.PolicyNames() {
-		cfg, err := parseFlags([]string{"-cache-policy", name})
-		if err != nil {
-			t.Fatalf("-cache-policy %s rejected: %v", name, err)
+// TestParseFlagsRejectsRetiredCacheFlags: the cache's eviction-policy,
+// TTL and stale-while-revalidate flags are gone, and an old command line
+// that still sets one fails at startup, naming the flag, instead of
+// running with a cache that behaves differently from what it asked for.
+func TestParseFlagsRejectsRetiredCacheFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cache-policy", "lru"},
+		{"-cache-ttl", "1h"},
+		{"-cache-swr", "1m"},
+	} {
+		_, err := parseFlags(args)
+		if err == nil {
+			t.Errorf("parseFlags(%v): accepted, want error", args)
+			continue
 		}
-		if cfg.opts.CachePolicy != name {
-			t.Errorf("-cache-policy %s => Options.CachePolicy %q", name, cfg.opts.CachePolicy)
-		}
-	}
-	_, err := parseFlags([]string{"-cache-policy", "clock-pro"})
-	if err == nil {
-		t.Fatal("-cache-policy clock-pro accepted")
-	}
-	for _, name := range paging.PolicyNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list registered policy %q", err, name)
+		if !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("parseFlags(%v): error %q does not name %s", args, err, args[0])
 		}
 	}
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/adaptivity"
 	"repro/internal/profile"
@@ -19,27 +21,35 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
 	spec := regular.MMScanSpec // (8,4,1): a > b, c = 1 — in the log gap
 	n := profile.Pow(4, 6)     // problem size in blocks
 
 	worst, err := profile.WorstCase(8, 4, n)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	onWorst, err := adaptivity.GapOnProfile(spec, n, worst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	shuffled := smoothing.Shuffle(worst, xrand.New(42))
 	onShuffled, err := adaptivity.GapOnProfile(spec, n, shuffled)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("problem size n = %d blocks (%v)\n", n, spec)
-	fmt.Printf("adversarial profile: gap = %.2f (theory: log_4 n + 1 = %d)\n",
+	fmt.Fprintf(w, "problem size n = %d blocks (%v)\n", n, spec)
+	fmt.Fprintf(w, "adversarial profile: gap = %.2f (theory: log_4 n + 1 = %d)\n",
 		onWorst.Gap(), profile.Log(n, 4)+1)
-	fmt.Printf("same boxes, shuffled: gap = %.2f (theory: O(1) in expectation)\n",
+	fmt.Fprintf(w, "same boxes, shuffled: gap = %.2f (theory: O(1) in expectation)\n",
 		onShuffled.Gap())
+	return nil
 }

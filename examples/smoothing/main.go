@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/adaptivity"
 	"repro/internal/profile"
@@ -19,77 +21,83 @@ import (
 
 const trials = 8
 
-func meanGap(spec regular.Spec, n int64, make func() (*profile.SquareProfile, error)) float64 {
+func meanGap(spec regular.Spec, n int64, draw func() (*profile.SquareProfile, error)) (float64, error) {
 	var gaps []float64
 	for i := 0; i < trials; i++ {
-		p, err := make()
+		p, err := draw()
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		res, err := adaptivity.GapOnProfile(spec, n, p)
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		gaps = append(gaps, res.Gap())
 	}
-	return stats.Summarize(gaps).Mean
+	return stats.Summarize(gaps).Mean, nil
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
 	spec := regular.MMScanSpec
 	rng := xrand.New(2020)
 
-	fmt.Println("mean efficiency gap of the (8,4,1) canonical algorithm (worst case = k+1):")
-	fmt.Printf("%3s %8s %10s %10s %10s %10s %10s\n",
+	fmt.Fprintln(w, "mean efficiency gap of the (8,4,1) canonical algorithm (worst case = k+1):")
+	fmt.Fprintf(w, "%3s %8s %10s %10s %10s %10s %10s\n",
 		"k", "n", "worst", "shuffled", "size-pert", "rotated", "order-pert")
 	for k := 3; k <= 6; k++ {
 		n := profile.Pow(4, k)
 		wc, err := profile.WorstCase(8, 4, n)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		base, err := adaptivity.GapOnProfile(spec, n, wc)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
-		shuffled := meanGap(spec, n, func() (*profile.SquareProfile, error) {
-			return smoothing.Shuffle(wc, rng), nil
-		})
-		perturbed := meanGap(spec, n, func() (*profile.SquareProfile, error) {
-			return smoothing.PerturbSizes(wc, rng, 4)
-		})
-		rotated := meanGap(spec, n, func() (*profile.SquareProfile, error) {
-			return smoothing.RandomRotation(wc, rng)
-		})
-		ordered := meanGap(spec, n, func() (*profile.SquareProfile, error) {
-			return smoothing.OrderPerturbed(8, 4, n, rng)
-		})
+		var means [4]float64
+		for i, draw := range []func() (*profile.SquareProfile, error){
+			func() (*profile.SquareProfile, error) { return smoothing.Shuffle(wc, rng), nil },
+			func() (*profile.SquareProfile, error) { return smoothing.PerturbSizes(wc, rng, 4) },
+			func() (*profile.SquareProfile, error) { return smoothing.RandomRotation(wc, rng) },
+			func() (*profile.SquareProfile, error) { return smoothing.OrderPerturbed(8, 4, n, rng) },
+		} {
+			if means[i], err = meanGap(spec, n, draw); err != nil {
+				return err
+			}
+		}
 
-		fmt.Printf("%3d %8d %10.2f %10.2f %10.2f %10.2f %10.2f\n",
-			k, n, base.Gap(), shuffled, perturbed, rotated, ordered)
+		fmt.Fprintf(w, "%3d %8d %10.2f %10.2f %10.2f %10.2f %10.2f\n",
+			k, n, base.Gap(), means[0], means[1], means[2], means[3])
 	}
 
-	fmt.Println("\nthe box-order perturbation looks tame for the canonical end-scan algorithm,")
-	fmt.Println("but the class-level witness — scans placed where the profile's boxes are —")
-	fmt.Println("suffers the full gap with probability one:")
+	fmt.Fprintln(w, "\nthe box-order perturbation looks tame for the canonical end-scan algorithm,")
+	fmt.Fprintln(w, "but the class-level witness — scans placed where the profile's boxes are —")
+	fmt.Fprintln(w, "suffers the full gap with probability one:")
 	for k := 3; k <= 6; k++ {
 		n := profile.Pow(4, k)
 		seed := uint64(k)
 		p, err := smoothing.OrderPerturbedAligned(8, 4, n, seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		e, err := regular.NewExecWithPolicy(spec, n, smoothing.AlignedScanPolicy(8, seed))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := e.SetStrictScans(true); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		src, err := profile.NewSliceSource(p)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var pot float64
 		for !e.Done() {
@@ -97,6 +105,7 @@ func main() {
 			pot += spec.BoundedPotential(box, n)
 			e.Step(box)
 		}
-		fmt.Printf("  k=%d: aligned witness gap %.2f (= k+1 = %d)\n", k, pot/spec.Potential(n), k+1)
+		fmt.Fprintf(w, "  k=%d: aligned witness gap %.2f (= k+1 = %d)\n", k, pot/spec.Potential(n), k+1)
 	}
+	return nil
 }

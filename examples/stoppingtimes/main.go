@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/adaptivity"
 	"repro/internal/regular"
@@ -14,36 +16,44 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
 	spec := regular.MMScanSpec
 	dist, err := xrand.NewTwoPoint(4, 1024, 0.03)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Σ = %s, algorithm %v\n\n", dist.Name(), spec)
+	fmt.Fprintf(w, "Σ = %s, algorithm %v\n\n", dist.Name(), spec)
 
-	fmt.Println("stopping times (Monte Carlo, 4000 trials):")
-	fmt.Printf("%8s %12s %12s %14s\n", "n", "f(n)", "f'(n)", "f·m_n/n^1.5")
+	fmt.Fprintln(w, "stopping times (Monte Carlo, 4000 trials):")
+	fmt.Fprintf(w, "%8s %12s %12s %14s\n", "n", "f(n)", "f'(n)", "f·m_n/n^1.5")
 	for _, n := range []int64{16, 64, 256, 1024} {
 		st, err := adaptivity.EstimateStoppingTimes(spec, n, dist, 1, 4000)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		mn := dist.MeanBoundedPow(n, spec.Exponent())
 		norm := st.F * mn / spec.Potential(n)
-		fmt.Printf("%8d %12.2f %12.2f %14.3f\n", n, st.F, st.FPrime, norm)
+		fmt.Fprintf(w, "%8d %12.2f %12.2f %14.3f\n", n, st.F, st.FPrime, norm)
 	}
-	fmt.Println("\nEquation 3: the right column bounded ⇔ cache-adaptive in expectation.")
+	fmt.Fprintln(w, "\nEquation 3: the right column bounded ⇔ cache-adaptive in expectation.")
 
-	fmt.Println("\nLemma 3 at n = 256:")
+	fmt.Fprintln(w, "\nLemma 3 at n = 256:")
 	res, err := adaptivity.CheckLemma3(spec, 256, dist, 2, 6000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  f(n/4)                 = %.3f\n", res.FChild)
-	fmt.Printf("  p = Pr[|□|>=n]·f(n/4)  = %.3f\n", res.P)
-	fmt.Printf("  q (measured)           = %.3f ± %.3f\n", res.Q, res.QSE)
-	fmt.Printf("  f'(n) formula          = %.3f\n", res.SubBoxesFormula)
-	fmt.Printf("  f'(n) measured         = %.3f\n", res.SubBoxesMeasured)
-	fmt.Println("\nq = p exactly (the martingale argument), and the geometric-series")
-	fmt.Println("formula Σ (1-p)^{i-1} f(n/4) predicts f' to within sampling noise.")
+	fmt.Fprintf(w, "  f(n/4)                 = %.3f\n", res.FChild)
+	fmt.Fprintf(w, "  p = Pr[|□|>=n]·f(n/4)  = %.3f\n", res.P)
+	fmt.Fprintf(w, "  q (measured)           = %.3f ± %.3f\n", res.Q, res.QSE)
+	fmt.Fprintf(w, "  f'(n) formula          = %.3f\n", res.SubBoxesFormula)
+	fmt.Fprintf(w, "  f'(n) measured         = %.3f\n", res.SubBoxesMeasured)
+	fmt.Fprintln(w, "\nq = p exactly (the martingale argument), and the geometric-series")
+	fmt.Fprintln(w, "formula Σ (1-p)^{i-1} f(n/4) predicts f' to within sampling noise.")
+	return nil
 }

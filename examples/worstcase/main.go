@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/adaptivity"
 	"repro/internal/matrix"
@@ -16,70 +18,86 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
 	// Part 1: the recursive structure of M_{8,4}(n) (Figure 1). The profile
 	// for a problem of size n is eight copies of the profile for n/4
 	// followed by one box of size n: large cache arrives exactly when
 	// MM-Scan is doing a scan and cannot exploit it.
-	fmt.Println("Figure 1: box-size histogram of M_{8,4}(4^k)")
+	fmt.Fprintln(w, "Figure 1: box-size histogram of M_{8,4}(4^k)")
 	for k := 2; k <= 6; k++ {
 		n := profile.Pow(4, k)
 		wc, err := profile.WorstCase(8, 4, n)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  k=%d: %d boxes, histogram %v\n", k, wc.Len(), wc.SizeHistogram())
+		fmt.Fprintf(w, "  k=%d: %d boxes, histogram %v\n", k, wc.Len(), wc.SizeHistogram())
 	}
 
 	// Part 2: the log gap. MM-Scan's progress criterion on M_{8,4}(n) is
 	// exactly log_4(n)+1 — each level of the recursion wastes one n^{3/2}
 	// of potential on a scan.
-	fmt.Println("\nTheorem 2: MM-Scan's gap on its worst-case profile")
+	fmt.Fprintln(w, "\nTheorem 2: MM-Scan's gap on its worst-case profile")
 	spec := regular.MMScanSpec
 	for k := 2; k <= 7; k++ {
 		n := profile.Pow(4, k)
 		wc, err := profile.WorstCase(8, 4, n)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := adaptivity.GapOnProfile(spec, n, wc)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  n=4^%d: gap %.2f (= log_4 n + 1)\n", k, res.Gap())
+		fmt.Fprintf(w, "  n=4^%d: gap %.2f (= log_4 n + 1)\n", k, res.Gap())
 	}
 
 	// Part 3: the same profile, two real algorithms. Block traces of actual
 	// matrix multiplications replayed against the square-semantics cache:
 	// MM-Scan completes exactly one multiply, MM-InPlace completes
 	// Ω(log(N/B)) of them.
-	fmt.Println("\nMM-Scan vs MM-InPlace: multiplies completed within the profile (B = 8 words/block)")
+	fmt.Fprintln(w, "\nMM-Scan vs MM-InPlace: multiplies completed within the profile (B = 8 words/block)")
 	const bw = 8
 	for _, dim := range []int{32, 64, 128, 256} {
 		wc, err := matrix.WorstCaseProfile(dim, bw)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// 16 back-to-back multiplies, each over fresh blocks, against the
 		// profile's boxes; the served prefix says how many completed.
-		multiplies := func(tr *trace.Trace) int {
+		multiplies := func(tr *trace.Trace) (int, error) {
 			src, err := profile.NewSliceSource(wc)
 			if err != nil {
-				log.Fatal(err)
+				return 0, err
 			}
 			served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src, int64(wc.Len()), 16, tr.MaxBlock()+1)
 			if err != nil {
-				log.Fatal(err)
+				return 0, err
 			}
-			return int(served) / tr.Len()
+			return int(served) / tr.Len(), nil
 		}
 		scanTr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		inpTr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulInPlace(dim, bw, s) })
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  dim=%4d: MM-Scan %d, MM-InPlace %d\n", dim, multiplies(scanTr), multiplies(inpTr))
+		scan, err := multiplies(scanTr)
+		if err != nil {
+			return err
+		}
+		inp, err := multiplies(inpTr)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  dim=%4d: MM-Scan %d, MM-InPlace %d\n", dim, scan, inp)
 	}
+	return nil
 }

@@ -21,12 +21,7 @@ import (
 // Dynamic capacity follows the CA-model generalisation: SetCapacity clamps
 // p, demotes resident overflow through the standard REPLACE rule, and trims
 // the ghost lists back under the ARC invariants (|T1|+|B1| <= c, total <=
-// 2c). At UnboundedCapacity the kernel never self-evicts and serves as an
-// external-bound policy: with no internal evictions there are no ghosts, p stays
-// 0, and the policy degrades to a two-segment LRU (T1 = seen once, T2 =
-// seen again; T1 drains first) — the honest adapter-mode semantics, since
-// the owning cache recycles IDs and decides evictions itself, which makes
-// ID-keyed ghost learning meaningless there.
+// 2c).
 type ARC struct {
 	capacity int64
 	p        int64 // adaptive target size for T1, 0 <= p <= capacity
@@ -67,9 +62,8 @@ func NewARC(capacity int64) (*ARC, error) {
 
 func init() {
 	RegisterPolicy(PolicyInfo{
-		Name:    "arc",
-		Summary: "adaptive replacement cache: recency/frequency lists T1/T2 with ghost-steered target p",
-		New:     func(capacity int64) (ReplacementPolicy, error) { return NewARC(capacity) },
+		Name: "arc",
+		New:  func(capacity int64) (ReplacementPolicy, error) { return NewARC(capacity) },
 	})
 }
 
@@ -238,56 +232,6 @@ func (a *ARC) replaceOne(inB2 bool) {
 	lru := a.lists[arcT2].tail
 	a.unlink(int64(lru))
 	a.pushFront(arcB2, int64(lru))
-}
-
-// Touch records a hit for the external-bound surface: the resident block
-// moves to T2's MRU end, exactly the Access hit path without counters.
-func (a *ARC) Touch(id int64) {
-	if !a.Contains(id) {
-		return
-	}
-	a.unlink(id)
-	a.pushFront(arcT2, id)
-}
-
-// Insert admits a new entry for the external-bound surface: onto T1's MRU
-// end, with no eviction — the owning cache decides when to evict. A stale
-// ghost under a recycled ID is forgotten first.
-func (a *ARC) Insert(id int64) {
-	a.ensure(id)
-	if a.where[id] != arcNone {
-		if a.Contains(id) {
-			return
-		}
-		a.unlink(id)
-	}
-	a.pushFront(arcT1, id)
-}
-
-// Victim reports the resident block replaceOne would demote next — T1's
-// LRU while T1 exceeds its target, T2's LRU otherwise — or -1 when empty.
-func (a *ARC) Victim() int64 {
-	t1 := a.lists[arcT1].size
-	if t1 > 0 && (t1 > a.p || a.lists[arcT2].size == 0) {
-		return int64(a.lists[arcT1].tail)
-	}
-	if a.lists[arcT2].size > 0 {
-		return int64(a.lists[arcT2].tail)
-	}
-	return -1
-}
-
-// Remove forgets an entry entirely — no ghost is recorded, because Remove
-// is the external cache's eviction (or an ID about to be recycled), not a
-// policy decision ARC should learn from. Reports whether the block was
-// resident; a stale ghost is dropped silently.
-func (a *ARC) Remove(id int64) bool {
-	if id < 0 || id >= int64(len(a.where)) || a.where[id] == arcNone {
-		return false
-	}
-	wasResident := a.Contains(id)
-	a.unlink(id)
-	return wasResident
 }
 
 // ensure grows the dense membership and link arrays (geometrically, so

@@ -60,17 +60,17 @@ func TestFIFOShrink(t *testing.T) {
 }
 
 func TestFIFORefetchedBlockNotPrematurelyEvicted(t *testing.T) {
-	// Regression for the stale-entry hazard: fetch 1, evict it, refetch it;
-	// the stale queue entry must not cause 1 to be evicted as "oldest".
+	// Fetch 1, evict it, refetch it: the refetch is the newest fetch, so
+	// 1 must not be evicted as "oldest".
 	f, _ := NewFIFO(2)
-	f.Access(1) // queue: 1
-	f.Access(2) // queue: 1 2
-	f.Access(3) // evicts 1; queue: 1 2 3
-	f.Access(1) // evicts 2 (oldest live); refetches 1; queue: 1 2 3 1'
-	// Now resident = {3, 1}. Next eviction must take 3 (older fetch), not 1.
+	f.Access(1) // ring: 1
+	f.Access(2) // ring: 1 2
+	f.Access(3) // evicts 1; ring: 2 3
+	f.Access(1) // evicts 2; refetches 1; ring: 3 1
+	// Next eviction must take 3 (older fetch), not 1.
 	f.Access(4)
 	if !f.Access(1) {
-		t.Error("refetched block evicted via its stale queue entry")
+		t.Error("refetched block evicted as if it kept its first fetch time")
 	}
 	if f.Access(3) {
 		t.Error("block 3 should have been the eviction victim")
@@ -111,7 +111,7 @@ func TestFIFOAgainstOPTProperty(t *testing.T) {
 }
 
 func TestFIFOCompactionKeepsCorrectness(t *testing.T) {
-	// Exercise the queue-compaction path with a long thrashing trace.
+	// Exercise ring wrap-around with a long thrashing trace.
 	f, _ := NewFIFO(3)
 	src := xrand.New(9)
 	shadow := make(map[int64]bool)

@@ -106,9 +106,6 @@ func (w *hitTwins) check(t testing.TB, i int) {
 		t.Fatalf("%s ref %d: hits/misses/len %d/%d/%d, twin %d/%d/%d",
 			w.name, i, a.Hits(), a.Misses(), a.Len(), b.Hits(), b.Misses(), b.Len())
 	}
-	if a.Victim() != b.Victim() {
-		t.Fatalf("%s ref %d: victim %d, twin %d", w.name, i, a.Victim(), b.Victim())
-	}
 	if la, lb := kernelIndexLen(t, a), kernelIndexLen(t, b); la != lb {
 		t.Fatalf("%s ref %d: index length %d, twin %d", w.name, i, la, lb)
 	}

@@ -2,6 +2,7 @@ package paging
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/trace"
 )
@@ -201,12 +202,20 @@ func (l *LRU) Contains(block int64) bool {
 	return block >= 0 && block < int64(len(l.slot)) && l.slot[block] != nilNode
 }
 
-// Touch records a use of a resident entry (external-bound surface). At
-// UnboundedCapacity the kernel never self-evicts, so Access doubles as both
-// Touch (hit path: move to front) and Insert (miss path: push front).
+// UnboundedCapacity is the capacity at which an LRU never self-evicts. The
+// service's result cache builds its LRU order there and drives evictions
+// itself: it decides *when* to evict (an entry-count bound, a bytes bound)
+// and asks the LRU *which* entry goes, through Touch/Insert/Victim/Remove.
+// Contract: Insert an ID at most once until it is Removed, Touch only
+// resident IDs, and Victim is stable until the next mutation.
+const UnboundedCapacity = int64(math.MaxInt64)
+
+// Touch records a use of a resident entry. At UnboundedCapacity the LRU
+// never self-evicts, so Access doubles as both Touch (hit path: move to
+// front) and Insert (miss path: push front).
 func (l *LRU) Touch(id int64) { l.Access(id) }
 
-// Insert admits a new entry (external-bound surface); see Touch.
+// Insert admits a new entry as the most recently used; see Touch.
 func (l *LRU) Insert(id int64) { l.Access(id) }
 
 // Victim returns the least recently used resident block — the one Access

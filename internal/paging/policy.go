@@ -2,29 +2,18 @@ package paging
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
 // ReplacementPolicy is the streaming kernel contract every registered
-// policy implements. One array-backed kernel serves two operating modes:
-//
-//   - Replay mode: constructed at a finite capacity, the kernel enforces
-//     its own — dynamically resizable — capacity, the way the
-//     cache-adaptive model requires, and Access self-evicts per the policy.
-//   - External-bound mode: constructed at UnboundedCapacity, the kernel
-//     never self-evicts. The owning cache decides *when* to evict (an
-//     entry-count bound, a bytes bound, a TTL sweep) and asks the kernel
-//     *which* entry should go through Touch/Insert/Victim/Remove. That is
-//     how the simulator's replay kernels double as the production result
-//     cache's eviction engines (internal/service).
+// policy implements: a cache of blocks that enforces its own — dynamically
+// resizable — capacity, the way the cache-adaptive model requires, with
+// Access self-evicting per the policy.
 //
 // Kernels are built for dense-remapped block universes (IDs allocated
 // contiguously from 0): memory is O(max block ID seen), every operation is
 // O(1) amortised, and the steady state of a Reserved replay performs no
-// allocations. External-bound contract: Insert an ID at most once until it
-// is Removed; Touch only resident IDs; Victim is stable until the next
-// mutation. None of the methods are safe for concurrent use — the owner
+// allocations. None of the methods are safe for concurrent use — the owner
 // holds its own lock.
 type ReplacementPolicy interface {
 	// Access touches block against the kernel's own capacity, returning
@@ -57,33 +46,15 @@ type ReplacementPolicy interface {
 	Hits() int64
 	// Misses reports the number of accesses that required a fetch.
 	Misses() int64
-
-	// Touch records a use of a resident entry (a cache hit).
-	Touch(id int64)
-	// Insert admits a new entry (a cache fill).
-	Insert(id int64)
-	// Victim reports which resident entry the policy would evict next,
-	// or -1 when it tracks none. It does not remove the entry.
-	Victim() int64
-	// Remove forgets an entry (eviction, invalidation, expiry) and
-	// reports whether it was tracked.
-	Remove(id int64) bool
-	// Len reports how many entries the policy currently tracks.
+	// Len reports how many blocks are resident.
 	Len() int64
 }
 
-// UnboundedCapacity is the capacity at which a kernel never self-evicts —
-// the external-bound operating mode, where the owning cache calls
-// Victim/Remove when *its* bound trips.
-const UnboundedCapacity = int64(math.MaxInt64)
-
 // PolicyInfo describes one registered replacement policy.
 type PolicyInfo struct {
-	// Name keys the registry; it is what -cache-policy, the experiment
-	// tables, and every other by-name surface accept.
+	// Name keys the registry; it is what the experiment tables, mmtrace's
+	// -policy and every other by-name surface accept.
 	Name string
-	// Summary is a one-line description for catalogs and docs.
-	Summary string
 	// New constructs a kernel with the given capacity (>= 1).
 	New func(capacity int64) (ReplacementPolicy, error)
 }
@@ -107,14 +78,12 @@ func RegisterPolicy(info PolicyInfo) {
 
 func init() {
 	RegisterPolicy(PolicyInfo{
-		Name:    "lru",
-		Summary: "least-recently-used: intrusive recency list over a dense node pool",
-		New:     func(capacity int64) (ReplacementPolicy, error) { return NewLRU(capacity) },
+		Name: "lru",
+		New:  func(capacity int64) (ReplacementPolicy, error) { return NewLRU(capacity) },
 	})
 	RegisterPolicy(PolicyInfo{
-		Name:    "fifo",
-		Summary: "first-in-first-out: circular fetch-order ring, hits do not reorder",
-		New:     func(capacity int64) (ReplacementPolicy, error) { return NewFIFO(capacity) },
+		Name: "fifo",
+		New:  func(capacity int64) (ReplacementPolicy, error) { return NewFIFO(capacity) },
 	})
 }
 
@@ -128,12 +97,6 @@ func NewReplacementPolicy(name string, capacity int64) (ReplacementPolicy, error
 	return info.New(capacity)
 }
 
-// HasPolicy reports whether name is registered.
-func HasPolicy(name string) bool {
-	_, ok := policyRegistry[name]
-	return ok
-}
-
 // PolicyNames lists the registered policy names, sorted.
 func PolicyNames() []string {
 	names := make([]string, 0, len(policyRegistry))
@@ -142,13 +105,4 @@ func PolicyNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Policies lists the registered policy descriptors, sorted by name.
-func Policies() []PolicyInfo {
-	infos := make([]PolicyInfo, 0, len(policyRegistry))
-	for _, name := range PolicyNames() {
-		infos = append(infos, policyRegistry[name])
-	}
-	return infos
 }

@@ -258,10 +258,10 @@ func TestPolicyRunUnknownName(t *testing.T) {
 	}
 }
 
-// TestOPTRunBoxesNeverWorseThanKernels: under a constant profile the
+// TestReplayOPTNeverWorseThanKernels: under a constant profile the
 // clairvoyant "opt" box replay is the true fixed-capacity OPT, so no kernel
 // may beat it.
-func TestOPTRunBoxesNeverWorseThanKernels(t *testing.T) {
+func TestReplayOPTNeverWorseThanKernels(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		src := xrand.New(xrand.Split(55, "optboxes-floor", int64(trial)))
 		tr := localTrace(src, 700, 1+src.Int63n(48))

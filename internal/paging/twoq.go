@@ -19,12 +19,7 @@ import (
 // Tuning follows the paper's recommendation with the fixed fractions made
 // dynamic so capacity changes are honoured: A1in is entitled to
 // max(1, Len()/4) slots (equal to the classic Kin = c/4 whenever the cache
-// is full) and A1out remembers max(1, capacity/2) ghosts. At
-// UnboundedCapacity the kernel never self-evicts, so A1out stays empty and
-// the policy degrades to the honest two-queue sLRU analogue: Victim drains
-// the probation FIFO before the main list, and Remove is a full forget (no
-// ghost — the owning cache recycles IDs, so ID-keyed ghosts would be
-// spurious).
+// is full) and A1out remembers max(1, capacity/2) ghosts.
 type TwoQ struct {
 	capacity int64
 	where    []uint8
@@ -57,9 +52,8 @@ func NewTwoQ(capacity int64) (*TwoQ, error) {
 
 func init() {
 	RegisterPolicy(PolicyInfo{
-		Name:    "2q",
-		Summary: "two-queue: FIFO probation A1in + ghost A1out gating promotion into the main LRU Am",
-		New:     func(capacity int64) (ReplacementPolicy, error) { return NewTwoQ(capacity) },
+		Name: "2q",
+		New:  func(capacity int64) (ReplacementPolicy, error) { return NewTwoQ(capacity) },
 	})
 }
 
@@ -213,67 +207,6 @@ func (q *TwoQ) evictOne() {
 	if t := q.list(twoQAm).tail; t != nilNode {
 		q.unlink(int64(t))
 	}
-}
-
-// Touch records a hit for the external-bound surface: Am entries get the
-// LRU promotion, and a probation entry is promoted into Am — the
-// *simplified* 2Q rule from the same paper. In external-bound mode the
-// ghost FIFO never forms (this kernel never self-evicts there), so the
-// full version's promote-on-ghost-hit signal cannot fire; promoting on the
-// second touch instead is what keeps 2Q a meaningful segmented-LRU rather
-// than collapsing into plain FIFO.
-func (q *TwoQ) Touch(id int64) {
-	if !q.Contains(id) {
-		return
-	}
-	q.unlink(id)
-	q.pushFront(twoQAm, id)
-}
-
-// Insert admits a new entry for the external-bound surface: into Am if a
-// ghost vouches for it, into probation otherwise, with no eviction — the
-// owning cache decides when to evict.
-func (q *TwoQ) Insert(id int64) {
-	q.ensure(id)
-	switch q.where[id] {
-	case twoQA1in, twoQAm:
-		return
-	case twoQA1out:
-		q.unlink(id)
-		q.pushFront(twoQAm, id)
-		return
-	}
-	q.pushFront(twoQA1in, id)
-}
-
-// Victim reports the resident block evictOne would take next — A1in's
-// oldest while A1in is over its entitlement, Am's LRU otherwise — or -1
-// when empty.
-func (q *TwoQ) Victim() int64 {
-	a1in := q.list(twoQA1in)
-	if a1in.size > 0 && (a1in.size > q.kinDyn() || q.list(twoQAm).size == 0) {
-		return int64(a1in.tail)
-	}
-	if t := q.list(twoQAm).tail; t != nilNode {
-		return int64(t)
-	}
-	if a1in.size > 0 {
-		return int64(a1in.tail)
-	}
-	return -1
-}
-
-// Remove forgets an entry entirely — no ghost is recorded, because Remove
-// is the external cache's eviction (or an ID about to be recycled), not a
-// 2Q reclaim this kernel should learn from. Reports whether the block was
-// resident; a stale ghost is dropped silently.
-func (q *TwoQ) Remove(id int64) bool {
-	if id < 0 || id >= int64(len(q.where)) || q.where[id] == twoQNone {
-		return false
-	}
-	wasResident := q.Contains(id)
-	q.unlink(id)
-	return wasResident
 }
 
 // ensure grows the dense membership and link arrays (geometrically, so

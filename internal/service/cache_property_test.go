@@ -5,11 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/paging"
 	"repro/internal/xrand"
 )
 
@@ -44,212 +41,36 @@ func assertBounds(t *testing.T, c *shardedCache) {
 
 // TestCacheBytesBoundNeverExceeded inserts randomized bodies — including
 // some larger than the whole bytes budget — and asserts after every insert
-// that no shard exceeds either bound, for every registered eviction policy.
+// that no shard exceeds either bound under the cache's LRU order.
 func TestCacheBytesBoundNeverExceeded(t *testing.T) {
-	for _, policy := range paging.PolicyNames() {
-		t.Run(policy, func(t *testing.T) {
-			const maxBytes = 4096
-			c, err := newShardedCache(cacheConfig{
-				shards: 4, maxEntries: 64, maxBytes: maxBytes, policy: policy,
+	t.Run("lru", func(t *testing.T) {
+		const maxBytes = 4096
+		c, err := newShardedCache(cacheConfig{shards: 4, maxEntries: 64, maxBytes: maxBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := xrand.New(xrand.Split(0x7003, "bytes-bound", 3))
+		for i := 0; i < 800; i++ {
+			k := rng.Intn(48)
+			sum := sha256.Sum256([]byte(fmt.Sprintf("lru-%d", k)))
+			key := hex.EncodeToString(sum[:])
+			// Body sizes span tiny to beyond the global bound; a body
+			// that can never fit must simply not be cached.
+			size := rng.Intn(2 * maxBytes)
+			_, _, err := c.do(context.Background(), key, func() ([]byte, error) {
+				return make([]byte, size), nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := xrand.New(xrand.Split(0x7003, "bytes-bound", int64(len(policy))))
-			for i := 0; i < 800; i++ {
-				k := rng.Intn(48)
-				sum := sha256.Sum256([]byte(fmt.Sprintf("%s-%d", policy, k)))
-				key := hex.EncodeToString(sum[:])
-				// Body sizes span tiny to beyond the global bound; a body
-				// that can never fit must simply not be cached.
-				size := rng.Intn(2 * maxBytes)
-				_, _, err := c.do(context.Background(), key, func() ([]byte, error) {
-					return make([]byte, size), nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBounds(t, c)
-			}
-			// The sequence must have driven the bound, or the property is
-			// vacuous.
-			if c.stats().Evictions == 0 {
-				t.Fatal("no evictions: bytes bound never exercised")
-			}
-		})
-	}
-}
-
-// fakeClock is a mutable injected time source.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1_700_000_000, 0)}
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	f.mu.Unlock()
-}
-
-// TestCacheTTLNeverServesExpired advances an injected clock through
-// randomized fills and lookups; with no SWR window, a body must never be
-// served once its TTL has elapsed.
-func TestCacheTTLNeverServesExpired(t *testing.T) {
-	const ttl = 10 * time.Second
-	clk := newFakeClock()
-	c, err := newShardedCache(cacheConfig{
-		shards: 2, maxEntries: 64, maxBytes: 1 << 20, ttl: ttl, clock: clk.Now,
+			assertBounds(t, c)
+		}
+		// The sequence must have driven the bound, or the property is
+		// vacuous.
+		if c.stats().Evictions == 0 {
+			t.Fatal("no evictions: bytes bound never exercised")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(xrand.Split(0x7004, "ttl"))
-	type fill struct {
-		at   time.Time
-		gen  int
-		body string
-	}
-	fills := make(map[string]*fill)
-	for i := 0; i < 600; i++ {
-		clk.Advance(time.Duration(rng.Intn(4000)) * time.Millisecond)
-		k := rng.Intn(16)
-		sum := sha256.Sum256([]byte(fmt.Sprintf("ttl-%d", k)))
-		key := hex.EncodeToString(sum[:])
-		last := fills[key]
-		gen := 0
-		if last != nil {
-			gen = last.gen + 1
-		}
-		fresh := fmt.Sprintf("gen-%d", gen)
-		body, oc, err := c.do(context.Background(), key, func() ([]byte, error) {
-			return []byte(fresh), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		now := clk.Now()
-		switch oc {
-		case outcomeHit:
-			if last == nil {
-				t.Fatalf("op %d: hit on never-filled key", i)
-			}
-			if age := now.Sub(last.at); age >= ttl {
-				t.Fatalf("op %d: served body aged %v past TTL %v", i, age, ttl)
-			}
-			if string(body) != last.body {
-				t.Fatalf("op %d: hit body %q, want %q", i, body, last.body)
-			}
-		case outcomeMiss:
-			fills[key] = &fill{at: now, gen: gen, body: fresh}
-		default:
-			t.Fatalf("op %d: unexpected outcome %d in sequential run", i, oc)
-		}
-	}
-}
-
-// TestCacheSWRServesStaleThenRefreshes pins the stale-while-revalidate
-// contract: past TTL but inside the SWR window, callers get the old bytes
-// and outcomeHit while exactly one background refresh runs; once it
-// completes, callers get the new bytes.
-func TestCacheSWRServesStaleThenRefreshes(t *testing.T) {
-	const (
-		ttl = 10 * time.Second
-		swr = 30 * time.Second
-	)
-	clk := newFakeClock()
-	c, err := newShardedCache(cacheConfig{
-		shards: 1, maxEntries: 8, maxBytes: 1 << 20, ttl: ttl, swr: swr, clock: clk.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256([]byte("swr-key"))
-	key := hex.EncodeToString(sum[:])
-	fill := func(val string) ([]byte, outcome) {
-		t.Helper()
-		body, oc, err := c.do(context.Background(), key, func() ([]byte, error) {
-			return []byte(val), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body, oc
-	}
-	if _, oc := fill("old"); oc != outcomeMiss {
-		t.Fatalf("initial fill outcome %d", oc)
-	}
-	clk.Advance(ttl + time.Second) // stale, inside SWR
-
-	// Gate the refresh so stale serving is observable while it runs.
-	gate := make(chan struct{})
-	refreshRuns := 0
-	var mu sync.Mutex
-	const staleReads = 5
-	for i := 0; i < staleReads; i++ {
-		body, oc, err := c.do(context.Background(), key, func() ([]byte, error) {
-			mu.Lock()
-			refreshRuns++
-			mu.Unlock()
-			<-gate
-			return []byte("new"), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oc != outcomeHit || string(body) != "old" {
-			t.Fatalf("stale read %d: body=%q oc=%d, want old bytes as a hit", i, body, oc)
-		}
-	}
-	close(gate)
-	// Wait for the single refresh to land (it replaces the body under the
-	// shard lock; poll the entry rather than sleeping blind).
-	sh := c.shards[c.shardFor(key)]
-	deadline := time.Now().Add(5 * time.Second) //lint:ignore notime test-side polling deadline, not cache state
-	for {
-		sh.mu.Lock()
-		e := sh.entries[key]
-		refreshed := e != nil && string(e.body) == "new"
-		sh.mu.Unlock()
-		if refreshed {
-			break
-		}
-		if time.Now().After(deadline) { //lint:ignore notime test-side polling deadline, not cache state
-			t.Fatal("refresh never replaced the stale body")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	runs := refreshRuns
-	mu.Unlock()
-	if runs != 1 {
-		t.Fatalf("refresh ran %d times, want exactly 1", runs)
-	}
-	if body, oc := fill("unused"); oc != outcomeHit || string(body) != "new" {
-		t.Fatalf("post-refresh read: body=%q oc=%d, want new bytes as a hit", body, oc)
-	}
-	st := c.stats()
-	if st.StaleServed != staleReads || st.Refreshes != 1 {
-		t.Fatalf("stats: stale_served=%d refreshes=%d, want %d and 1", st.StaleServed, st.Refreshes, staleReads)
-	}
-	// Past TTL+SWR the entry is gone entirely: the next do recomputes.
-	clk.Advance(ttl + swr + time.Second)
-	if _, oc := fill("newer"); oc != outcomeMiss {
-		t.Fatalf("read past TTL+SWR: outcome %d, want miss", oc)
-	}
-	if c.stats().Expired != 1 {
-		t.Fatalf("expired counter = %d, want 1", c.stats().Expired)
-	}
 }
 
 // TestCacheShardRoutingCovers checks that realistic keys spread over all

@@ -212,18 +212,13 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestCacheRejectsBadConfig pins constructor validation: negative bounds,
-// negative TTL/SWR, SWR without TTL, TTL without a clock, unknown policy,
-// and a non-positive shard count are all errors.
+// TestCacheRejectsBadConfig pins constructor validation: negative bounds
+// and a non-positive shard count are errors.
 func TestCacheRejectsBadConfig(t *testing.T) {
 	cases := []cacheConfig{
 		{shards: 0, maxEntries: 1, maxBytes: 1},
 		{shards: 1, maxEntries: -1, maxBytes: 1},
 		{shards: 1, maxEntries: 1, maxBytes: -1},
-		{shards: 1, maxEntries: 1, maxBytes: 1, ttl: -1},
-		{shards: 1, maxEntries: 1, maxBytes: 1, swr: 1},
-		{shards: 1, maxEntries: 1, maxBytes: 1, ttl: 1},
-		{shards: 1, maxEntries: 1, maxBytes: 1, policy: "clairvoyant"},
 	}
 	for _, cfg := range cases {
 		if _, err := newShardedCache(cfg); err == nil {

@@ -123,7 +123,6 @@ func TestCacheDifferentialSequential(t *testing.T) {
 		shards:     1,
 		maxEntries: capacity,
 		maxBytes:   1 << 40, // effectively unbounded, like the oracle
-		policy:     "lru",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 )
 
 // metrics aggregates the service's observability counters. The cache
-// outcome counters (hits/misses/coalesced and the TTL/eviction detail)
-// live in the shards themselves — per-shard atomics, summed at snapshot
+// outcome counters (hits/misses/coalesced and evictions) live in the
+// shards themselves — per-shard atomics, summed at snapshot
 // time — so the hot path never funnels through one shared counter word.
 // What remains here is the admission-level ledger (requests, sheds,
 // panics, queue depth), the run counts, and the engine accumulators
@@ -58,19 +58,12 @@ type metricsSnapshot struct {
 		Hits      int64 `json:"hits"`
 		Misses    int64 `json:"misses"`
 		Coalesced int64 `json:"coalesced"`
-		// StaleServed counts hits answered with a body past its TTL inside
-		// the stale-while-revalidate window; Refreshes counts the
-		// background recomputations those hits triggered (at most one in
-		// flight per key); Evictions counts bound-pressure removals;
-		// Expired counts entries dropped at lookup past TTL+SWR.
-		StaleServed int64 `json:"stale_served"`
-		Refreshes   int64 `json:"refreshes"`
-		Evictions   int64 `json:"evictions"`
-		Expired     int64 `json:"expired"`
-		Entries     int   `json:"entries"`
-		Capacity    int   `json:"capacity"`
-		Bytes       int64 `json:"bytes"`
-		BytesCap    int64 `json:"bytes_capacity"`
+		// Evictions counts bound-pressure removals.
+		Evictions int64 `json:"evictions"`
+		Entries   int   `json:"entries"`
+		Capacity  int   `json:"capacity"`
+		Bytes     int64 `json:"bytes"`
+		BytesCap  int64 `json:"bytes_capacity"`
 		// Shards is the per-shard breakdown; the totals above are its
 		// column sums, so conservation checks can be run per shard too.
 		Shards []shardStats `json:"shards"`
@@ -120,10 +113,7 @@ func (m *metrics) snapshot(cs cacheStats, opts Options, workers int, draining bo
 	s.Cache.Hits = cs.Hits
 	s.Cache.Misses = cs.Misses
 	s.Cache.Coalesced = cs.Coalesced
-	s.Cache.StaleServed = cs.StaleServed
-	s.Cache.Refreshes = cs.Refreshes
 	s.Cache.Evictions = cs.Evictions
-	s.Cache.Expired = cs.Expired
 	s.Cache.Entries = cs.Entries
 	s.Cache.Capacity = opts.CacheEntries
 	s.Cache.Bytes = cs.Bytes

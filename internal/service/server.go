@@ -65,26 +65,9 @@ type Options struct {
 	CacheBytes int64
 	// CacheShards is the shard count, rounded up to a power of two
 	// (default: the smallest power of two >= 4×GOMAXPROCS). Each shard has
-	// its own mutex, singleflight table and eviction policy, so requests
-	// for different keys contend only 1/Nth as often.
+	// its own mutex, singleflight table and LRU order, so requests for
+	// different keys contend only 1/Nth as often.
 	CacheShards int
-	// CachePolicy names the per-shard eviction policy: any registered
-	// paging kernel ("lru" — the default — "fifo", "arc", "2q"; see
-	// paging.PolicyNames), promoted from simulator to engine.
-	CachePolicy string
-	// CacheTTL bounds a cached body's age; 0 (the default) means entries
-	// never expire, which is sound because bodies are pure functions of
-	// their key. Operators cap replay age anyway when schema migrations or
-	// disk forensics matter.
-	CacheTTL time.Duration
-	// CacheSWR is the stale-while-revalidate window past CacheTTL: a body
-	// older than TTL but younger than TTL+SWR is served stale while a
-	// single background refresh recomputes it. Requires CacheTTL > 0.
-	CacheSWR time.Duration
-	// Clock injects the time source for TTL bookkeeping (default wall
-	// clock). Tests drive expiry deterministically through it; nothing
-	// else in the server reads time through Options.
-	Clock func() time.Time
 	// MaxConcurrentRuns bounds how many distinct experiment runs execute at
 	// once (default 2). Each run already fans out across the shared engine
 	// pool internally, so a small bound keeps the pool from thrashing
@@ -129,12 +112,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheShards == 0 {
 		o.CacheShards = 4 * runtime.GOMAXPROCS(0)
-	}
-	if o.CachePolicy == "" {
-		o.CachePolicy = "lru"
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now //lint:ignore notime default TTL clock; results never read it, and tests inject a fake
 	}
 	if o.MaxConcurrentRuns == 0 {
 		o.MaxConcurrentRuns = 2
@@ -195,10 +172,6 @@ func New(opts Options) (*Server, error) {
 		shards:     opts.CacheShards,
 		maxEntries: entries,
 		maxBytes:   bytes,
-		ttl:        opts.CacheTTL,
-		swr:        opts.CacheSWR,
-		policy:     opts.CachePolicy,
-		clock:      opts.Clock,
 	})
 	if err != nil {
 		return nil, err

@@ -713,12 +713,6 @@ func TestServiceOptionsValidation(t *testing.T) {
 	if _, err := New(Options{CacheShards: -1}); err == nil {
 		t.Error("negative CacheShards accepted")
 	}
-	if _, err := New(Options{CachePolicy: "clairvoyant"}); err == nil {
-		t.Error("unknown CachePolicy accepted")
-	}
-	if _, err := New(Options{CacheSWR: time.Second}); err == nil {
-		t.Error("CacheSWR without CacheTTL accepted")
-	}
 	if _, err := New(Options{MaxConcurrentRuns: -2}); err == nil {
 		t.Error("negative MaxConcurrentRuns accepted")
 	}

@@ -96,19 +96,19 @@ go test -race -short ./internal/fault/
 
 echo "== go test -race (sharded result cache) =="
 # The sharded cache under concurrency: singleflight per shard, the
-# stale-while-revalidate background refresh, the differential replay against
-# the single-mutex oracle, and the eviction-policy adapters.
-gate 'TestCacheDifferential|TestCacheBytesBound|TestCacheTTL|TestCacheSWR|TestCacheShardRouting|TestCacheDisabled|TestServiceTablesIdenticalAcrossShardCounts' \
+# differential replay against the single-mutex oracle, and the bytes and
+# entry bounds the LRU order evicts under.
+gate 'TestCacheDifferential|TestCacheBytesBound|TestCacheShardRouting|TestCacheDisabled|TestServiceTablesIdenticalAcrossShardCounts' \
     -race -short -count=1 \
     ./internal/service/
 
 echo "== go test -race (policy registry + adaptive kernels) =="
 # The ReplacementPolicy registry end to end: ARC/2Q differential oracles,
 # the by-name box replay (PolicyStream, Replay/PolicyRun and the opt box
-# replay), the registry-name plumbing through MeasureTracePolicy, and the
-# reference conformance suite over every registered policy, and the
+# replay), the registry-name plumbing through MeasureTracePolicy, the LRU's
+# external-bound conformance against its naive reference, and the
 # Hit-then-Access vs Contains-then-Access differential over every kernel.
-gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestOPTRunBoxes|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess' \
+gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess' \
     -race -short -count=1 \
     ./internal/paging/ \
     ./internal/adaptivity/
