@@ -164,6 +164,9 @@ func runE13(cfg Config) (*Table, error) {
 
 	// One fault curve per (dim, policy): faults at every capacity in the
 	// sweep, computed as engine cells over the shared read-only traces.
+	// LRU and OPT are stack algorithms, so one pass yields the whole curve
+	// and each is one cell per dim; the other policies replay once per
+	// capacity, a cell each.
 	nM := int(e13SweepHi - e13SweepLo + 1)
 	traces := make([]*traceCurve, len(dims))
 	for di, dim := range dims {
@@ -171,21 +174,19 @@ func runE13(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// OPT's recording is read-only, so every opt cell of this trace
-		// shares the one made here.
-		optRec, err := paging.RecordOPT(tr.Emit, int64(tr.Len()), tr.MaxBlock())
-		if err != nil {
-			return nil, err
-		}
-		traces[di] = &traceCurve{tr: tr, opt: optRec, faults: make([][]int64, len(policies))}
+		traces[di] = &traceCurve{tr: tr, faults: make([][]int64, len(policies))}
 		for p := range policies {
 			traces[di].faults[p] = make([]int64, nM)
 		}
 	}
-	type cell struct{ di, p, mi int }
+	type cell struct{ di, p, mi int } // mi < 0: a stack policy's whole curve
 	var cells []cell
 	for di := range dims {
-		for p := range policies {
+		for p, pol := range policies {
+			if e13StackPolicy(pol) {
+				cells = append(cells, cell{di, p, -1})
+				continue
+			}
 			for mi := 0; mi < nM; mi++ {
 				cells = append(cells, cell{di, p, mi})
 			}
@@ -194,18 +195,20 @@ func runE13(cfg Config) (*Table, error) {
 	g := engine.NewGroup().WithContext(cfg.Context())
 	if err := g.Map(len(cells), func(i, _ int) error {
 		c := cells[i]
-		m := e13SweepLo + int64(c.mi)
-		var faults int64
-		var err error
-		if policies[c.p] == paging.OPTReplayName {
-			faults, err = traces[c.di].opt.Fixed(m)
-		} else {
-			faults, err = paging.RunPolicyFixed(policies[c.p], traces[c.di].tr, m)
+		tc := traces[c.di]
+		if c.mi < 0 {
+			curve, err := e13StackCurve(policies[c.p], tc.tr)
+			if err != nil {
+				return err
+			}
+			copy(tc.faults[c.p], curve[e13SweepLo:])
+			return nil
 		}
+		faults, err := paging.RunPolicyFixed(policies[c.p], tc.tr, e13SweepLo+int64(c.mi))
 		if err != nil {
 			return err
 		}
-		traces[c.di].faults[c.p][c.mi] = faults
+		tc.faults[c.p][c.mi] = faults
 		return nil
 	}); err != nil {
 		return nil, err
@@ -222,8 +225,8 @@ func runE13(cfg Config) (*Table, error) {
 			// Belady-anomaly sweep: the largest single-step fault *increase*
 			// under one extra block of capacity. LRU and OPT are monotone
 			// (stack property / optimality), so anything positive there is a
-			// kernel bug; FIFO and the adaptive policies may legitimately
-			// show one.
+			// bug in their stack curves; FIFO and the adaptive policies may
+			// legitimately show one.
 			var anomaly int64
 			for i := 0; i+1 < nM; i++ {
 				if d := curve[i+1] - curve[i]; d > anomaly {
@@ -231,7 +234,7 @@ func runE13(cfg Config) (*Table, error) {
 				}
 			}
 			notes = append(notes, fmt.Sprintf("dim %d %s: max anomaly %+d faults/+1 block", dim, pol, anomaly))
-			if anomaly > 0 && (pol == "lru" || pol == paging.OPTReplayName) {
+			if anomaly > 0 && e13StackPolicy(pol) {
 				return nil, fmt.Errorf("E13: %s shows a Belady anomaly (%d) at dim %d — stack policies are monotone", pol, anomaly, dim)
 			}
 		}
@@ -242,10 +245,28 @@ func runE13(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// traceCurve bundles one dim's shared trace and OPT recording with its
-// per-policy fault curves over the E13 sweep.
+// e13StackPolicy reports whether E13 traces pol's fault curve in one stack
+// pass (LRUCurve, OPTRecording.Curve) rather than a replay per capacity.
+func e13StackPolicy(pol string) bool {
+	return pol == "lru" || pol == paging.OPTReplayName
+}
+
+// e13StackCurve returns a stack policy's fault curve over tr at every
+// capacity up to the sweep's top, from one pass.
+func e13StackCurve(pol string, tr *trace.Trace) ([]int64, error) {
+	if pol != paging.OPTReplayName {
+		return paging.LRUCurve(tr, e13SweepHi)
+	}
+	rec, err := paging.RecordOPT(tr.Emit, int64(tr.Len()), tr.MaxBlock())
+	if err != nil {
+		return nil, err
+	}
+	return rec.Curve(e13SweepHi)
+}
+
+// traceCurve bundles one dim's shared trace with its per-policy fault
+// curves over the E13 sweep.
 type traceCurve struct {
 	tr     *trace.Trace
-	opt    *paging.OPTRecording
 	faults [][]int64
 }

@@ -270,3 +270,62 @@ func BenchmarkPolicyStreamSmallBoxes(b *testing.B) {
 		b.Run(name, func(b *testing.B) { smallBoxReplay(b, name) })
 	}
 }
+
+// Fault curves, side by side: the one-pass stack curve against the sweep
+// of fixed-capacity replays it replaced, over E13's dim-128 MM-Scan trace
+// and E13's capacity range. One op is one whole curve.
+//
+//	go test ./internal/paging -run=NONE -bench='FaultCurve|FixedSweep' -cpu=1,2
+
+const (
+	curveSweepLo = int64(8)
+	curveSweepHi = int64(136)
+)
+
+func BenchmarkFaultCurve(b *testing.B) {
+	tr := e13Trace(b, 128)
+	rec, err := RecordOPT(tr.Emit, int64(tr.Len()), tr.MaxBlock())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("lru", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := LRUCurve(tr, curveSweepHi); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("opt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := rec.Curve(curveSweepHi); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkFixedSweep(b *testing.B) {
+	tr := e13Trace(b, 128)
+	rec, err := RecordOPT(tr.Emit, int64(tr.Len()), tr.MaxBlock())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("lru", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for c := curveSweepLo; c <= curveSweepHi; c++ {
+				if _, err := RunPolicyFixed("lru", tr, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("opt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for c := curveSweepLo; c <= curveSweepHi; c++ {
+				if _, err := rec.Fixed(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}

@@ -115,7 +115,8 @@ func TestOPTMatchesOracle(t *testing.T) {
 // capacity first, so growth, shrink-eviction, and refetch paths all get
 // exercised. Bytes divisible by 5 also end a leaf. The same string then
 // drives OPT at fixed capacity and the opt box replay under a profile
-// drawn from its bytes, each against its oracle.
+// drawn from its bytes, each against its oracle, and the one-pass LRU and
+// OPT fault curves against fixed replays at every capacity up to 24.
 func FuzzKernelsMatchOracles(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3, 200, 1, 4, 5, 1}, uint8(3))
 	f.Add([]byte{0, 0, 0, 255, 7, 7, 201, 63, 0, 7}, uint8(1))
@@ -178,6 +179,7 @@ func FuzzKernelsMatchOracles(f *testing.F) {
 		if want := runOracleOPT(tr, capacity); got != want {
 			t.Fatalf("OPT capacity %d: %d misses, oracle %d", capacity, got, want)
 		}
+		checkCurves(t, "fuzz", tr, 24)
 
 		boxes := make([]int64, len(data))
 		for i, by := range data {

@@ -33,7 +33,8 @@ func NodeChild(node, a, i int64) int64 {
 // frame is one level of the execution stack. The stack's frames, root
 // outwards, are the chain of in-progress problems: frame i+1 is the child
 // of frame i currently executing, and childrenDone counts frame i's
-// children fully completed before it.
+// children fully completed before it. A frame's problem has size b^level,
+// so the frame at stack index i has level k-i (k = log_b n).
 //
 // A frame's scan is divided into segments by the executor's layout (one
 // contiguous segment at a policy-chosen slot by default; a piece after
@@ -47,22 +48,34 @@ func NodeChild(node, a, i int64) int64 {
 //     segment.
 type frame struct {
 	node         int64
-	size         int64
+	level        int
 	childrenDone int64
 	segRemaining int64 // accesses left in the current scan segment
 	scanLeft     int64 // scan accesses not yet performed across all segments
 }
+
+// maxLevels bounds the per-level tables: b >= 2 and n <= MaxInt64 give
+// k = log_b n <= 62, so levels 0..k fit.
+const maxLevels = 64
 
 // Exec symbolically executes the canonical (a,b,c)-regular algorithm on a
 // problem of n blocks against a stream of boxes, under the simplified
 // caching model described in the package comment. It never materialises the
 // recursion tree: state is a stack of at most log_b n + 1 frames.
 //
+// Everything Step needs about a level is tabled once by NewExec — the
+// problem size b^ℓ, its leaf count a^ℓ and its scan length — so a box costs
+// comparisons and table reads, with no division and no math.Pow.
+//
 // Exec is not safe for concurrent use.
 type Exec struct {
 	spec   Spec
 	n      int64
+	k      int // log_b n, the root's level
 	policy ScanPolicy
+	// pow[ℓ] = b^ℓ, leaves[ℓ] = a^ℓ and scan[ℓ] = ScanLen(b^ℓ), for
+	// ℓ <= k; entries above k are unused.
+	pow, leaves, scan [maxLevels]int64
 	// spreadScans splits every problem's scan into a equal pieces, one
 	// performed after each child (remainder after the last) — the first
 	// step of the scan-hiding transformation of Lincoln et al. [40], used
@@ -87,7 +100,7 @@ type Exec struct {
 	// box-order-perturbation worst-case witness requires.
 	strictScans bool
 
-	stack      []frame
+	stack      []frame // capacity k+1, allocated once: Step never grows it
 	done       bool
 	leavesDone int64 // total base cases completed
 	boxesUsed  int64 // boxes consumed (Step calls while running)
@@ -110,24 +123,32 @@ func NewExecWithPolicy(spec Spec, n int64, policy ScanPolicy) (*Exec, error) {
 	}
 	// Guard leaf-count overflow: a^k must fit comfortably in int64 (node
 	// IDs are bounded by roughly the leaf count as well).
-	if k := spec.Levels(n); float64(k)*math.Log(float64(spec.A)) > 62*math.Log(2) {
+	k := spec.Levels(n)
+	if float64(k)*math.Log(float64(spec.A)) > 62*math.Log(2) {
 		return nil, fmt.Errorf("regular: problem size %d has too many leaves for int64 accounting", n)
 	}
-	e := &Exec{spec: spec, n: n, policy: policy}
+	e := &Exec{spec: spec, n: n, k: k, policy: policy}
+	e.pow[0], e.leaves[0] = 1, 1
+	for l := 1; l <= e.k; l++ {
+		e.pow[l] = e.pow[l-1] * spec.B
+		e.leaves[l] = e.leaves[l-1] * spec.A
+		e.scan[l] = spec.ScanLen(e.pow[l])
+	}
+	e.stack = make([]frame, 0, e.k+1)
 	e.Reset()
 	return e, nil
 }
 
-// segmentAt returns the length of the scan segment of a size-`size` problem
-// at slot (= number of children completed so far). Slots run 0..a; the
-// canonical layout puts the whole scan at the policy slot (default a), the
-// spread layout 1/a of it after each child with the remainder after the
-// last.
-func (e *Exec) segmentAt(node, size, slot int64) int64 {
+// segmentAt returns the length of the scan segment of a level-`level`
+// problem at slot (= number of children completed so far). Slots run 0..a;
+// the canonical layout puts the whole scan at the policy slot (default a),
+// the spread layout 1/a of it after each child with the remainder after
+// the last.
+func (e *Exec) segmentAt(node int64, level int, slot int64) int64 {
 	if e.skipRootScan && node == NodeRoot {
 		return 0 // the f' measurement: the root performs no scan
 	}
-	total := e.spec.ScanLen(size)
+	total := e.scan[level]
 	if total == 0 {
 		return 0
 	}
@@ -143,8 +164,9 @@ func (e *Exec) segmentAt(node, size, slot int64) int64 {
 	}
 	at := e.spec.A
 	if e.policy != nil {
-		at = e.policy(node, size)
+		at = e.policy(node, e.pow[level])
 		if at < 0 || at > e.spec.A {
+			//lint:ignore hotpath error path: a policy out of range is a programming error and ends the run
 			panic(fmt.Sprintf("regular: scan policy returned %d outside [0,%d] for node %d", at, e.spec.A, node))
 		}
 	}
@@ -154,12 +176,14 @@ func (e *Exec) segmentAt(node, size, slot int64) int64 {
 	return 0
 }
 
-// newFrame initialises a frame at the start of its problem, entering the
-// slot-0 scan segment if the layout has one.
-func (e *Exec) newFrame(node, size int64) frame {
-	f := frame{node: node, size: size, scanLeft: e.spec.ScanLen(size)}
-	f.segRemaining = e.segmentAt(node, size, 0)
-	return f
+// push starts a frame at the start of its problem, entering the slot-0
+// scan segment if the layout has one. The stack's capacity is k+1, the
+// deepest chain there is, so push never reallocates.
+func (e *Exec) push(node int64, level int) {
+	i := len(e.stack)
+	e.stack = e.stack[:i+1]
+	e.stack[i] = frame{node: node, level: level, scanLeft: e.scan[level],
+		segRemaining: e.segmentAt(node, level, 0)}
 }
 
 // Reset returns the executor to the start of the root problem.
@@ -168,17 +192,14 @@ func (e *Exec) Reset() {
 	e.done = false
 	e.leavesDone = 0
 	e.boxesUsed = 0
-	if e.n == 1 {
-		// Degenerate root: a single base case.
-		e.stack = append(e.stack, frame{node: NodeRoot, size: 1})
-		return
-	}
-	root := e.newFrame(NodeRoot, e.n)
+	// At n = 1 the root is a single base case with no scan; Step completes
+	// it without reading the stack.
+	e.push(NodeRoot, e.k)
 	if e.skipRootScan {
+		root := &e.stack[0]
 		root.scanLeft = 0
 		root.segRemaining = 0
 	}
-	e.stack = append(e.stack, root)
 	e.normalise()
 }
 
@@ -241,11 +262,13 @@ func (e *Exec) LeavesDone() int64 { return e.leavesDone }
 func (e *Exec) BoxesUsed() int64 { return e.boxesUsed }
 
 // TotalLeaves returns the number of base cases in the whole problem.
-func (e *Exec) TotalLeaves() int64 { return e.spec.leafCountInt(e.spec.Levels(e.n)) }
+func (e *Exec) TotalLeaves() int64 { return e.leaves[e.k] }
 
 // Step feeds one box of the given size to the execution and returns the
 // progress the box makes (base cases completed at least partly within it).
 // Steps after completion consume nothing and return 0.
+//
+//lint:hotpath
 func (e *Exec) Step(box int64) int64 {
 	if e.done {
 		return 0
@@ -264,20 +287,15 @@ func (e *Exec) Step(box int64) int64 {
 		return 1
 	}
 
-	target := e.spec.FloorPow(box)
-	if target > e.n {
-		target = e.n
-	}
-
+	target := e.levelOf(box)
 	for {
 		top := &e.stack[len(e.stack)-1]
 		if top.segRemaining > 0 {
-			m := top.size
-			if !e.strictScans && target >= m {
+			if !e.strictScans && target >= top.level {
 				// The scan's position lies inside the ancestor problems of
-				// sizes m, m·b, ..., n; the box completes the one of size
-				// target.
-				return e.completeWithProgress(e.frameIndexOfSize(target))
+				// levels top.level, ..., k; the box completes the one at
+				// its target level.
+				return e.completeWithProgress(e.frameIndexOfLevel(target))
 			}
 			// The box begins in a scan segment of a problem larger than
 			// itself: it advances min(box, remaining segment) accesses and
@@ -295,30 +313,38 @@ func (e *Exec) Step(box int64) int64 {
 		}
 
 		// At the start of the next child of the top frame.
-		childSize := top.size / e.spec.B
+		child := top.level - 1
 		switch {
-		case target > childSize:
+		case target > child:
 			// The position lies strictly inside the ancestor problems of
-			// sizes top.size, ..., n. Complete the ancestor of size target.
-			return e.completeWithProgress(e.frameIndexOfSize(target))
-		case target == childSize:
+			// levels top.level, ..., k. Complete the one at the target level.
+			return e.completeWithProgress(e.frameIndexOfLevel(target))
+		case target == child:
 			// The box completes the child as a unit.
-			progress := e.spec.leafCountInt(e.spec.Levels(childSize))
+			progress := e.leaves[child]
 			e.leavesDone += progress
 			top.childrenDone++
-			top.segRemaining = e.segmentAt(top.node, top.size, top.childrenDone)
+			top.segRemaining = e.segmentAt(top.node, top.level, top.childrenDone)
 			e.normalise()
 			return progress
 		default:
-			// target < childSize (hence childSize > 1): descend into the
-			// child and re-examine. The child's execution may begin with
-			// its own scan segment (upfront placement) or with its first
-			// grandchild; the loop handles both.
-			childIdx := top.childrenDone + 1 // 1-based
-			node := NodeChild(top.node, e.spec.A, childIdx)
-			e.stack = append(e.stack, e.newFrame(node, childSize))
+			// target < child (hence child > 0): descend into the child and
+			// re-examine. The child's execution may begin with its own scan
+			// segment (upfront placement) or with its first grandchild; the
+			// loop handles both.
+			e.push(NodeChild(top.node, e.spec.A, top.childrenDone+1), child)
 		}
 	}
+}
+
+// levelOf returns the box's target level: the level of min(FloorPow(box),
+// n), found by comparing against the power table.
+func (e *Exec) levelOf(box int64) int {
+	l := 0
+	for l < e.k && e.pow[l+1] <= box {
+		l++
+	}
+	return l
 }
 
 // completeWithProgress completes the subtree rooted at stack index idx
@@ -335,19 +361,19 @@ func (e *Exec) completeWithProgress(idx int) int64 {
 	e.stack = e.stack[:idx]
 	top := &e.stack[idx-1]
 	top.childrenDone++
-	top.segRemaining = e.segmentAt(top.node, top.size, top.childrenDone)
+	top.segRemaining = e.segmentAt(top.node, top.level, top.childrenDone)
 	e.normalise()
 	return progress
 }
 
-// frameIndexOfSize returns the index of the stack frame with the given
-// size. Sizes on the stack are n, n/b, ..., top.size, so for any target
-// power of b in [top.size, n] the frame exists.
-func (e *Exec) frameIndexOfSize(size int64) int {
-	depth := e.spec.Levels(e.n) - e.spec.Levels(size)
+// frameIndexOfLevel returns the index of the stack frame at the given
+// level. Levels on the stack are k, k-1, ..., top.level, so for any target
+// level in [top.level, k] the frame exists.
+func (e *Exec) frameIndexOfLevel(level int) int {
+	depth := e.k - level
 	if depth < 0 || depth >= len(e.stack) {
-		panic(fmt.Sprintf("regular: no frame of size %d on stack (depth %d, stack %d)",
-			size, depth, len(e.stack)))
+		//lint:ignore hotpath error path: a missing frame is an executor bug and ends the run
+		panic(fmt.Sprintf("regular: no frame of size %d on stack (depth %d, stack %d)", e.pow[level], depth, len(e.stack)))
 	}
 	return depth
 }
@@ -362,7 +388,7 @@ func (e *Exec) remainingLeaves(idx int) int64 {
 		if i < len(e.stack)-1 {
 			pending-- // the active child is accounted for by deeper frames
 		}
-		rem += pending * e.spec.leafCountInt(e.spec.Levels(f.size)-1)
+		rem += pending * e.leaves[f.level-1]
 	}
 	return rem
 }
@@ -383,6 +409,7 @@ func (e *Exec) normalise() {
 		if top.scanLeft > 0 {
 			// All children done but scan accesses remain with no segment
 			// open: only possible if the layout is inconsistent.
+			//lint:ignore hotpath error path: an inconsistent layout is an executor bug and ends the run
 			panic(fmt.Sprintf("regular: frame %d finished children with %d scan accesses unplaced", top.node, top.scanLeft))
 		}
 		// Frame complete.
@@ -393,7 +420,7 @@ func (e *Exec) normalise() {
 		e.stack = e.stack[:len(e.stack)-1]
 		parent := &e.stack[len(e.stack)-1]
 		parent.childrenDone++
-		parent.segRemaining = e.segmentAt(parent.node, parent.size, parent.childrenDone)
+		parent.segRemaining = e.segmentAt(parent.node, parent.level, parent.childrenDone)
 	}
 }
 

@@ -103,16 +103,6 @@ func (s Spec) LeafCount(n int64) float64 {
 	return math.Pow(float64(s.A), float64(s.Levels(n)))
 }
 
-// leafCountInt returns a^k as int64; callers guarantee no overflow (problem
-// sizes are validated against int64 limits in NewExec).
-func (s Spec) leafCountInt(k int) int64 {
-	r := int64(1)
-	for i := 0; i < k; i++ {
-		r *= s.A
-	}
-	return r
-}
-
 // ScanLen returns the length of the scan at the end of a problem of size n:
 // ceil(n^c) accesses (n accesses when c = 1, a single access when c = 0).
 // Base cases (n = 1) have no scan.
@@ -194,10 +184,11 @@ func (p *Potentials) Of(box int64) float64 {
 	return p.pot[i]
 }
 
-// FloorPow rounds s' down to the largest power of b that is <= x (minimum
+// FloorPow rounds x down to the largest power of b that is <= x (minimum
 // 1). The simplified model uses power-of-b box sizes; general sizes are
 // rounded down for completion decisions, which only weakens boxes and so
-// keeps the efficiency criterion conservative.
+// keeps the efficiency criterion conservative. Exec rounds through its
+// per-level power table instead; tests pin that lookup to FloorPow.
 func (s Spec) FloorPow(x int64) int64 {
 	if x < 1 {
 		return 1

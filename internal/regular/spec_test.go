@@ -81,8 +81,12 @@ func TestLeafCount(t *testing.T) {
 	if got := s.LeafCount(64); got != 512 {
 		t.Errorf("LeafCount(64) = %g, want 512", got)
 	}
-	if got := s.leafCountInt(3); got != 512 {
-		t.Errorf("leafCountInt(3) = %d, want 512", got)
+	e, err := NewExec(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.TotalLeaves(); got != 512 {
+		t.Errorf("TotalLeaves() at n=64 = %d, want 512", got)
 	}
 }
 

@@ -106,12 +106,18 @@ echo "== go test -race (policy registry + adaptive kernels) =="
 # The ReplacementPolicy registry end to end: ARC/2Q differential oracles,
 # the by-name box replay (PolicyStream, Replay/PolicyRun and the opt box
 # replay), the registry-name plumbing through MeasureTracePolicy, the LRU's
-# external-bound conformance against its naive reference, and the
-# Hit-then-Access vs Contains-then-Access differential over every kernel.
-gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess' \
+# external-bound conformance against its naive reference, the
+# Hit-then-Access vs Contains-then-Access differential over every kernel,
+# and the one-pass LRU/OPT fault curves against per-capacity replays.
+gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess|TestFaultCurvesMatchFixedReplays' \
     -race -short -count=1 \
     ./internal/paging/ \
     ./internal/adaptivity/
+
+echo "== go test -race (symbolic executor) =="
+# The level-indexed executor against the division-based one it replaced,
+# over every layout and box stream the experiments use.
+gate 'TestExecMatchesDivisionExecutor' -race -count=1 ./internal/regular/
 
 echo "== go test -race (square replay) =="
 # The sharded square replay the benchmark's shard probe measures
@@ -171,6 +177,7 @@ go test -run '^$' -fuzz '^FuzzKernelsMatchOracles$' -fuzztime 5s ./internal/pagi
 go test -run '^$' -fuzz '^FuzzAdaptivePoliciesMatchOracles$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzKernelHitMatchesContainsThenAccess$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 5s ./internal/paging/
+go test -run '^$' -fuzz '^FuzzExecMatchesDivisionExecutor$' -fuzztime 5s ./internal/regular/
 go test -run '^$' -fuzz '^FuzzShardRouting$' -fuzztime 5s ./internal/service/
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/jobs/
 
