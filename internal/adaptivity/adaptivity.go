@@ -134,19 +134,19 @@ func GapOnProfile(spec regular.Spec, n int64, prof *profile.SquareProfile) (RunR
 	if err != nil {
 		return RunResult{}, err
 	}
-	// The largest sound bound on boxes: every box completes at least one
-	// access of the T(n) total, so T(n)+1 boxes always suffice.
-	maxBoxes := int64(spec.IOCost(n)) + 1
-	return MeasureSymbolic(spec, n, src, maxBoxes)
-}
-
-// GapOnBoxesExec is GapOnProfile over a raw box slice (cycled) with a
-// caller-owned executor and source — the fully allocation-light form for
-// engine workers that perturb profiles into per-worker scratch buffers.
-func GapOnBoxesExec(e *regular.Exec, src *profile.BoxesSource, boxes []int64) (RunResult, error) {
-	if err := src.Rebind(boxes); err != nil {
+	e, err := regular.NewExec(spec, n)
+	if err != nil {
 		return RunResult{}, err
 	}
+	return GapOnSourceExec(e, src)
+}
+
+// GapOnSourceExec is GapOnProfile against any box source (a smoothed
+// profile read in place, say) with a caller-owned executor, which is Reset
+// before the run — the allocation-light form for engine workers. The run
+// is bounded by the largest sound box count: every box completes at least
+// one access of the T(n) total, so T(n)+1 boxes always suffice.
+func GapOnSourceExec(e *regular.Exec, src profile.Source) (RunResult, error) {
 	maxBoxes := int64(e.Spec().IOCost(e.N())) + 1
 	return MeasureSymbolicExec(e, src, maxBoxes)
 }
@@ -235,8 +235,16 @@ func EstimateStoppingTimes(spec regular.Spec, n int64, dist xrand.Dist, seed uin
 	fs := make([]float64, trials)
 	fps := make([]float64, trials)
 	g := engine.NewGroup()
-	err := g.Map(trials, func(t, _ int) error {
-		f, fp, err := StoppingSample(spec, n, dist, trialSeeds[t])
+	samplers := make([]*stoppingSampler, g.Workers())
+	err := g.Map(trials, func(t, w int) error {
+		if samplers[w] == nil {
+			s, err := newStoppingSampler(spec, n, dist)
+			if err != nil {
+				return err
+			}
+			samplers[w] = s
+		}
+		f, fp, err := samplers[w].sample(trialSeeds[t])
 		if err != nil {
 			return err
 		}
@@ -262,33 +270,58 @@ func EstimateStoppingTimes(spec regular.Spec, n int64, dist xrand.Dist, seed uin
 	return st, nil
 }
 
-// StoppingSample runs one common-random-numbers trial of the f/f'
-// estimators: the same box stream (seeded by trialSeed) drives one full
-// run (f) and one run that skips the root scan (f'). It is the single-cell
-// primitive behind EstimateStoppingTimes.
-func StoppingSample(spec regular.Spec, n int64, dist xrand.Dist, trialSeed uint64) (f, fPrime float64, err error) {
-	rng1 := xrand.New(trialSeed)
+// stoppingSampler runs common-random-numbers trials of the f/f'
+// estimators for one (spec, n, dist), reusing one executor and one draw
+// buffer across trials. EstimateStoppingTimes keeps one per worker.
+type stoppingSampler struct {
+	e     *regular.Exec
+	dist  xrand.Dist
+	rng   xrand.Source
+	draws []int64 // the f run's boxes, replayed for f'
+}
+
+func newStoppingSampler(spec regular.Spec, n int64, dist xrand.Dist) (*stoppingSampler, error) {
 	e, err := regular.NewExec(spec, n)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	for !e.Done() {
-		e.Step(dist.Sample(rng1))
-	}
-	f = float64(e.BoxesUsed())
+	return &stoppingSampler{e: e, dist: dist}, nil
+}
 
-	rng2 := xrand.New(trialSeed)
-	ep, err := regular.NewExec(spec, n)
-	if err != nil {
+// sample runs one trial: the box stream seeded by trialSeed drives one full
+// run (f) and one run that skips the root scan (f'). The stream is drawn
+// once: the f run records its boxes and the f' run replays them.
+func (s *stoppingSampler) sample(trialSeed uint64) (f, fPrime float64, err error) {
+	s.rng = *xrand.New(trialSeed)
+	s.draws = s.draws[:0]
+	if f, err = s.run(false); err != nil {
 		return 0, 0, err
 	}
-	if err := ep.SetSkipRootScan(true); err != nil {
+	if fPrime, err = s.run(true); err != nil {
 		return 0, 0, err
 	}
-	for !ep.Done() {
-		ep.Step(dist.Sample(rng2))
+	return f, fPrime, nil
+}
+
+// run executes the algorithm, with or without the root scan, over the
+// trial's stream and returns the boxes it used: the recorded boxes first,
+// then fresh draws from the generator, recorded in turn. The generator has
+// drawn exactly the recorded boxes, so a run that outlasts the record
+// continues the stream where a fresh generator under the trial's seed
+// would be.
+func (s *stoppingSampler) run(skipRootScan bool) (float64, error) {
+	e := s.e
+	e.Reset()
+	if err := e.SetSkipRootScan(skipRootScan); err != nil {
+		return 0, err
 	}
-	return f, float64(ep.BoxesUsed()), nil
+	for i := 0; !e.Done(); i++ {
+		if i == len(s.draws) {
+			s.draws = append(s.draws, s.dist.Sample(&s.rng))
+		}
+		e.Step(s.draws[i])
+	}
+	return float64(e.BoxesUsed()), nil
 }
 
 func se(sum, sumSq, n float64) float64 {

@@ -1,21 +1,23 @@
 package core
 
 import (
-	"repro/internal/adaptivity"
 	"repro/internal/engine"
-	"repro/internal/profile"
 	"repro/internal/regular"
+	"repro/internal/smoothing"
 )
 
 // Per-worker scratch for the Monte-Carlo runners: the engine hands every
 // cell a stable worker index, and these states let a worker reuse its
-// symbolic executors (one per problem size) and its box buffer across all
-// the cells it executes, keeping the hot paths allocation-light.
+// symbolic executors (one per problem size) and its smoothing sources
+// across all the cells it executes, keeping the hot paths allocation-light.
+// The sources read the shared worst-case profiles in place; only the
+// shuffle keeps a per-worker buffer, one byte per box.
 
 type workerState struct {
-	execs map[int64]*regular.Exec // keyed by problem size n
-	buf   []int64                 // perturbed/shuffled profile scratch
-	src   *profile.BoxesSource
+	execs     map[int64]*regular.Exec // keyed by problem size n
+	shuffled  smoothing.ShuffledSource
+	perturbed smoothing.PerturbedSource
+	rotated   smoothing.RotatedSource
 }
 
 // newWorkerStates allocates one scratch state per possible worker of g.
@@ -40,19 +42,6 @@ func (w *workerState) exec(spec regular.Spec, n int64) (*regular.Exec, error) {
 	}
 	w.execs[n] = e
 	return e, nil
-}
-
-// gapOnBoxes measures e's algorithm against the worker-owned box slice,
-// reusing the worker's cycling source.
-func (w *workerState) gapOnBoxes(e *regular.Exec, boxes []int64) (adaptivity.RunResult, error) {
-	if w.src == nil {
-		src, err := profile.NewBoxesSource(boxes)
-		if err != nil {
-			return adaptivity.RunResult{}, err
-		}
-		w.src = src
-	}
-	return adaptivity.GapOnBoxesExec(e, w.src, boxes)
 }
 
 // finishMetrics copies a group's execution accounting onto the table.

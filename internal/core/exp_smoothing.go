@@ -62,8 +62,8 @@ func (g *gapCurve) add(k int, gaps []float64) {
 func (g *gapCurve) slope() (stats.Fit, error) { return stats.LinearFit(g.ks, g.means) }
 
 // trimmedTrials caps the Monte-Carlo repetitions for the largest profile
-// sizes (k >= fromK), where materialised worst-case profiles have millions
-// of boxes and per-trial perturbation copies get memory-heavy.
+// sizes (k >= fromK), where a trial runs over millions of boxes. The cap
+// is part of the tables' configuration: the golden tables pin it.
 func trimmedTrials(trials, k, fromK int) int {
 	if k >= fromK && trials > 8 {
 		return 8
@@ -164,11 +164,18 @@ func runE3(cfg Config) (*Table, error) {
 		notes = append(notes, fmt.Sprintf("%s: slope %+.3f/level (worst case: +1.0)", d.Name(), fit.Beta))
 	}
 
-	// Literal shuffle of the adversary's own boxes: the worst-case profiles
-	// are shared read-only; each cell shuffles into its worker's buffer.
+	// Literal shuffle of the adversary's own boxes: each worst-case profile
+	// is recoded once as a byte index shared read-only; each cell shuffles
+	// a copy of it in its worker's buffer.
 	wcs, err := worstCases(3, cfg.MaxK)
 	if err != nil {
 		return nil, err
+	}
+	shIdx := make(map[int]*smoothing.ShuffleIndex, len(wcs))
+	for k := 3; k <= cfg.MaxK; k++ {
+		if shIdx[k], err = smoothing.NewShuffleIndex(wcs[k]); err != nil {
+			return nil, err
+		}
 	}
 	type shCell struct{ k, trial int }
 	var shCells []shCell
@@ -186,8 +193,8 @@ func runE3(cfg Config) (*Table, error) {
 			return err
 		}
 		rng := xrand.New(xrand.Split(cfg.Seed, "E3/shuffle", int64(c.k), int64(c.trial)))
-		ws.buf = smoothing.ShuffleTo(ws.buf, wcs[c.k], rng)
-		res, err := ws.gapOnBoxes(e, ws.buf)
+		ws.shuffled.Reset(shIdx[c.k], rng)
+		res, err := adaptivity.GapOnSourceExec(e, &ws.shuffled)
 		if err != nil {
 			return err
 		}
@@ -253,11 +260,10 @@ func runE6(cfg Config) (*Table, error) {
 			return err
 		}
 		rng := xrand.New(xrand.Split(cfg.Seed, "E6", c.tf, int64(c.k), int64(c.trial)))
-		ws.buf, err = smoothing.PerturbSizesTo(ws.buf, wcs[c.k], rng, c.tf)
-		if err != nil {
+		if err := ws.perturbed.Reset(wcs[c.k], rng, c.tf); err != nil {
 			return err
 		}
-		res, err := ws.gapOnBoxes(e, ws.buf)
+		res, err := adaptivity.GapOnSourceExec(e, &ws.perturbed)
 		if err != nil {
 			return err
 		}
@@ -318,6 +324,12 @@ func runE7(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	rotIdx := make(map[int]*smoothing.RotationIndex, len(wcs))
+	for k := 3; k <= cfg.MaxK; k++ {
+		if rotIdx[k], err = smoothing.NewRotationIndex(wcs[k]); err != nil {
+			return nil, err
+		}
+	}
 
 	g := engine.NewGroup().WithContext(cfg.Context())
 	workers := newWorkerStates(g)
@@ -337,11 +349,8 @@ func runE7(cfg Config) (*Table, error) {
 			return err
 		}
 		rng := xrand.New(xrand.Split(cfg.Seed, "E7", int64(c.k), int64(c.trial)))
-		ws.buf, err = smoothing.RandomRotationTo(ws.buf, wcs[c.k], rng)
-		if err != nil {
-			return err
-		}
-		res, err := ws.gapOnBoxes(e, ws.buf)
+		ws.rotated.Reset(rotIdx[c.k], rng)
+		res, err := adaptivity.GapOnSourceExec(e, &ws.rotated)
 		if err != nil {
 			return err
 		}

@@ -231,10 +231,8 @@ type FuncSource func() int64
 func (f FuncSource) Next() int64 { return f() }
 
 // BoxesSource cycles over a raw box slice without copying it — the
-// allocation-light counterpart of SliceSource for the experiment engine's
-// per-trial hot loops, where the slice lives in a per-worker scratch
-// buffer. The caller guarantees every size is >= 1 and must not mutate the
-// slice while the source is in use.
+// allocation-light counterpart of SliceSource. The caller guarantees every
+// size is >= 1 and must not mutate the slice while the source is in use.
 type BoxesSource struct {
 	boxes []int64
 	pos   int
@@ -257,18 +255,6 @@ func (s *BoxesSource) Next() int64 {
 		s.pos = 0
 	}
 	return b
-}
-
-// Rebind points the source at a new slice and rewinds it, so one
-// BoxesSource can serve every trial a worker runs. Rebinding invalidates
-// outstanding ForkAt forks (they keep cycling the old slice).
-func (s *BoxesSource) Rebind(boxes []int64) error {
-	if len(boxes) == 0 {
-		return fmt.Errorf("profile: cannot stream an empty box slice")
-	}
-	s.boxes = boxes
-	s.pos = 0
-	return nil
 }
 
 // ForkAt returns an independent source positioned after box boxes of the

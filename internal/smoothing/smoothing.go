@@ -8,11 +8,17 @@
 // box-order perturbation — fail to close the logarithmic gap.
 //
 // The operators here produce profiles/sources; measurement lives in
-// internal/adaptivity.
+// internal/adaptivity. Shuffle, size perturbation and rotation each come
+// in two forms: an eager one that builds the whole smoothed profile, and a
+// box source (ShuffledSource, PerturbedSource, RotatedSource) that reads
+// the shared, read-only original in place and yields the same boxes, doing
+// only the work for the boxes a run consumes. The Monte-Carlo runners use
+// the sources; the eager forms are their specification.
 package smoothing
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/profile"
 	"repro/internal/xrand"
@@ -47,6 +53,78 @@ func ShuffleTo(buf []int64, p *profile.SquareProfile, rng *xrand.Source) []int64
 	return buf
 }
 
+// ShuffleIndex is a profile recoded as one byte per box: box i's size is
+// sizes[index[i]]. Built once per profile and shared read-only by every
+// ShuffledSource, it lets a trial shuffle bytes instead of int64s, so the
+// shuffle's random accesses touch an eighth of the memory.
+type ShuffleIndex struct {
+	sizes []int64 // the distinct sizes, in order of first appearance
+	index []byte
+}
+
+// NewShuffleIndex recodes p's boxes. It fails if p is empty or has more
+// than 256 distinct box sizes, which a byte cannot index; M_{a,b}(n) has
+// log_b n + 1 <= 64.
+func NewShuffleIndex(p *profile.SquareProfile) (*ShuffleIndex, error) {
+	if p.Len() == 0 {
+		return nil, fmt.Errorf("smoothing: cannot shuffle an empty profile")
+	}
+	x := &ShuffleIndex{index: make([]byte, p.Len())}
+	code := make(map[int64]byte)
+	for i := range x.index {
+		b := p.Box(i)
+		c, ok := code[b]
+		if !ok {
+			if len(x.sizes) == 256 {
+				return nil, fmt.Errorf("smoothing: profile has more than 256 distinct box sizes; the in-place shuffle indexes sizes by byte")
+			}
+			c = byte(len(x.sizes))
+			code[b] = c
+			x.sizes = append(x.sizes, b)
+		}
+		x.index[i] = c
+	}
+	return x, nil
+}
+
+// ShuffledSource cycles over a random permutation of a profile's boxes: the
+// permutation ShuffleTo draws for the same rng state. A permutation drawn
+// by Fisher–Yates depends only on the positions swapped, never on the
+// values, so shuffling the byte index with ShuffleTo's swap order and
+// Intn draws yields ShuffleTo's box sequence. The zero value is ready for
+// Reset, which reuses the source's byte buffer across trials.
+type ShuffledSource struct {
+	sizes []int64
+	perm  []byte
+	pos   int
+}
+
+// Reset shuffles x's boxes with rng and rewinds the source to the first
+// box. It draws exactly what ShuffleTo draws.
+func (s *ShuffledSource) Reset(x *ShuffleIndex, rng *xrand.Source) {
+	s.sizes = x.sizes
+	s.perm = append(s.perm[:0], x.index...)
+	perm := s.perm
+	for i := len(perm) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	s.pos = 0
+}
+
+// Next returns the next shuffled box, cycling back to the first after the
+// last.
+//
+//lint:hotpath
+func (s *ShuffledSource) Next() int64 {
+	b := s.sizes[s.perm[s.pos]]
+	s.pos++
+	if s.pos == len(s.perm) {
+		s.pos = 0
+	}
+	return b
+}
+
 // ---------------------------------------------------------------------------
 // S2 — box-size perturbation (fails to smooth).
 //
@@ -68,17 +146,45 @@ func PerturbSizes(p *profile.SquareProfile, rng *xrand.Source, t int64) (*profil
 	return profile.New(boxes)
 }
 
-// PerturbSizesTo is PerturbSizes into a reusable buffer: the perturbed
-// boxes are written into buf (grown if needed) and returned.
-func PerturbSizesTo(buf []int64, p *profile.SquareProfile, rng *xrand.Source, t int64) ([]int64, error) {
+// PerturbedSource cycles over p's boxes, each multiplied by an independent
+// uniform factor in {1, ..., t}: the boxes PerturbSizes builds for the same
+// rng state, drawn only as the run reads them. Box i's factor is drawn
+// when box i is first read, and boxes are read in index order, so the
+// draws come in PerturbSizes's order. A cycle past the last box rewinds a
+// copy of the generator to its state at Reset and draws the same factors
+// again. The source draws from its own copy of rng; rng is not advanced.
+type PerturbedSource struct {
+	p          *profile.SquareProfile
+	t          int64
+	rng, start xrand.Source
+	pos        int
+}
+
+// Reset points the source at p with bound t and generator state rng, and
+// rewinds it to the first box. p is read in place and must not change
+// while the source is in use.
+func (s *PerturbedSource) Reset(p *profile.SquareProfile, rng *xrand.Source, t int64) error {
 	if t < 1 {
-		return nil, fmt.Errorf("smoothing: perturbation bound t = %d < 1", t)
+		return fmt.Errorf("smoothing: perturbation bound t = %d < 1", t)
 	}
-	buf = p.AppendBoxes(buf[:0])
-	for i := range buf {
-		buf[i] *= 1 + rng.Int63n(t)
+	if p.Len() == 0 {
+		return fmt.Errorf("smoothing: cannot perturb an empty profile")
 	}
-	return buf, nil
+	s.p, s.t, s.rng, s.start, s.pos = p, t, *rng, *rng, 0
+	return nil
+}
+
+// Next returns the next perturbed box.
+//
+//lint:hotpath
+func (s *PerturbedSource) Next() int64 {
+	b := s.p.Box(s.pos) * (1 + s.rng.Int63n(s.t))
+	s.pos++
+	if s.pos == s.p.Len() {
+		s.pos = 0
+		s.rng = s.start
+	}
+	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -121,31 +227,56 @@ func RandomRotation(p *profile.SquareProfile, rng *xrand.Source) (*profile.Squar
 	return Rotate(p, p.Len()-1) // unreachable; duration accounting covers all
 }
 
-// RandomRotationTo is RandomRotation into a reusable buffer: it draws the
-// same start box as RandomRotation for the same rng state and writes the
-// rotated boxes into buf (grown if needed).
-func RandomRotationTo(buf []int64, p *profile.SquareProfile, rng *xrand.Source) ([]int64, error) {
+// RotationIndex holds a profile's running durations, built once per
+// profile and shared read-only by every RotatedSource, so a trial finds its
+// start box by binary search instead of summing the profile.
+type RotationIndex struct {
+	p   *profile.SquareProfile
+	end []int64 // end[i] = Box(0) + ... + Box(i), the time box i ends
+}
+
+// NewRotationIndex indexes p, which is read in place and must not change
+// while the index is in use.
+func NewRotationIndex(p *profile.SquareProfile) (*RotationIndex, error) {
 	if p.Len() == 0 {
 		return nil, fmt.Errorf("smoothing: cannot rotate an empty profile")
 	}
-	target := rng.Int63n(p.Duration())
-	start := p.Len() - 1
+	x := &RotationIndex{p: p, end: make([]int64, p.Len())}
 	var acc int64
-	for i := 0; i < p.Len(); i++ {
+	for i := range x.end {
 		acc += p.Box(i)
-		if target < acc {
-			start = i
-			break
-		}
+		x.end[i] = acc
 	}
-	buf = buf[:0]
-	for i := start; i < p.Len(); i++ {
-		buf = append(buf, p.Box(i))
+	return x, nil
+}
+
+// RotatedSource cycles over a profile from a start box chosen as
+// RandomRotation chooses it, reading the profile in place: the boxes
+// RandomRotation builds for the same rng state. The zero value is ready
+// for Reset.
+type RotatedSource struct {
+	p   *profile.SquareProfile
+	pos int
+}
+
+// Reset draws a start time uniform over x's duration with rng, exactly as
+// RandomRotation does, and positions the source at the box covering it.
+func (s *RotatedSource) Reset(x *RotationIndex, rng *xrand.Source) {
+	target := rng.Int63n(x.end[len(x.end)-1])
+	s.p = x.p
+	s.pos = sort.Search(len(x.end), func(i int) bool { return target < x.end[i] })
+}
+
+// Next returns the next box of the rotation, cycling through the profile.
+//
+//lint:hotpath
+func (s *RotatedSource) Next() int64 {
+	b := s.p.Box(s.pos)
+	s.pos++
+	if s.pos == s.p.Len() {
+		s.pos = 0
 	}
-	for i := 0; i < start; i++ {
-		buf = append(buf, p.Box(i))
-	}
-	return buf, nil
+	return b
 }
 
 // ---------------------------------------------------------------------------

@@ -83,14 +83,18 @@ func (s *Source) Int63n(n int64) int64 {
 	return int64(s.boundedUint64(uint64(n)))
 }
 
-// boundedUint64 returns a uniform value in [0, n) using Lemire-style
-// rejection to avoid modulo bias.
+// boundedUint64 returns a uniform value in [0, n) by modulo rejection: a
+// draw below t = 2^64 mod n is rejected, since the values [0, t) would
+// otherwise map onto [0, n) once more often than the rest. t < n, so any
+// draw v >= n is accepted before t is computed, and most draws cost one
+// division instead of two; the accepted draws, and so the results, are
+// those of the plain v >= t test.
+//
+//lint:hotpath
 func (s *Source) boundedUint64(n uint64) uint64 {
-	// Threshold below which values would be biased.
-	t := (-n) % n
 	for {
 		v := s.Uint64()
-		if v >= t {
+		if v >= n || v >= (-n)%n {
 			return v % n
 		}
 	}
@@ -120,8 +124,10 @@ func (s *Source) ShuffleInts(p []int) {
 	}
 }
 
-// Shuffle shuffles n elements using the provided swap function, exactly like
-// math/rand.Shuffle.
+// Shuffle shuffles n elements using the provided swap function, in
+// math/rand.Shuffle's swap order (i from n-1 down to 1, swapped with a
+// uniform j in [0, i]). The j draws are this Source's Intn, not
+// math/rand's, so the permutation differs from math/rand's for any seed.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := s.Intn(i + 1)

@@ -158,6 +158,17 @@ go test -race -short \
     ./internal/sharedcache/ \
     ./internal/smoothing/
 
+echo "== draw-identity differentials =="
+# The forms E3-E7 draw through, each against the form it replaced: the
+# in-place shuffle, perturbation and rotation sources against the eager
+# smoothings, the one-stream f/f' sampler against two seeded streams, and
+# the bounded and weighted draws against their old arithmetic.
+gate 'TestSourcesMatchEager|TestShuffleIndexRejectsMoreThan256Sizes|FuzzSmoothingSourcesMatchEager|TestStoppingSampler|TestBoundedUint64|TestWeightedSearchMatchesBinarySearch' \
+    -race -count=1 \
+    ./internal/smoothing/ \
+    ./internal/adaptivity/ \
+    ./internal/xrand/
+
 echo "== bench smoke =="
 # One iteration of every benchmark so the bench harness can't bit-rot:
 # this compiles and executes each bench body (including the paging
@@ -178,6 +189,7 @@ go test -run '^$' -fuzz '^FuzzAdaptivePoliciesMatchOracles$' -fuzztime 5s ./inte
 go test -run '^$' -fuzz '^FuzzKernelHitMatchesContainsThenAccess$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzExecMatchesDivisionExecutor$' -fuzztime 5s ./internal/regular/
+go test -run '^$' -fuzz '^FuzzSmoothingSourcesMatchEager$' -fuzztime 5s ./internal/smoothing/
 go test -run '^$' -fuzz '^FuzzShardRouting$' -fuzztime 5s ./internal/service/
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/jobs/
 
