@@ -257,7 +257,21 @@ func BenchmarkSquareStreamEmit(b *testing.B) {
 }
 
 // BenchmarkLRUStreamEmit measures the generator→LRU streaming path used by
-// mmtrace -lru: emission and replay fused, no trace buffer.
+// lruSink streams references straight into an LRU kernel (leaf markers
+// are ignored: a fixed-capacity replay measures misses, not progress).
+type lruSink struct{ l *paging.LRU }
+
+func (s lruSink) Access(block int64) { s.l.Access(block) }
+
+func (s lruSink) AccessRange(lo, count int64) {
+	for i := int64(0); i < count; i++ {
+		s.l.Access(lo + i)
+	}
+}
+
+func (s lruSink) EndLeaf() {}
+
+// Emission and a bare LRU replay fused, no trace buffer.
 func BenchmarkLRUStreamEmit(b *testing.B) {
 	spec := regular.MMScanSpec
 	n := profile.Pow(4, 5)
@@ -275,7 +289,7 @@ func BenchmarkLRUStreamEmit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Clear()
-		if err := regular.EmitSynthetic(spec, n, paging.CacheSink{Cache: l}); err != nil {
+		if err := regular.EmitSynthetic(spec, n, lruSink{l}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -27,12 +29,24 @@ var update = flag.Bool("update", false, "rewrite golden files from the current o
 // generated with (E1 is pure construction: no Monte-Carlo, milliseconds).
 var smokeArgs = []string{"-exp", "E1", "-seed", "7", "-trials", "2", "-maxk", "4", "-format", "json"}
 
+// parseSnapshot unmarshals CLI JSON output and checks its schema version.
+func parseSnapshot(data []byte) (*core.Snapshot, error) {
+	var s core.Snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, err
+	}
+	if s.SchemaVersion != core.SnapshotSchemaVersion {
+		return nil, fmt.Errorf("snapshot schema version %d, this build reads %d", s.SchemaVersion, core.SnapshotSchemaVersion)
+	}
+	return &s, nil
+}
+
 // normalizeSnapshot zeroes the run-dependent parts — timestamp, wall times,
 // engine metrics — leaving exactly the deterministic content the schema
 // promises.
 func normalizeSnapshot(t *testing.T, raw []byte) []byte {
 	t.Helper()
-	snap, err := core.ParseSnapshot(raw)
+	snap, err := parseSnapshot(raw)
 	if err != nil {
 		t.Fatalf("CLI JSON output is not a valid snapshot: %v", err)
 	}
@@ -60,7 +74,7 @@ func TestGoldenJSONOutput(t *testing.T) {
 	}
 	// The clock is injected, so even the pre-normalization timestamp is
 	// deterministic: core.NewSnapshot never reads the wall clock itself.
-	if raw, err := core.ParseSnapshot(buf.Bytes()); err != nil {
+	if raw, err := parseSnapshot(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	} else if raw.GeneratedAt != "2020-07-15T12:00:00Z" {
 		t.Errorf("GeneratedAt %q, want the injected fixed clock", raw.GeneratedAt)

@@ -20,12 +20,13 @@
 // -policy selects the replay by name (paging.ReplayNames): any registered
 // kernel (paging.PolicyNames) or "opt" (clairvoyant Belady) for the -lru
 // fixed-capacity replay, and any of those or "square" (the default
-// cleared-cache square semantics) for the -profile replay, which runs
-// through paging.Replay. Unknown names are rejected with the accepted
-// list.
+// cleared-cache square semantics) for the -profile replay. Both run
+// through paging.Replay, -lru at a constant profile of -lru blocks.
+// Unknown names are rejected with the accepted list.
 //
 // -worstcase streams -reps repetitions of the trace, each in a fresh
-// address range, into one square finisher (paging.ServedEmitRepeat).
+// address range, into one square replay bounded by the worst-case
+// profile's boxes (paging.ServedEmitRepeat).
 //
 // This is the substrate behind experiments E9 and E11.
 package main
@@ -157,17 +158,25 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// A fixed capacity is a constant profile: the replay's I/Os are
+		// its misses.
+		fixedMisses := func(name string) (int64, error) {
+			var ios int64
+			capacity := profile.FuncSource(func() int64 { return *lru })
+			err := paging.Replay(name, emit, c.Refs, c.MaxBlock, capacity, 0, func(b paging.BoxStat) { ios += b.IOs })
+			return ios, err
+		}
 		// OPT runs first, so a trace above its ceiling fails before any
 		// other replay streams it.
 		var om int64
 		if *opt || name == paging.OPTReplayName {
-			if om, err = optMisses(*lru, c, emit); err != nil {
+			if om, err = fixedMisses(paging.OPTReplayName); err != nil {
 				return err
 			}
 		}
 		misses := om
 		if name != paging.OPTReplayName {
-			if misses, err = kernelMisses(name, *lru, c.MaxBlock, emit); err != nil {
+			if misses, err = fixedMisses(name); err != nil {
 				return err
 			}
 		}
@@ -263,29 +272,4 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("nothing to do: pass -stats, -lru, -worstcase, or -profile")
 	}
 	return nil
-}
-
-// optMisses replays the stream under Belady OPT at a fixed capacity. c is
-// the stream's count, which the recording checks against its ceiling before
-// recording the stream.
-func optMisses(capacity int64, c *trace.CountingSink, emit func(trace.Sink) error) (int64, error) {
-	rec, err := paging.RecordOPT(emit, c.Refs, c.MaxBlock)
-	if err != nil {
-		return 0, err
-	}
-	return rec.Fixed(capacity)
-}
-
-// kernelMisses replays the stream through the named registry kernel at a
-// fixed capacity and returns its miss count.
-func kernelMisses(name string, capacity, maxBlock int64, emit func(trace.Sink) error) (int64, error) {
-	p, err := paging.NewReplacementPolicy(name, capacity)
-	if err != nil {
-		return 0, err
-	}
-	p.Reserve(maxBlock)
-	if err := emit(paging.CacheSink{Cache: p}); err != nil {
-		return 0, err
-	}
-	return p.Misses(), nil
 }

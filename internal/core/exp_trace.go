@@ -72,8 +72,8 @@ func runE9(cfg Config) (*Table, error) {
 		}
 		// Enough repetitions to comfortably exceed the profile's capacity for
 		// both algorithms at every size. The repetitions are streamed into
-		// the square finisher with a fresh address range per rep, never
-		// materialized.
+		// one box-limited square replay with a fresh address range per rep,
+		// never materialized.
 		reps := 12
 		if dim >= 1024 {
 			reps = 16
@@ -117,8 +117,8 @@ func runE10(cfg Config) (*Table, error) {
 	trials := cfg.Trials * 100
 	// Derive every trial's inputs serially — the RNG call order is part of
 	// the determinism contract — then evaluate the trials on the engine
-	// pool. Each start-pair replay halts at the finisher's served boundary
-	// (the Stopper early stop), so a trial costs O(references served), not
+	// pool. Each start-pair replay halts where its boxes run out (the
+	// Stopper early stop), so a trial costs O(references served), not
 	// O(trace suffix).
 	type e10Trial struct {
 		tr        *trace.Trace

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"time"
 )
 
@@ -53,17 +52,4 @@ func (s *Snapshot) MarshalIndentJSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(buf, '\n'), nil
-}
-
-// ParseSnapshot unmarshals and version-checks a snapshot.
-func ParseSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("core: invalid snapshot: %w", err)
-	}
-	if s.SchemaVersion != SnapshotSchemaVersion {
-		return nil, fmt.Errorf("core: snapshot schema version %d, this build reads %d",
-			s.SchemaVersion, SnapshotSchemaVersion)
-	}
-	return &s, nil
 }

@@ -256,12 +256,6 @@ func Enable(seed uint64, spec string) (*Injector, error) {
 // Disable removes the process-wide injector; Fire becomes a no-op again.
 func Disable() { active.Store(nil) }
 
-// Enabled reports whether a process-wide injector is installed.
-func Enabled() bool { return active.Load() != nil }
-
-// Active returns the installed injector (nil when disabled), for stats.
-func Active() *Injector { return active.Load() }
-
 // Fire consults the process-wide injector at the named point. With no
 // injector installed it is a single atomic load. Otherwise it returns an
 // injected error, sleeps an injected latency, panics an injected panic —

@@ -253,3 +253,9 @@ func TestModeString(t *testing.T) {
 	}
 	_ = fmt.Stringer(PanicValue{})
 }
+
+// Enabled reports whether a process-wide injector is installed.
+func Enabled() bool { return active.Load() != nil }
+
+// Active returns the installed injector (nil when disabled).
+func Active() *Injector { return active.Load() }

@@ -100,7 +100,8 @@ func TestTraceSingleBoxServesMultiply(t *testing.T) {
 // multipliesOn counts how many of reps back-to-back copies of tr (block
 // IDs shifted by stride per copy) the boxes complete. It checks
 // paging.ServedEmitRepeat over tr.Emit against the same repetitions
-// replayed by trace.ReplayRepeat into a square finisher.
+// replayed one by one (trace.Replay into a trace.OffsetSink) into an
+// unbounded square replay, counting what its first len(boxes) boxes serve.
 func multipliesOn(t *testing.T, tr *trace.Trace, boxes []int64, reps int, stride int64) int {
 	t.Helper()
 	src := func() profile.Source {
@@ -110,18 +111,24 @@ func multipliesOn(t *testing.T, tr *trace.Trace, boxes []int64, reps int, stride
 		}
 		return s
 	}
-	f := paging.NewSquareFinisher(src(), int64(len(boxes)))
-	f.Reserve(tr.MaxBlock())
-	trace.ReplayRepeat(tr, f, reps, stride)
-	if err := f.Err(); err != nil {
+	var closed, want int64
+	q := paging.NewSquareStream(src(), 0, func(b paging.BoxStat) {
+		if closed++; closed <= int64(len(boxes)) {
+			want += b.Refs
+		}
+	})
+	for r := 0; r < reps; r++ {
+		trace.Replay(tr, trace.OffsetSink{S: q, Shift: int64(r) * stride})
+	}
+	if err := q.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src(), int64(len(boxes)), reps, stride)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served != f.Served() {
-		t.Fatalf("ServedEmitRepeat served %d, replayed repetitions %d", served, f.Served())
+	if served != want {
+		t.Fatalf("ServedEmitRepeat served %d, replayed repetitions %d", served, want)
 	}
 	return int(served) / tr.Len()
 }

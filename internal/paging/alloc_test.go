@@ -295,30 +295,10 @@ func TestSquareStreamZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestSquareFinisherZeroAllocSteadyState: with reserved residency, serving
-// references allocates nothing — including box advancement, which pulls
-// the next size from the source (the finisher keeps no per-box ledger).
-//
-// allocguard:SquareFinisher.Access
-func TestSquareFinisherZeroAllocSteadyState(t *testing.T) {
-	src := xrand.New(xrand.Split(50, "alloc-squarefin", 0))
-	tr := localTrace(src, 2000, 128)
-	f := NewSquareFinisher(constSource{8}, 1<<40)
-	f.Reserve(tr.MaxBlock())
-	avg := testing.AllocsPerRun(10, func() {
-		for i := 0; i < tr.Len(); i++ {
-			f.Access(tr.Block(i))
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("SquareFinisher steady-state replay allocates %.1f times per run, want 0", avg)
-	}
-}
-
 // TestServedEmitRepeatAllocsIndependentOfLength: the repeated replay
-// allocates per call and per repetition (the finisher, residency growth
+// allocates per call and per repetition (the stream, residency growth
 // into each shifted address range, the OffsetSink adapter), never per
-// reference — the SquareFinisher hot path stays allocation-free under
+// reference — the SquareStream hot path stays allocation-free under
 // ServedEmitRepeat, so a 10× longer base stream allocates the same.
 func TestServedEmitRepeatAllocsIndependentOfLength(t *testing.T) {
 	allocs := func(refs int) float64 {
@@ -367,31 +347,5 @@ func TestPolicyStreamZeroAllocSteadyState(t *testing.T) {
 		if boxes == 0 {
 			t.Fatalf("%s: no box closed during the replay", name)
 		}
-	}
-}
-
-// TestCacheSinkZeroAllocSteadyState: the cache adapter adds nothing on top
-// of the warmed cache's own zero-allocation access.
-//
-// allocguard:CacheSink.Access
-func TestCacheSinkZeroAllocSteadyState(t *testing.T) {
-	src := xrand.New(xrand.Split(50, "alloc-cachesink", 0))
-	tr := localTrace(src, 2000, 128)
-	l, err := NewLRU(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Reserve(tr.MaxBlock())
-	s := CacheSink{Cache: l}
-	for i := 0; i < tr.Len(); i++ {
-		s.Access(tr.Block(i))
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		for i := 0; i < tr.Len(); i++ {
-			s.Access(tr.Block(i))
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("CacheSink steady-state replay allocates %.1f times per run, want 0", avg)
 	}
 }

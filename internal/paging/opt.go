@@ -305,10 +305,10 @@ func (r *OPTRecording) replay(src profile.Source, maxBoxes int64, fold func(BoxS
 	// The current box's ledger lives in locals (boxSize, ios, and the index
 	// it started at) and is folded when the box closes; its leaves are the
 	// leaf bits over the references it served.
-	var closed int64
-	boxSize := src.Next()
-	if boxSize < 1 {
-		return fmt.Errorf("paging: box source produced size %d", boxSize)
+	boxes := boxCursor{src: src, maxBoxes: maxBoxes}
+	boxSize, err := boxes.first()
+	if err != nil {
+		return err
 	}
 	var ios int64
 	boxStart := 0
@@ -326,14 +326,10 @@ func (r *OPTRecording) replay(src profile.Source, maxBoxes int64, fold func(BoxS
 		if ios == boxSize {
 			// Budget exhausted: this reference belongs to the next box.
 			closeBox(i)
-			closed++
-			if maxBoxes > 0 && closed >= maxBoxes {
-				return fmt.Errorf("paging: run exceeded %d boxes", maxBoxes)
+			if boxSize, err = boxes.next(); err != nil {
+				return err
 			}
-			boxSize, ios, boxStart = src.Next(), 0, i
-			if boxSize < 1 {
-				return fmt.Errorf("paging: box source produced size %d", boxSize)
-			}
+			ios, boxStart = 0, i
 		}
 		// Evict the resident blocks with the farthest next use until the
 		// box's capacity has room, then fill.

@@ -50,16 +50,8 @@ func ReplayNames() []string {
 // or via trace.Replay), then call Finish to close the last box; each box is
 // passed to the stream's fold as it closes.
 type PolicyStream struct {
-	policy   ReplacementPolicy
-	src      profile.Source
-	maxBoxes int64
-	fold     func(BoxStat)
-	closed   int64 // boxes passed to fold, for the maxBoxes guard
-	cur      BoxStat
-	started  bool
-	err      error
-	markedAt int64 // cur.Refs total at the last EndLeaf (idempotency)
-	refs     int64 // total refs across all boxes, for markedAt
+	boxLedger
+	policy ReplacementPolicy
 }
 
 // NewPolicyStream returns a stream replaying through policy against box
@@ -67,25 +59,20 @@ type PolicyStream struct {
 // guards against pathological stalls (0 = unbounded). The policy's
 // starting capacity is irrelevant — the first box resizes it.
 func NewPolicyStream(policy ReplacementPolicy, src profile.Source, maxBoxes int64, fold func(BoxStat)) *PolicyStream {
-	return &PolicyStream{policy: policy, src: src, maxBoxes: maxBoxes, fold: fold}
+	return &PolicyStream{boxLedger: boxLedger{boxCursor: boxCursor{src: src, maxBoxes: maxBoxes}, fold: fold}, policy: policy}
 }
 
 // Reserve pre-sizes the kernel's dense indexes for block IDs up to maxBlock.
 func (q *PolicyStream) Reserve(maxBlock int64) { q.policy.Reserve(maxBlock) }
 
-// openBox draws the next box and resizes the kernel to it.
-func (q *PolicyStream) openBox() {
-	q.cur = BoxStat{Size: q.src.Next()}
-	if q.cur.Size < 1 {
-		//lint:ignore hotpath error path: the stream is dead after this, one allocation to say why is fine
-		q.err = fmt.Errorf("paging: box source produced size %d", q.cur.Size)
-		q.started = false
-		return
-	}
+// resize applies the current box's size to the kernel; false once the
+// stream has errored.
+func (q *PolicyStream) resize() bool {
 	if err := q.policy.SetCapacity(q.cur.Size); err != nil {
 		q.err = err
-		q.started = false
+		return false
 	}
+	return true
 }
 
 // Access serves one block reference: a resident block is a free hit against
@@ -99,12 +86,8 @@ func (q *PolicyStream) Access(block int64) {
 	if q.err != nil {
 		return
 	}
-	if !q.started {
-		q.started = true
-		q.openBox()
-		if q.err != nil {
-			return
-		}
+	if !q.started && !(q.open() && q.resize()) {
+		return
 	}
 	if q.policy.Hit(block) {
 		q.cur.Refs++
@@ -115,15 +98,7 @@ func (q *PolicyStream) Access(block int64) {
 	if q.cur.IOs == q.cur.Size {
 		// Budget exhausted: this reference belongs to the next box.
 		q.fold(q.cur)
-		q.closed++
-		if q.maxBoxes > 0 && q.closed >= q.maxBoxes {
-			//lint:ignore hotpath error path: the box guard tripping ends the run
-			q.err = fmt.Errorf("paging: run exceeded %d boxes", q.maxBoxes)
-			q.started = false
-			return
-		}
-		q.openBox()
-		if q.err != nil {
+		if !(q.opened(q.next()) && q.resize()) {
 			return
 		}
 	}
@@ -133,45 +108,11 @@ func (q *PolicyStream) Access(block int64) {
 	q.refs++
 }
 
-// AccessRange serves blocks [lo, lo+count) in order.
+// AccessRange serves blocks [lo, lo+count) in order, stopping at an error.
 func (q *PolicyStream) AccessRange(lo, count int64) {
-	for i := int64(0); i < count; i++ {
+	for i := int64(0); i < count && q.err == nil; i++ {
 		q.Access(lo + i)
 	}
-}
-
-// EndLeaf credits a base-case completion to the box that served the most
-// recent access — the same idempotent convention as SquareStream.EndLeaf.
-func (q *PolicyStream) EndLeaf() {
-	if q.err != nil {
-		return
-	}
-	if q.refs == 0 {
-		panic("paging: EndLeaf before any access")
-	}
-	if q.markedAt == q.refs {
-		return
-	}
-	q.markedAt = q.refs
-	q.cur.Leaves++
-}
-
-// Stopped reports whether the stream has errored, so stopper-aware replays
-// stop feeding a stream that discards everything anyway.
-func (q *PolicyStream) Stopped() bool { return q.err != nil }
-
-// Finish passes the final (typically partial) box to the fold, or returns
-// the first error the stream hit. An untouched stream folds nothing,
-// matching SquareStream.
-func (q *PolicyStream) Finish() error {
-	if q.err != nil {
-		return q.err
-	}
-	if q.started {
-		q.started = false
-		q.fold(q.cur)
-	}
-	return nil
 }
 
 var (

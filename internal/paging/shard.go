@@ -21,8 +21,7 @@ import (
 // known. Finding them requires simulating residency sequentially, so every
 // parallel run here is two passes:
 //
-//  1. Plan (serial): a stripped-down residency simulation — no BoxStat
-//     ledger, no leaf accounting — sweeps the stream once and records a
+//  1. Plan (serial): a SquareStream replay whose fold records a
 //     Checkpoint at the first box boundary at or after every cut-stride
 //     worth of references.
 //  2. Execute (parallel): each shard runs the full kernel over its
@@ -38,10 +37,9 @@ import (
 // shard order therefore reproduces the serial output byte-for-byte at any
 // worker count, pinned by FuzzParallelMatchesSerial.
 //
-// Error parity is by fallback: the planner mirrors the serial kernel's
-// validation exactly, and any planner error (invalid box size, maxBoxes
-// exceeded) reruns the serial path so partial results and error values are
-// identical. Shard execution itself can only fail if a ForkAt fork
+// Error parity is by fallback: the plan pass is the serial kernel itself,
+// and any stream error in it (invalid box size, maxBoxes exceeded) reruns
+// the serial path so partial results and error values are identical. Shard execution itself can only fail if a ForkAt fork
 // diverges from the sequential source — a contract violation reported as
 // an explicit error rather than silently wrong tables.
 
@@ -77,100 +75,38 @@ func cutStride(totalRefs int64, shards int) int64 {
 }
 
 // ---------------------------------------------------------------------------
-// Plan pass: SquareStream semantics.
+// Plan pass.
 
-// squarePlanner replays SquareStream's residency semantics — identical box
-// advancement, identical validation — while recording only shard cut
-// points. It is a trace.Sink (and Stopper, so emit-based planning stops
-// feeding it after an error), and it keeps no per-box ledger: the planning
-// pass is deliberately cheaper than the kernel it plans for.
-type squarePlanner struct {
-	src      profile.Source
-	maxBoxes int64
-	resident []int64
-	epoch    int64
-	size     int64 // current box size
-	ios      int64 // I/Os consumed from the current box
-	closed   int64 // boxes closed so far (== index of the current box)
-	started  bool
-	refs     int64 // references consumed so far (global index of the next one)
-	err      error
-	cut      int64 // reference spacing between cut candidates
-	nextCut  int64
-	cuts     []Checkpoint
-}
-
-func newSquarePlanner(src profile.Source, maxBoxes, cut int64) *squarePlanner {
-	return &squarePlanner{src: src, maxBoxes: maxBoxes, epoch: 1, cut: cut, nextCut: cut}
-}
-
-// Access mirrors SquareStream.Access, recording a Checkpoint at the first
-// box boundary at or after each cut-stride of references.
-func (p *squarePlanner) Access(block int64) {
-	if p.err != nil {
-		return
-	}
-	if !p.started {
-		p.started = true
-		p.size = p.src.Next()
-		if p.size < 1 {
-			p.err = fmt.Errorf("paging: box source produced size %d", p.size)
-			return
+// planSquareShards is the plan pass: a SquareStream replay whose fold
+// records a Checkpoint at the first box boundary at or after every cut
+// references, and returns the shard bounds — start of stream, each cut,
+// end of stream. ok is false when the stream errored (an invalid box,
+// maxBoxes exceeded); err is emit's own error.
+func planSquareShards(emit func(trace.Sink) error, src profile.Source, maxBlock, maxBoxes, cut int64) (bounds []Checkpoint, ok bool, err error) {
+	bounds = []Checkpoint{{}}
+	var boxes, refs int64
+	nextCut := cut
+	q := NewSquareStream(src, maxBoxes, func(b BoxStat) {
+		boxes++
+		refs += b.Refs
+		if refs >= nextCut {
+			bounds = append(bounds, Checkpoint{Box: boxes, Ref: refs})
+			nextCut = refs + cut
 		}
+	})
+	q.Reserve(maxBlock)
+	if err := emit(q); err != nil {
+		return nil, false, err
 	}
-	p.resident = growResident(p.resident, block)
-	if p.resident[block] != p.epoch {
-		if p.ios == p.size {
-			p.closed++
-			if p.maxBoxes > 0 && p.closed >= p.maxBoxes {
-				p.err = fmt.Errorf("paging: run exceeded %d boxes", p.maxBoxes)
-				return
-			}
-			if p.refs >= p.nextCut {
-				p.cuts = append(p.cuts, Checkpoint{Box: p.closed, Ref: p.refs})
-				p.nextCut = p.refs + p.cut
-			}
-			p.epoch++
-			p.size = p.src.Next()
-			if p.size < 1 {
-				p.err = fmt.Errorf("paging: box source produced size %d", p.size)
-				return
-			}
-			p.ios = 0
-		}
-		p.resident[block] = p.epoch
-		p.ios++
+	if q.Finish() != nil {
+		return nil, false, nil
 	}
-	p.refs++
-}
-
-// AccessRange plans blocks [lo, lo+count) in order.
-func (p *squarePlanner) AccessRange(lo, count int64) {
-	for i := int64(0); i < count && p.err == nil; i++ {
-		p.Access(lo + i)
+	// Finish folded the last box, whose end may already stand as a cut.
+	if last := bounds[len(bounds)-1]; last.Ref < refs {
+		bounds = append(bounds, Checkpoint{Box: boxes, Ref: refs})
 	}
+	return bounds, true, nil
 }
-
-// EndLeaf is a no-op: leaf attribution is the executors' job.
-func (p *squarePlanner) EndLeaf() {}
-
-// Stopped reports whether the planner errored, so emit-based planning
-// stops feeding it.
-func (p *squarePlanner) Stopped() bool { return p.err != nil }
-
-// bounds returns the shard boundaries: start of stream, every recorded
-// cut, end of stream.
-func (p *squarePlanner) bounds() []Checkpoint {
-	b := make([]Checkpoint, 0, len(p.cuts)+2)
-	b = append(b, Checkpoint{})
-	b = append(b, p.cuts...)
-	return append(b, Checkpoint{Box: p.closed, Ref: p.refs})
-}
-
-var (
-	_ trace.Sink    = (*squarePlanner)(nil)
-	_ trace.Stopper = (*squarePlanner)(nil)
-)
 
 // ---------------------------------------------------------------------------
 // Execute pass.
@@ -242,15 +178,12 @@ func SquareEmitParallel(emit func(trace.Sink) error, totalRefs, maxBlock int64, 
 	if shards <= 1 || totalRefs < 2 {
 		return serial(fsrc.ForkAt(0))
 	}
-	p := newSquarePlanner(fsrc.ForkAt(0), maxBoxes, cutStride(totalRefs, shards))
-	if maxBlock >= 0 {
-		p.resident = growResident(p.resident, maxBlock)
-	}
-	if err := emit(p); err != nil {
+	bounds, ok, err := planSquareShards(emit, fsrc.ForkAt(0), maxBlock, maxBoxes, cutStride(totalRefs, shards))
+	if err != nil {
 		return nil, err
 	}
-	if p.err != nil {
+	if !ok {
 		return serial(fsrc.ForkAt(0))
 	}
-	return execSquareShards(p.bounds(), fsrc, maxBlock, emit)
+	return execSquareShards(bounds, fsrc, maxBlock, emit)
 }

@@ -1,6 +1,7 @@
 package paging
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestSquareRunParallelErrorParityMaxBoxes(t *testing.T) {
 
 func TestSquareRunParallelErrorParityBadBox(t *testing.T) {
 	// An invalid size mid-sequence must surface the same error and partial
-	// ledger as the serial kernel; the planner hits it and falls back.
+	// ledger as the serial kernel; the plan pass hits it and falls back.
 	rng := xrand.New(0x5a5)
 	tr := randomTrace(rng, 3000, 64)
 	boxes := []int64{4, 7, 0}
@@ -219,16 +220,24 @@ func TestSquareEmitParallelTotalRefsIsAdvisory(t *testing.T) {
 // --- ServedEmitRepeat --------------------------------------------------------
 
 // repeatServed is the reference answer for ServedEmitRepeat: the shifted
-// repetitions of tr replayed by trace.ReplayRepeat into one finisher.
+// repetitions of tr replayed one by one (trace.Replay into a
+// trace.OffsetSink) into an unbounded square replay, summing the
+// references served by its first nBoxes boxes.
 func repeatServed(t testing.TB, tr *trace.Trace, src profile.Source, nBoxes int64, reps int, stride int64) int64 {
 	t.Helper()
-	f := NewSquareFinisher(src, nBoxes)
-	f.Reserve(tr.MaxBlock())
-	trace.ReplayRepeat(tr, f, reps, stride)
-	if err := f.Err(); err != nil {
+	var boxes, served int64
+	q := NewSquareStream(src, 0, func(b BoxStat) {
+		if boxes++; boxes <= nBoxes {
+			served += b.Refs
+		}
+	})
+	for r := 0; r < reps; r++ {
+		trace.Replay(tr, trace.OffsetSink{S: q, Shift: int64(r) * stride})
+	}
+	if err := q.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return f.Served()
+	return served
 }
 
 // TestServedEmitRepeatParallelSmallStrideFallsBack: with stride <=
@@ -321,36 +330,36 @@ func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// --- SquareFinisher ---------------------------------------------------------
+// --- Box errors -------------------------------------------------------------
 
-// TestSquareFinisherErrorParity: an invalid box is reported whether it
-// leads (validated eagerly, even before any access) or turns up
-// mid-stream, with the same text, and the references served before it
-// still count — directly, through SquareRunFrom and through
+// TestBoxSizeErrorParity: an invalid box is reported with the cursor's one
+// text whether it leads or turns up mid-stream, and the references served
+// before it still count — through a SquareStream, SquareRunFrom (which
+// validates every box up front, so even an empty suffix reports it) and
 // ServedEmitRepeat.
-func TestSquareFinisherErrorParity(t *testing.T) {
+func TestBoxSizeErrorParity(t *testing.T) {
 	tr := buildTrace([]int64{0, 1, 2, 3, 4, 5}, nil)
 	for _, c := range []struct {
 		boxes  []int64
 		served int64
 		msg    string
 	}{
-		{[]int64{0}, 0, "paging: box size 0 invalid"},
-		{[]int64{3, -1}, 3, "paging: box size -1 invalid"},
+		{[]int64{0}, 0, "paging: box source produced size 0"},
+		{[]int64{3, -1}, 3, "paging: box source produced size -1"},
 	} {
-		f := NewSquareFinisher(cycling(t, c.boxes), int64(len(c.boxes)))
-		if c.served == 0 && f.Err() == nil {
-			t.Fatalf("boxes %v: invalid leading box not reported before any access", c.boxes)
+		var served int64
+		q := NewSquareStream(cycling(t, c.boxes), int64(len(c.boxes)), func(b BoxStat) { served += b.Refs })
+		trace.Replay(tr, q)
+		if err := q.Finish(); err == nil || err.Error() != c.msg {
+			t.Fatalf("boxes %v: error %v, want %q", c.boxes, err, c.msg)
 		}
-		trace.Replay(tr, f)
-		if f.Err() == nil || f.Err().Error() != c.msg {
-			t.Fatalf("boxes %v: error %v, want %q", c.boxes, f.Err(), c.msg)
+		if served != c.served {
+			t.Fatalf("boxes %v: served %d, want %d", c.boxes, served, c.served)
 		}
-		if f.Served() != c.served {
-			t.Fatalf("boxes %v: served %d, want %d", c.boxes, f.Served(), c.served)
-		}
-		if _, err := SquareRunFrom(tr, 0, c.boxes); err == nil || err.Error() != c.msg {
-			t.Fatalf("boxes %v: SquareRunFrom error %v, want %q", c.boxes, err, c.msg)
+		for _, start := range []int{0, tr.Len()} {
+			if _, err := SquareRunFrom(tr, start, c.boxes); err == nil || err.Error() != c.msg {
+				t.Fatalf("boxes %v: SquareRunFrom from %d: error %v, want %q", c.boxes, start, err, c.msg)
+			}
 		}
 		served, err := ServedEmitRepeat(tr.Emit, tr.MaxBlock(), cycling(t, c.boxes), int64(len(c.boxes)), 2, tr.MaxBlock()+1)
 		if err == nil || err.Error() != c.msg || served != c.served {
@@ -404,53 +413,69 @@ func TestSquareStreamEndLeafBeforeAccessStillPanics(t *testing.T) {
 
 // --- Early stop (regression) ------------------------------------------------
 
-// countingFinisher counts how many accesses a replay actually delivers to
-// the wrapped finisher, delegating the Stopper signal.
-type countingFinisher struct {
-	*SquareFinisher
-	delivered int
+// countingSink counts the accesses a replay actually delivers to the
+// wrapped sink, delegating its Stopper signal.
+type countingSink struct {
+	trace.Sink
+	delivered *int
 }
 
-func (c *countingFinisher) Access(block int64) {
-	c.delivered++
-	c.SquareFinisher.Access(block)
+func (c countingSink) Access(block int64) {
+	*c.delivered++
+	c.Sink.Access(block)
 }
 
-func (c *countingFinisher) AccessRange(lo, count int64) {
+func (c countingSink) AccessRange(lo, count int64) {
 	for i := int64(0); i < count; i++ {
 		c.Access(lo + i)
 	}
 }
 
+func (c countingSink) Stopped() bool { return c.Sink.(trace.Stopper).Stopped() }
+
+// TestReplayRangeHaltsAtFinisherBoundary: at the boundary where a
+// box-limited square replay's boxes finish, the replay feeding it stops.
 func TestReplayRangeHaltsAtFinisherBoundary(t *testing.T) {
 	// 100k-reference trace, boxes that serve ~3 references: the replay
 	// must stop within a ref or two of the boundary instead of streaming
-	// the whole suffix into a finisher that ignores it.
+	// the whole suffix into a stream that ignores it.
 	b := &trace.Builder{}
 	for i := 0; i < 100_000; i++ {
 		b.Access(int64(i))
 	}
 	tr := b.Build()
-	f := &countingFinisher{SquareFinisher: NewSquareFinisher(cycling(t, []int64{3}), 1)}
-	trace.ReplayRange(tr, f, 0, tr.Len())
-	if !f.Stopped() || f.Err() != nil {
-		t.Fatal("finisher should have exhausted its boxes")
+	var delivered int
+	var served int64
+	q := NewSquareStream(cycling(t, []int64{3}), 1, func(b BoxStat) { served += b.Refs })
+	trace.ReplayRange(tr, countingSink{Sink: q, delivered: &delivered}, 0, tr.Len())
+	var limit boxLimitError
+	if !q.Stopped() || !errors.As(q.Finish(), &limit) {
+		t.Fatal("stream should have exhausted its boxes")
 	}
-	if f.delivered > int(f.Served())+2 {
-		t.Fatalf("replay delivered %d references past a boundary at %d", f.delivered, f.Served())
+	if delivered > int(served)+2 {
+		t.Fatalf("replay delivered %d references past a boundary at %d", delivered, served)
 	}
 }
 
-func TestReplayRepeatHaltsAtFinisherBoundary(t *testing.T) {
+// TestServedEmitRepeatHaltsAtBoxLimit: once the boxes run out mid
+// repetition, neither that repetition nor the later ones keep streaming.
+func TestServedEmitRepeatHaltsAtBoxLimit(t *testing.T) {
 	b := &trace.Builder{}
 	for i := 0; i < 1000; i++ {
 		b.Access(int64(i))
 	}
 	tr := b.Build()
-	f := &countingFinisher{SquareFinisher: NewSquareFinisher(cycling(t, []int64{5}), 1)}
-	trace.ReplayRepeat(tr, f, 50, tr.MaxBlock()+1)
-	if f.delivered > int(f.Served())+2 {
-		t.Fatalf("repeat replay delivered %d references past a boundary at %d", f.delivered, f.Served())
+	var delivered int
+	emit := func(s trace.Sink) error {
+		trace.Replay(tr, countingSink{Sink: s, delivered: &delivered})
+		return nil
+	}
+	served, err := ServedEmitRepeat(emit, tr.MaxBlock(), cycling(t, []int64{5}), 1, 50, tr.MaxBlock()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served != 5 || delivered > int(served)+2 {
+		t.Fatalf("repeat replay delivered %d references past a boundary at %d", delivered, served)
 	}
 }
 
@@ -473,7 +498,7 @@ func TestDefaultShardsStaysSerialWithoutIdleWorkers(t *testing.T) {
 // FuzzParallelMatchesSerial drives random traces and cycled box profiles
 // through SquareEmitParallel at a fuzzed shard count and through
 // ServedEmitRepeat, and demands bit-identical results against the serial
-// references (a SquareStream replay; trace.ReplayRepeat into a finisher).
+// references (a SquareStream replay; repeatServed's repetitions).
 // The corpus inputs parameterize deterministic generators, so every
 // failure replays exactly.
 func FuzzParallelMatchesSerial(f *testing.F) {

@@ -5,13 +5,13 @@
 // implementation:
 //
 //  1. Square semantics — the cache-adaptive model's square-profile
-//     discretisation (SquareStream, and SquareFinisher for a finite box
-//     sequence). Prior work (Bender et al. 2014) shows that, w.l.o.g. up
-//     to constant factors, one may assume cache is cleared at the start of
-//     each square, after which a square of size X serves exactly X
-//     distinct blocks: each first touch of a block within a square is one
-//     I/O (one unit of time), repeat touches are free, and the square ends
-//     after X I/Os.
+//     discretisation (SquareStream, which also counts what a finite box
+//     sequence serves: ServedEmitRepeat, SquareRunFrom). Prior work
+//     (Bender et al. 2014) shows that, w.l.o.g. up to constant factors,
+//     one may assume cache is cleared at the start of each square, after
+//     which a square of size X serves exactly X distinct blocks: each
+//     first touch of a block within a square is one I/O (one unit of
+//     time), repeat touches are free, and the square ends after X I/Os.
 //
 //  2. Live replacement under a changing capacity — the registered kernels
 //     (LRU, FIFO, ARC, 2Q; PolicyStream) and Belady's clairvoyant OPT,
@@ -46,10 +46,16 @@ type BoxStat struct {
 // first reference NOT served (tr.Len() if the boxes finish the trace).
 // This is the primitive behind the No-Catch-up Lemma check (Lemma 2):
 // if boxes started at r_i finish at r_j, then started at any r_{i'} with
-// i' < i they finish at some r_{j'} with j' <= j.
+// i' < i they finish at some r_{j'} with j' <= j. Every box is validated
+// up front, so an invalid one is reported even on an empty suffix.
 func SquareRunFrom(tr *trace.Trace, startIdx int, boxes []int64) (int, error) {
 	if startIdx < 0 || startIdx > tr.Len() {
 		return 0, fmt.Errorf("paging: start index %d out of range", startIdx)
+	}
+	for _, b := range boxes {
+		if b < 1 {
+			return 0, boxSizeError(b)
+		}
 	}
 	if len(boxes) == 0 {
 		return startIdx, nil // no boxes serve nothing
@@ -58,13 +64,15 @@ func SquareRunFrom(tr *trace.Trace, startIdx int, boxes []int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	f := NewSquareFinisher(src, int64(len(boxes)))
-	f.Reserve(tr.MaxBlock())
-	trace.ReplayRange(tr, f, startIdx, tr.Len())
-	if err := f.Err(); err != nil {
+	suffix := func(s trace.Sink) error {
+		trace.ReplayRange(tr, s, startIdx, tr.Len())
+		return nil
+	}
+	served, err := ServedEmitRepeat(suffix, tr.MaxBlock(), src, int64(len(boxes)), 1, 0)
+	if err != nil {
 		return 0, err
 	}
-	return startIdx + int(f.Served()), nil
+	return startIdx + int(served), nil
 }
 
 // TotalLeaves sums leaf completions over box stats.

@@ -1,19 +1,143 @@
 package paging
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
-// This file holds the square-semantics consumers as trace.Sinks:
-// SquareStream (the per-box ledger behind Replay's "square" name) and
-// SquareFinisher (references served by a finite box sequence). Generators
-// emit straight into them and a materialized trace replays into them
-// through the same methods, so streamed and materialized runs share one
-// implementation and cannot drift — which is what keeps streamed
-// experiment tables byte-identical to materialized ones.
+// This file holds what every box replay shares — the box cursor and the
+// ledger of the box being served — and the square-semantics consumer built
+// on them: SquareStream, the per-box ledger behind Replay's "square" name,
+// which also counts the references a finite box sequence serves
+// (ServedEmitRepeat, SquareRunFrom) and finds the shard cuts of the
+// parallel replay (SquareEmitParallel). Generators emit straight into it
+// and a materialized trace replays into it through the same methods, so
+// streamed and materialized runs share one implementation and cannot
+// drift — which is what keeps streamed experiment tables byte-identical
+// to materialized ones.
+
+// boxCursor draws the box sizes of one box replay from a profile source and
+// enforces its maxBoxes guard. SquareStream, PolicyStream and the opt box
+// replay all draw through it, so a box is validated, counted and limited
+// in one place.
+type boxCursor struct {
+	src      profile.Source
+	maxBoxes int64 // 0 = unbounded
+	closed   int64 // boxes closed so far
+}
+
+// first draws and validates a box: a replay's opening box, and every later
+// one once next has passed the guard.
+func (c *boxCursor) first() (int64, error) {
+	size := c.src.Next()
+	if size < 1 {
+		return 0, boxSizeError(size)
+	}
+	return size, nil
+}
+
+// next counts the current box closed and draws the one after it; once
+// maxBoxes boxes have closed it draws nothing and reports the limit.
+func (c *boxCursor) next() (int64, error) {
+	c.closed++
+	if c.maxBoxes > 0 && c.closed >= c.maxBoxes {
+		return 0, boxLimitError(c.maxBoxes)
+	}
+	return c.first()
+}
+
+// boxSizeError reports a box source drawing a size below 1. The text is
+// built only when read, which keeps the cursor's methods small.
+type boxSizeError int64
+
+func (e boxSizeError) Error() string {
+	return fmt.Sprintf("paging: box source produced size %d", int64(e))
+}
+
+// boxLimitError reports a replay needing a box past its maxBoxes guard.
+// The counts over a finite box sequence (ServedEmitRepeat) read it as the
+// normal end of that sequence.
+type boxLimitError int64
+
+func (e boxLimitError) Error() string {
+	return fmt.Sprintf("paging: run exceeded %d boxes", int64(e))
+}
+
+// boxLedger is the part of a box stream SquareStream and PolicyStream
+// share: the cursor, the box being served, the fold closed boxes go to,
+// and the first error. The streams' Access methods open and roll boxes;
+// EndLeaf, Stopped and Finish are the ledger's.
+type boxLedger struct {
+	boxCursor
+	fold     func(BoxStat)
+	cur      BoxStat
+	started  bool
+	err      error
+	markedAt int64 // refs at the last EndLeaf (idempotency)
+	refs     int64 // total refs across all boxes, for markedAt
+}
+
+// open draws the stream's first box; false once the stream has errored.
+func (l *boxLedger) open() bool {
+	l.started = true
+	return l.opened(l.first())
+}
+
+// opened makes a freshly drawn box current, or records the draw's error;
+// false once the stream has errored. Each Access rolls a box in its own
+// body (fold, then opened(next())): one more call per box through a shared
+// roll method measurably slowed BenchmarkPolicyStreamSmallBoxes.
+func (l *boxLedger) opened(size int64, err error) bool {
+	if err != nil {
+		l.err = err
+		return false
+	}
+	l.cur = BoxStat{Size: size}
+	return true
+}
+
+// EndLeaf credits a base-case completion to the box that served the most
+// recent access. Idempotent per access, matching trace.Builder. Once the
+// stream has errored it is a no-op: the access the marker belongs to was
+// never served (Access returns before counting references on the error
+// paths), so there is no box to credit — panicking here would blame the
+// generator for a profile/guard error, and crediting would mutate a stale
+// box. The panic is reserved for the genuine structural bug of a marker
+// before any access on a healthy stream.
+func (l *boxLedger) EndLeaf() {
+	if l.err != nil {
+		return
+	}
+	if l.refs == 0 {
+		panic("paging: EndLeaf before any access")
+	}
+	if l.markedAt == l.refs {
+		return
+	}
+	l.markedAt = l.refs
+	l.cur.Leaves++
+}
+
+// Stopped reports whether the stream has errored, so stopper-aware replays
+// and generators stop feeding a stream that discards everything anyway.
+func (l *boxLedger) Stopped() bool { return l.err != nil }
+
+// Finish passes the final (typically partial) box to the fold, or returns
+// the first error the stream hit. An untouched stream folds nothing: an
+// empty stream uses no boxes.
+func (l *boxLedger) Finish() error {
+	if l.err != nil {
+		return l.err
+	}
+	if l.started {
+		l.started = false
+		l.fold(l.cur)
+	}
+	return nil
+}
 
 // SquareStream consumes a reference stream under square semantics against
 // boxes drawn from a profile source. Feed it accesses (directly or via
@@ -21,24 +145,16 @@ import (
 // to the stream's fold as it closes, so memory is O(max block ID),
 // independent of stream length and box count.
 type SquareStream struct {
-	src      profile.Source
-	maxBoxes int64
-	fold     func(BoxStat)
-	closed   int64   // boxes passed to fold, for the maxBoxes guard
+	boxLedger
 	resident []int64 // epoch-stamped from 1: resident[b] == epoch means cached
 	epoch    int64
-	cur      BoxStat
-	started  bool
-	err      error
-	markedAt int64 // cur.Refs total at the last EndLeaf (idempotency)
-	refs     int64 // total refs across all boxes, for markedAt
 }
 
 // NewSquareStream returns a stream drawing box sizes from src and passing
 // each box to fold as it closes; maxBoxes guards against pathological
 // stalls (0 = unbounded).
 func NewSquareStream(src profile.Source, maxBoxes int64, fold func(BoxStat)) *SquareStream {
-	return &SquareStream{src: src, maxBoxes: maxBoxes, fold: fold, epoch: 1}
+	return &SquareStream{boxLedger: boxLedger{boxCursor: boxCursor{src: src, maxBoxes: maxBoxes}, fold: fold}, epoch: 1}
 }
 
 // Reserve pre-sizes the residency array for block IDs up to maxBlock.
@@ -55,14 +171,8 @@ func (q *SquareStream) Access(block int64) {
 	if q.err != nil {
 		return
 	}
-	if !q.started {
-		q.started = true
-		q.cur = BoxStat{Size: q.src.Next()}
-		if q.cur.Size < 1 {
-			//lint:ignore hotpath error path: the stream is dead after this, one allocation to say why is fine
-			q.err = fmt.Errorf("paging: box source produced size %d", q.cur.Size)
-			return
-		}
+	if !q.started && !q.open() {
+		return
 	}
 	if block >= int64(len(q.resident)) {
 		q.resident = growResident(q.resident, block)
@@ -70,23 +180,13 @@ func (q *SquareStream) Access(block int64) {
 	if q.resident[block] != q.epoch {
 		// Miss: needs an I/O from the current box's budget.
 		if q.cur.IOs == q.cur.Size {
-			// Budget exhausted: this reference belongs to the next box.
+			// Budget exhausted: this reference belongs to the next box,
+			// which starts with a cleared cache.
 			q.fold(q.cur)
-			q.closed++
-			if q.maxBoxes > 0 && q.closed >= q.maxBoxes {
-				//lint:ignore hotpath error path: the box guard tripping ends the run
-				q.err = fmt.Errorf("paging: run exceeded %d boxes", q.maxBoxes)
-				q.started = false
+			if !q.opened(q.next()) {
 				return
 			}
 			q.epoch++
-			q.cur = BoxStat{Size: q.src.Next()}
-			if q.cur.Size < 1 {
-				//lint:ignore hotpath error path: the stream is dead after this, one allocation to say why is fine
-				q.err = fmt.Errorf("paging: box source produced size %d", q.cur.Size)
-				q.started = false
-				return
-			}
 		}
 		q.resident[block] = q.epoch
 		q.cur.IOs++
@@ -95,51 +195,11 @@ func (q *SquareStream) Access(block int64) {
 	q.refs++
 }
 
-// AccessRange serves blocks [lo, lo+count) in order.
+// AccessRange serves blocks [lo, lo+count) in order, stopping at an error.
 func (q *SquareStream) AccessRange(lo, count int64) {
-	for i := int64(0); i < count; i++ {
+	for i := int64(0); i < count && q.err == nil; i++ {
 		q.Access(lo + i)
 	}
-}
-
-// EndLeaf credits a base-case completion to the box that served the most
-// recent access. Idempotent per access, matching trace.Builder. Once the
-// stream has errored it is a no-op: the access the marker belongs to was
-// never served (Access returns before counting references on the error
-// paths), so there is no box to credit — panicking here would blame the
-// generator for a profile/guard error, and crediting would mutate a stale
-// box. The panic is reserved for the genuine structural bug of a marker
-// before any access on a healthy stream.
-func (q *SquareStream) EndLeaf() {
-	if q.err != nil {
-		return
-	}
-	if q.refs == 0 {
-		panic("paging: EndLeaf before any access")
-	}
-	if q.markedAt == q.refs {
-		return
-	}
-	q.markedAt = q.refs
-	q.cur.Leaves++
-}
-
-// Stopped reports whether the stream has errored, so stopper-aware replays
-// and generators stop feeding a stream that discards everything anyway.
-func (q *SquareStream) Stopped() bool { return q.err != nil }
-
-// Finish passes the final (typically partial) box to the fold, or returns
-// the first error the stream hit. An untouched stream folds nothing: an
-// empty stream uses no boxes.
-func (q *SquareStream) Finish() error {
-	if q.err != nil {
-		return q.err
-	}
-	if q.started {
-		q.started = false
-		q.fold(q.cur)
-	}
-	return nil
 }
 
 // growResident extends an epoch-stamped residency array to cover block.
@@ -159,169 +219,47 @@ func growResident(resident []int64, block int64) []int64 {
 	return grown
 }
 
-// SquareFinisher consumes a reference stream against the first nBoxes
-// boxes of a profile source under square semantics and reports how many
-// references those boxes served. It is the primitive behind the
-// No-Catch-up Lemma check (SquareRunFrom) and the worst-case repetition
-// counts (ServedEmitRepeat). Boxes are pulled lazily, so a streamed
-// profile is never held in memory; a finite box slice feeds it through a
-// profile.BoxesSource. Once the boxes are exhausted (or a box size is
-// invalid) the remaining stream is ignored.
-type SquareFinisher struct {
-	src      profile.Source
-	left     int64   // boxes remaining, including the current one
-	resident []int64 // epoch-stamped from 1, so zero-filled growth means absent
-	epoch    int64
-	size     int64
-	ios      int64
-	served   int64
-	done     bool
-	err      error
-}
-
-// NewSquareFinisher returns a finisher serving at most nBoxes boxes pulled
-// from src. The first box is pulled and validated eagerly, so an invalid
-// leading box is reported even for an empty stream; with nBoxes <= 0 src
-// is never read and nothing is served.
-func NewSquareFinisher(src profile.Source, nBoxes int64) *SquareFinisher {
-	f := &SquareFinisher{src: src, left: nBoxes, epoch: 1}
-	if nBoxes <= 0 {
-		f.done = true
-		return f
-	}
-	f.size = src.Next()
-	if f.size < 1 {
-		f.err = fmt.Errorf("paging: box size %d invalid", f.size)
-	}
-	return f
-}
-
-// Reserve pre-sizes the residency array for block IDs up to maxBlock.
-func (f *SquareFinisher) Reserve(maxBlock int64) {
-	f.resident = growResident(f.resident, maxBlock)
-}
-
-// Access serves one reference, advancing to the next box when the current
-// budget is exhausted. References after the last box ends are unserved.
-//
-//lint:hotpath
-func (f *SquareFinisher) Access(block int64) {
-	if f.done || f.err != nil {
-		return
-	}
-	if block >= int64(len(f.resident)) {
-		f.resident = growResident(f.resident, block)
-	}
-	if f.resident[block] == f.epoch {
-		f.served++
-		return
-	}
-	if f.ios == f.size {
-		// Budget exhausted: this reference belongs to the next box.
-		f.left--
-		if f.left <= 0 {
-			f.done = true
-			return
-		}
-		f.size = f.src.Next()
-		if f.size < 1 {
-			//lint:ignore hotpath error path: an invalid box ends the run, one allocation to say why is fine
-			f.err = fmt.Errorf("paging: box size %d invalid", f.size)
-			return
-		}
-		// Fresh square: cache cleared.
-		f.epoch++
-		f.ios = 0
-	}
-	f.resident[block] = f.epoch
-	f.ios++
-	f.served++
-}
-
-// AccessRange serves blocks [lo, lo+count) in order.
-func (f *SquareFinisher) AccessRange(lo, count int64) {
-	for i := int64(0); i < count && !f.done && f.err == nil; i++ {
-		f.Access(lo + i)
-	}
-}
-
-// EndLeaf is a no-op: the finisher measures progress in references served,
-// not base cases.
-func (f *SquareFinisher) EndLeaf() {}
-
-// Served reports how many stream references the boxes served so far.
-func (f *SquareFinisher) Served() int64 { return f.served }
-
-// Stopped reports whether further accesses would be ignored — the boxes ran
-// out or a box size was invalid. Replay/ReplayRange/ReplayRepeat halt at
-// this boundary instead of streaming the rest of the trace into a finisher
-// that discards it, which turns the No-Catch-up sweep from quadratic into
-// O(refs actually served) per start index.
-func (f *SquareFinisher) Stopped() bool { return f.done || f.err != nil }
-
-// Err reports the first invalid-box error, if any.
-func (f *SquareFinisher) Err() error { return f.err }
-
 // ServedEmitRepeat counts the references served when reps copies of a
 // generated base stream are replayed, one after another, against the
-// first nBoxes boxes of src under SquareFinisher semantics. Repetition r
-// is shifted to block IDs +r·stride: stride = maxBlock+1 relocates each
-// repetition to a fresh address range (back-to-back multiplies of
-// different inputs), stride = 0 reuses the blocks verbatim. emit replays
-// the base workload (block IDs in [0, maxBlock]) and is called once per
-// repetition until the boxes run out; a materialized trace passes
-// tr.Emit. This is the worst-case repetition count behind E9 and
-// mmtrace -worstcase.
+// first nBoxes boxes of src under square semantics: a SquareStream
+// guarded at nBoxes boxes, whose guard tripping is the normal end of the
+// count. Repetition r is shifted to block IDs +r·stride: stride =
+// maxBlock+1 relocates each repetition to a fresh address range
+// (back-to-back multiplies of different inputs), stride = 0 reuses the
+// blocks verbatim. emit replays the base workload (block IDs in
+// [0, maxBlock]) and is called once per repetition until the boxes run
+// out; a materialized trace passes tr.Emit. This is the worst-case
+// repetition count behind E9 and mmtrace -worstcase, and with one
+// repetition the No-Catch-up check's SquareRunFrom. With nBoxes < 1 src
+// is never read and nothing is served. On an invalid box the references
+// served before it are returned with the error.
 func ServedEmitRepeat(emit func(trace.Sink) error, maxBlock int64, src profile.Source, nBoxes int64, reps int, stride int64) (int64, error) {
 	if reps < 1 {
 		return 0, fmt.Errorf("paging: reps %d < 1", reps)
 	}
-	f := NewSquareFinisher(src, nBoxes)
-	f.Reserve(maxBlock)
-	for r := 0; r < reps && !f.Stopped(); r++ {
-		var sink trace.Sink = f
+	if nBoxes < 1 {
+		return 0, nil
+	}
+	var served int64
+	q := NewSquareStream(src, nBoxes, func(b BoxStat) { served += b.Refs })
+	q.Reserve(maxBlock)
+	for r := 0; r < reps && !q.Stopped(); r++ {
+		var sink trace.Sink = q
 		if shift := int64(r) * stride; shift != 0 {
-			sink = trace.OffsetSink{S: f, Shift: shift}
+			sink = trace.OffsetSink{S: q, Shift: shift}
 		}
 		if err := emit(sink); err != nil {
 			return 0, err
 		}
 	}
-	return f.Served(), f.Err()
+	var end boxLimitError
+	if err := q.Finish(); err != nil && !errors.As(err, &end) {
+		return served, err
+	}
+	return served, nil
 }
 
 var (
 	_ trace.Sink    = (*SquareStream)(nil)
-	_ trace.Sink    = (*SquareFinisher)(nil)
 	_ trace.Stopper = (*SquareStream)(nil)
-	_ trace.Stopper = (*SquareFinisher)(nil)
 )
-
-// cacheAccessor is the shared surface of the policy caches (LRU, FIFO).
-type cacheAccessor interface {
-	Access(block int64) bool
-}
-
-// CacheSink adapts a policy cache into a trace.Sink so generators can
-// stream straight into an LRU or FIFO replay (leaf markers are ignored —
-// DAM-model replays measure I/Os, not progress).
-type CacheSink struct {
-	Cache cacheAccessor
-}
-
-// Access forwards the reference to the cache, discarding the hit flag.
-//
-//lint:hotpath
-func (s CacheSink) Access(block int64) { s.Cache.Access(block) }
-
-// AccessRange forwards blocks [lo, lo+count) in order.
-func (s CacheSink) AccessRange(lo, count int64) {
-	for i := int64(0); i < count; i++ {
-		s.Cache.Access(lo + i)
-	}
-}
-
-// EndLeaf is ignored.
-func (s CacheSink) EndLeaf() {}
-
-var _ trace.Sink = CacheSink{}

@@ -191,38 +191,17 @@ type ForkableSource interface {
 	ForkAt(box int64) Source
 }
 
-// SliceSource cycles through a fixed profile forever. Cycling (rather than
-// terminating) matches the "infinite square-profile" framing: the common use
-// is a profile known to be long enough for the run, with the cycle as a
-// safety net that keeps the stream total.
-type SliceSource struct {
-	boxes   []int64
-	pos     int
-	emitted int
-}
-
-// NewSliceSource returns a Source cycling over p's boxes. p must be
-// non-empty.
-func NewSliceSource(p *SquareProfile) (*SliceSource, error) {
+// NewSliceSource returns a Source cycling over p's boxes forever, read in
+// place (a SquareProfile is immutable once built). Cycling rather than
+// terminating matches the "infinite square-profile" framing: the common
+// use is a profile known to be long enough for the run, with the cycle as
+// a safety net that keeps the stream total. p must be non-empty.
+func NewSliceSource(p *SquareProfile) (*BoxesSource, error) {
 	if p.Len() == 0 {
 		return nil, fmt.Errorf("profile: cannot stream an empty profile")
 	}
-	return &SliceSource{boxes: p.Boxes()}, nil
+	return &BoxesSource{boxes: p.boxes}, nil
 }
-
-// Next returns the next box, cycling back to the start at the end.
-func (s *SliceSource) Next() int64 {
-	b := s.boxes[s.pos]
-	s.pos++
-	s.emitted++
-	if s.pos == len(s.boxes) {
-		s.pos = 0
-	}
-	return b
-}
-
-// Emitted reports how many boxes have been emitted so far (across cycles).
-func (s *SliceSource) Emitted() int { return s.emitted }
 
 // FuncSource adapts a function to the Source interface.
 type FuncSource func() int64
@@ -230,9 +209,9 @@ type FuncSource func() int64
 // Next calls the underlying function.
 func (f FuncSource) Next() int64 { return f() }
 
-// BoxesSource cycles over a raw box slice without copying it — the
-// allocation-light counterpart of SliceSource. The caller guarantees every
-// size is >= 1 and must not mutate the slice while the source is in use.
+// BoxesSource cycles over a box slice without copying it. The caller
+// guarantees every size is >= 1 and must not mutate the slice while the
+// source is in use.
 type BoxesSource struct {
 	boxes []int64
 	pos   int

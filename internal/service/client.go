@@ -176,23 +176,6 @@ func (c *Client) Job(ctx context.Context, id string, withTables bool) (*jobs.Sta
 	return &out, nil
 }
 
-// CancelJob DELETEs /v1/jobs/{id} and returns the post-cancel status.
-// Cancellation is idempotent server-side, so retries are safe.
-func (c *Client) CancelJob(ctx context.Context, id string) (*jobs.Status, error) {
-	var out jobs.Status
-	err := c.retry(ctx, func() (*http.Response, error) {
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/jobs/"+id, nil)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return c.httpClient().Do(req)
-	}, &out)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // WaitJob polls GET /v1/jobs/{id} (without tables) until the job leaves
 // "running" or ctx expires, pacing polls with the client's deterministic
 // backoff discipline capped at MaxDelay.

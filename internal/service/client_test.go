@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jobs"
 )
 
 // newTestClient wires a Client to srv with instant, recorded sleeps.
@@ -244,4 +245,21 @@ func TestClientAgainstRealServer(t *testing.T) {
 	if string(first.Table) != string(second.Table) {
 		t.Fatalf("cached table bytes differ from fresh run")
 	}
+}
+
+// CancelJob DELETEs /v1/jobs/{id} and returns the post-cancel status.
+// Cancellation is idempotent server-side, so retries are safe.
+func (c *Client) CancelJob(ctx context.Context, id string) (*jobs.Status, error) {
+	var out jobs.Status
+	err := c.retry(ctx, func() (*http.Response, error) {
+		req, rerr := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/jobs/"+id, nil)
+		if rerr != nil {
+			return nil, rerr
+		}
+		return c.httpClient().Do(req)
+	}, &out)
+	if err != nil {
+		return nil, err
+	}
+	return &out, nil
 }

@@ -168,18 +168,3 @@ func ClassifyGrowth(x, y []float64, slopeEps float64) (Growth, Fit, error) {
 		return GrowthFlat, f, nil
 	}
 }
-
-// GeoMean returns the geometric mean of strictly positive xs.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: geomean of empty sample")
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean needs positive values, got %g", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -56,7 +57,7 @@ func TestLinearFitNoisy(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		xi := float64(i) / 10
 		x = append(x, xi)
-		y = append(y, 4+0.5*xi+0.1*src.Norm())
+		y = append(y, 4+0.5*xi+0.1*norm(src))
 	}
 	f, err := LinearFit(x, y)
 	if err != nil {
@@ -153,4 +154,29 @@ func TestSummaryBoundsProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// norm returns a standard normal sample (Box–Muller).
+func norm(s *xrand.Source) float64 {
+	u1 := s.Float64()
+	if u1 == 0 {
+		u1 = math.SmallestNonzeroFloat64
+	}
+	u2 := s.Float64()
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
+// GeoMean returns the geometric mean of strictly positive xs.
+func GeoMean(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, fmt.Errorf("stats: geomean of empty sample")
+	}
+	var logSum float64
+	for _, x := range xs {
+		if x <= 0 {
+			return 0, fmt.Errorf("stats: geomean needs positive values, got %g", x)
+		}
+		logSum += math.Log(x)
+	}
+	return math.Exp(logSum / float64(len(xs))), nil
 }

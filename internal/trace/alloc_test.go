@@ -39,24 +39,6 @@ func TestReplayZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReplayRepeatZeroAlloc: the shifted repetition must not allocate per
-// repetition. This is the regression test for the OffsetSink boxing that
-// used to cost one heap allocation per rep.
-//
-// allocguard:ReplayRepeat
-func TestReplayRepeatZeroAlloc(t *testing.T) {
-	tr := allocTrace()
-	var cs CountingSink
-	stride := tr.MaxBlock() + 1
-	avg := testing.AllocsPerRun(10, func() {
-		ReplayRepeat(tr, &cs, 4, stride)
-		ReplayRepeat(tr, &cs, 2, 0)
-	})
-	if avg != 0 {
-		t.Fatalf("ReplayRepeat allocates %.1f times per run, want 0", avg)
-	}
-}
-
 // TestOffsetSinkZeroAlloc: the shifting adapter's own emitters are
 // allocation-free once the adapter value exists.
 //

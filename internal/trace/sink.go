@@ -124,8 +124,8 @@ type Stopper interface {
 }
 
 // stopperOf extracts the optional Stopper surface of s, unwrapping the
-// OffsetSink adapter so that shifted replays (ReplayRepeat) still stop when
-// the underlying consumer is done.
+// OffsetSink adapter so that shifted replays still stop when the
+// underlying consumer is done.
 func stopperOf(s Sink) Stopper {
 	for {
 		if o, ok := s.(OffsetSink); ok {
@@ -159,7 +159,7 @@ func (t *Trace) Emit(s Sink) error {
 // inside the range are preserved. It panics on an out-of-range window (a
 // caller bug, matching the slice convention). If s implements Stopper, the
 // replay halts at the first index where Stopped reports true, so a sink
-// that is done consuming (SquareFinisher with exhausted boxes, a windowed
+// that is done consuming (a square replay past its box limit, a windowed
 // shard) costs O(served) rather than O(trace).
 //
 //lint:hotpath
@@ -181,56 +181,6 @@ func ReplayRange(tr *Trace, s Sink, lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		s.Access(tr.blocks[i])
-		if tr.leafAt(i) {
-			s.EndLeaf()
-		}
-	}
-}
-
-// ReplayRepeat emits reps copies of tr into s, shifting each repetition's
-// blocks by r*stride. With stride 0 each repetition reuses the same data;
-// with stride = MaxBlock()+1 each repetition lands in a fresh address
-// range. The repetition is never materialized, so memory stays bounded by
-// the base trace regardless of reps. A Stopper sink halts the repetition
-// early.
-//
-//lint:hotpath
-func ReplayRepeat(tr *Trace, s Sink, reps int, stride int64) {
-	st := stopperOf(s)
-	for r := 0; r < reps; r++ {
-		if st != nil && st.Stopped() {
-			return
-		}
-		shift := int64(r) * stride
-		if shift == 0 {
-			Replay(tr, s)
-			continue
-		}
-		replayShifted(tr, s, st, shift)
-	}
-}
-
-// replayShifted emits one full pass of tr into s with every block shifted —
-// the inlined form of replaying through an OffsetSink{S: s, Shift: shift}. The
-// adapter version boxed a fresh OffsetSink into the Sink interface once per
-// repetition, one heap allocation per rep on the replay hot path; shifting
-// in the loop keeps the repetition allocation-free. st is the caller's
-// already-unwrapped Stopper (nil when s has none).
-func replayShifted(tr *Trace, s Sink, st Stopper, shift int64) {
-	if st != nil {
-		for i := range tr.blocks {
-			if st.Stopped() {
-				return
-			}
-			s.Access(tr.blocks[i] + shift)
-			if tr.leafAt(i) {
-				s.EndLeaf()
-			}
-		}
-		return
-	}
-	for i := range tr.blocks {
-		s.Access(tr.blocks[i] + shift)
 		if tr.leafAt(i) {
 			s.EndLeaf()
 		}

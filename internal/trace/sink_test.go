@@ -100,35 +100,6 @@ func TestReplayRange(t *testing.T) {
 	ReplayRange(tr, c, 5, 11)
 }
 
-func TestReplayRepeatMatchesMaterialized(t *testing.T) {
-	base := &Builder{}
-	base.Access(0)
-	base.Access(2)
-	base.EndLeaf()
-	base.Access(1)
-	tr := base.Build()
-
-	for _, stride := range []int64{0, tr.MaxBlock() + 1} {
-		b := &Builder{}
-		ReplayRepeat(tr, b, 3, stride)
-		got := b.Build()
-		if got.Len() != 3*tr.Len() || got.Leaves() != 3*tr.Leaves() {
-			t.Fatalf("stride %d: len=%d leaves=%d", stride, got.Len(), got.Leaves())
-		}
-		for r := 0; r < 3; r++ {
-			for i := 0; i < tr.Len(); i++ {
-				j := r*tr.Len() + i
-				if got.Block(j) != tr.Block(i)+int64(r)*stride {
-					t.Fatalf("stride %d rep %d pos %d: block %d", stride, r, i, got.Block(j))
-				}
-				if got.EndsLeaf(j) != tr.EndsLeaf(i) {
-					t.Fatalf("stride %d rep %d pos %d: leaf mismatch", stride, r, i)
-				}
-			}
-		}
-	}
-}
-
 // TestBitsetWordBoundaries drives leaf markers across the packed-word
 // boundary positions (63, 64, 127, 128) where shift/index bugs hide.
 func TestBitsetWordBoundaries(t *testing.T) {

@@ -175,3 +175,32 @@ func TestExpMean(t *testing.T) {
 		t.Fatalf("exp mean %.4f not ~1", mean)
 	}
 }
+
+// Norm returns a standard normal sample (Box–Muller; one value per call,
+// deliberately simple over fast).
+func (s *Source) Norm() float64 {
+	u1 := s.Float64()
+	if u1 == 0 {
+		u1 = math.SmallestNonzeroFloat64
+	}
+	u2 := s.Float64()
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
+// Geometric returns a sample from the geometric distribution with success
+// probability p in (0, 1]: the number of failures before the first success
+// (support {0, 1, 2, ...}).
+func (s *Source) Geometric(p float64) int {
+	if p <= 0 || p > 1 {
+		panic("xrand: Geometric needs p in (0,1]")
+	}
+	if p == 1 {
+		return 0
+	}
+	u := s.Float64()
+	// Avoid log(0).
+	if u == 0 {
+		u = math.SmallestNonzeroFloat64
+	}
+	return int(math.Floor(math.Log(u) / math.Log(1-p)))
+}

@@ -74,8 +74,9 @@ echo "== perfbench module =="
 # perfbench/ is a module of its own (joined to the checkout by its go.work),
 # so the ./... steps above never compile it. It calls exported names no
 # product code may still need (regular.SyntheticTrace, paging.PolicyRun,
-# paging.RunPolicyFixed, paging.SquareEmitParallel, ...); vetting and
-# testing it here makes deleting one of them fail CI.
+# paging.RunPolicyFixed, paging.SquareEmitParallel, profile.NewSliceSource
+# as a profile.Source, ...); vetting and testing it here makes deleting or
+# reshaping one of them fail CI.
 (cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (short) =="
@@ -124,8 +125,9 @@ echo "== go test -race (square replay) =="
 # (plan/execute determinism at explicit shard and worker counts, the
 # ledger-merge equivalence), race-checked since shards share the engine
 # pool; beside it the serial repeated replay (ServedEmitRepeat), the
-# finisher early-stop regressions and the square MeasureTrace replays.
-gate 'TestSquareRunParallel|TestSquareEmitParallel|FuzzParallelMatchesSerial|TestServedRepeat|TestServedEmitRepeat|TestSquareFinisher|TestReplayRangeHalts|TestReplayRepeatHalts|TestDefaultShards|TestMeasureTrace' \
+# shared box-size error text, the box-limit early-stop regressions and the
+# square MeasureTrace replays.
+gate 'TestSquareRunParallel|TestSquareEmitParallel|FuzzParallelMatchesSerial|TestServedRepeat|TestServedEmitRepeat|TestBoxSizeErrorParity|TestReplayRangeHalts|TestServedEmitRepeatHalts|TestDefaultShards|TestMeasureTrace' \
     -race -short \
     ./internal/paging/ \
     ./internal/adaptivity/
