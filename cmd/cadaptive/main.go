@@ -192,12 +192,7 @@ func run(args []string, stdout io.Writer, now func() time.Time) error {
 // construction, but asking the server verifies it is reachable).
 func listExperiments(server string) ([]service.ExperimentInfo, error) {
 	if server == "" {
-		exps := core.Experiments()
-		out := make([]service.ExperimentInfo, len(exps))
-		for i, e := range exps {
-			out[i] = service.ExperimentInfo{ID: e.ID, Source: e.Source, Summary: e.Summary}
-		}
-		return out, nil
+		return service.ListExperiments(), nil
 	}
 	return service.NewClient(server).Experiments(context.Background())
 }

@@ -86,7 +86,7 @@ func TestDaemonKillRestartResume(t *testing.T) {
 	cmd, base := startDaemon(t, dir, "-chaos-spec", "jobs.cell:latency:1:100ms")
 	c := service.NewClient(base)
 	st, err := c.SubmitJob(context.Background(), jobs.Spec{
-		Experiments: []string{"E1"},
+		Experiments: []string{"E7"}, // reads every config field: one key per cell
 		SeedStart:   1, SeedCount: cells,
 		Trials:  2,
 		MaxKMin: 4, MaxKMax: 4,

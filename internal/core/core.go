@@ -4,12 +4,13 @@
 // E1–E11 that regenerate the paper's figure and theorem-level claims, and
 // formats their results as tables.
 //
-// Every experiment is deterministic in (Config.Seed, Config.Trials,
-// Config.MaxK); EXPERIMENTS.md records the expected shapes. Experiments
-// execute on the shared parallel engine (internal/engine): a full run fans
-// out across experiments, and the Monte-Carlo experiments fan out further
-// across (size, trial) cells with xrand.Split-derived per-cell seeds, so
-// the formatted text output is byte-identical for any worker count.
+// Every experiment is deterministic in the Config fields it declares as
+// its Inputs (a subset of Seed, Trials and MaxK); EXPERIMENTS.md records
+// the expected shapes. Experiments execute on the shared parallel engine
+// (internal/engine): a full run fans out across experiments, and the
+// Monte-Carlo experiments fan out further across (size, trial) cells with
+// xrand.Split-derived per-cell seeds, so the formatted text output is
+// byte-identical for any worker count.
 package core
 
 import (
@@ -212,11 +213,75 @@ func (t *Table) FormatTSV() string {
 // a 404 over a 400.
 var ErrUnknownExperiment = errors.New("unknown experiment")
 
+// Inputs is the set of exported Config fields an experiment's tables
+// depend on. Every registered experiment declares one, and that declaration
+// is enforced rather than trusted: runTimed hands the runner a config with
+// every undeclared field zeroed, and CacheKey hashes that same projection,
+// so two configs that agree on an experiment's inputs address one table.
+type Inputs uint8
+
+const (
+	InputSeed Inputs = 1 << iota
+	InputTrials
+	InputMaxK
+	// InputNone declares that the experiment reads no Config field. It is
+	// a bit of its own so that the zero value stays "undeclared", which
+	// register rejects.
+	InputNone
+)
+
+// inputFields names each Config input by its JSON tag, in field order.
+var inputFields = []struct {
+	in   Inputs
+	name string
+}{{InputSeed, "seed"}, {InputTrials, "trials"}, {InputMaxK, "max_k"}}
+
+// Names lists the declared fields under their JSON names (seed, trials,
+// max_k), in Config order; an experiment that reads none yields an empty,
+// non-nil slice.
+func (in Inputs) Names() []string {
+	names := []string{}
+	for _, f := range inputFields {
+		if in&f.in != 0 {
+			names = append(names, f.name)
+		}
+	}
+	return names
+}
+
+// valid reports whether in is a declaration register accepts: InputNone
+// alone, or a non-empty combination of the three field bits.
+func (in Inputs) valid() bool {
+	if in == InputNone {
+		return true
+	}
+	return in != 0 && in&^(InputSeed|InputTrials|InputMaxK) == 0
+}
+
+// project returns cfg with every exported field outside in zeroed, keeping
+// the context. It is the one place a config is narrowed to an experiment's
+// inputs: runTimed runs on its result and CacheKey hashes it, so a runner
+// that read an undeclared field would see 0 and drift from the golden
+// tables.
+func (in Inputs) project(cfg Config) Config {
+	if in&InputSeed == 0 {
+		cfg.Seed = 0
+	}
+	if in&InputTrials == 0 {
+		cfg.Trials = 0
+	}
+	if in&InputMaxK == 0 {
+		cfg.MaxK = 0
+	}
+	return cfg
+}
+
 // Experiment is a runnable reproduction unit.
 type Experiment struct {
 	ID      string
 	Source  string // the paper element it reproduces
 	Summary string
+	Inputs  Inputs // the Config fields Run reads; see Inputs
 	Run     func(Config) (*Table, error)
 }
 
@@ -225,6 +290,9 @@ var registry = map[string]Experiment{}
 func register(e Experiment) {
 	if _, _, err := ParseID(e.ID); err != nil {
 		panic("core: invalid experiment ID " + e.ID)
+	}
+	if !e.Inputs.valid() {
+		panic(fmt.Sprintf("core: experiment %s declares no valid input set (%#x)", e.ID, uint8(e.Inputs)))
 	}
 	if _, dup := registry[e.ID]; dup {
 		panic("core: duplicate experiment " + e.ID)
@@ -331,30 +399,40 @@ func RunContext(ctx context.Context, id string, cfg Config) (*Table, error) {
 }
 
 // CacheKey returns the content address of a run's result: a hex SHA-256
-// over the snapshot schema version, the experiment ID, and every Config
-// field the tables depend on (seed, trials, maxK) — nothing else, because
-// experiments are deterministic pure functions of exactly those inputs
+// over the snapshot schema version, the experiment ID, and the experiment's
+// declared Inputs — cfg is projected first, so undeclared fields hash as 0
+// and configs that differ only there share one key (E11 reads no field and
+// has a single key; E1 has one per maxK). Runs see the same projection, so
+// an experiment is a pure function of exactly the fields its key covers
 // (worker count and scheduling only move wall time). Equal keys therefore
-// mean byte-identical tables, which is what makes result caching sound;
-// the schema version is mixed in so cached bytes from an older JSON layout
-// can never be served by a newer build.
+// mean byte-identical tables, which is what makes result caching sound.
+// For an experiment that reads all three fields nothing is zeroed, so its
+// keys equal those of builds that hashed every field, and job journals
+// written by them keep resuming (TestCacheKeyPinnedForFullInputs). The
+// schema version is mixed in so cached bytes from an older JSON layout can
+// never be served by a newer build. An unregistered ID hashes every field,
+// as no run can produce its table.
 func CacheKey(id string, cfg Config) string {
+	if e, ok := registry[id]; ok {
+		cfg = e.Inputs.project(cfg)
+	}
 	h := sha256.Sum256([]byte(fmt.Sprintf("cadaptive/v%d|%s|seed=%d|trials=%d|maxk=%d",
 		SnapshotSchemaVersion, id, cfg.Seed, cfg.Trials, cfg.MaxK)))
 	return hex.EncodeToString(h[:])
 }
 
-// runTimed executes one experiment and fills in its metrics. Each
-// experiment accounts against its own engine group (set up by the runner),
-// so per-experiment cell counts stay meaningful even when RunAll executes
-// many experiments concurrently on the shared pool.
+// runTimed executes one experiment on cfg projected to its declared Inputs
+// and fills in its metrics. Each experiment accounts against its own engine
+// group (set up by the runner), so per-experiment cell counts stay
+// meaningful even when RunAll executes many experiments concurrently on the
+// shared pool.
 func runTimed(e Experiment, cfg Config) (*Table, error) {
 	if err := cfg.Context().Err(); err != nil {
 		return nil, err // dead on arrival: don't start the run at all
 	}
 	workers := engine.Shared().Workers()
 	start := time.Now() //lint:ignore notime engine metrics timing, excluded from formatted tables and normalized out of goldens
-	t, err := e.Run(cfg)
+	t, err := e.Run(e.Inputs.project(cfg))
 	if err != nil {
 		return nil, err
 	}

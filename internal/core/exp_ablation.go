@@ -29,18 +29,21 @@ func init() {
 		ID:      "A1",
 		Source:  "Conclusion (open question: randomised algorithms)",
 		Summary: "Randomising each node's subproblem order does not escape the worst-case profile",
+		Inputs:  InputSeed | InputTrials | InputMaxK,
 		Run:     runA1,
 	})
 	register(Experiment{
 		ID:      "A2",
 		Source:  "Definition 1 / the square-profile reduction of [5]",
 		Summary: "Raw-profile LRU cost vs inner-square-profile square-cache cost agree within a small constant",
+		Inputs:  InputSeed,
 		Run:     runA2,
 	})
 	register(Experiment{
 		ID:      "A3",
 		Source:  "Theorem 2 (the role of c)",
 		Summary: "Gap on M_{8,4} as the scan exponent c sweeps 0..1: the log gap appears only at c = 1",
+		Inputs:  InputMaxK,
 		Run:     runA3,
 	})
 }

@@ -28,6 +28,7 @@ func init() {
 		ID:      "A5",
 		Source:  "Footnote 3 + the a = b future-work case",
 		Summary: "i.i.d. smoothing does NOT close the gap at the a = b boundary (merge-sort-shaped algorithms)",
+		Inputs:  InputSeed | InputTrials | InputMaxK,
 		Run:     runA5,
 	})
 }

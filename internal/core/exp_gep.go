@@ -22,6 +22,7 @@ func init() {
 		ID:      "A4",
 		Source:  "Theorem 2 applied to GEP ([17]'s Gaussian elimination paradigm)",
 		Summary: "Floyd–Warshall via GEP: the copying variant starves on its worst-case profile while the in-place variant completes many instances",
+		Inputs:  InputMaxK,
 		Run:     runA4,
 	})
 }

@@ -19,12 +19,14 @@ func init() {
 		ID:      "E4",
 		Source:  "Lemma 3",
 		Summary: "q = p = Pr[|□|>=n]·f(n/4); subproblem and scan box-count formulas match simulation",
+		Inputs:  InputSeed | InputTrials,
 		Run:     runE4,
 	})
 	register(Experiment{
 		ID:      "E5",
 		Source:  "Equations 3, 6-8",
 		Summary: "Stopping-time recurrence: f(n)/f(n/4) vs 8·m_{n/4}/m_n, the Π f/f' product, and the normalised stopping time f·m_n/n^{3/2}",
+		Inputs:  InputSeed | InputTrials | InputMaxK,
 		Run:     runE5,
 	})
 }

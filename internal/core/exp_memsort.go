@@ -24,6 +24,7 @@ func init() {
 		ID:      "A7",
 		Source:  "Related work (Barve–Vitter) + footnote 3",
 		Summary: "Explicitly memory-adaptive sorting beats oblivious two-way merge sort by exactly the Θ(log M) DAM factor, on every profile family",
+		Inputs:  InputSeed,
 		Run:     runA7,
 	})
 }

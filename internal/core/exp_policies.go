@@ -27,12 +27,14 @@ func init() {
 		ID:      "E12",
 		Source:  "ROADMAP: adaptive policies (Consuegra et al.) × Theorem 1",
 		Summary: "Adaptivity gap of live ARC/2Q/LRU/FIFO kernels vs OPT and the square bound, on M_{8,4}(n) and under i.i.d. smoothing",
+		Inputs:  InputSeed | InputTrials | InputMaxK,
 		Run:     runE12,
 	})
 	register(Experiment{
 		ID:      "E13",
 		Source:  "Reineke & Salinger (smoothness of paging)",
 		Summary: "Empirical smoothness curve: fault-count sensitivity to capacity changes (Δfaults per Δcapacity, and Belady-anomaly sweep) across all registered policies",
+		Inputs:  InputMaxK,
 		Run:     runE13,
 	})
 }

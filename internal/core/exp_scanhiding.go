@@ -27,6 +27,7 @@ func init() {
 		ID:      "A6",
 		Source:  "Related work: scan-hiding (Lincoln et al. [40])",
 		Summary: "One level of scan-spreading shrinks the worst-case gap's slope by a^{log_b a - 1} but leaves it logarithmic",
+		Inputs:  InputMaxK,
 		Run:     runA6,
 	})
 }

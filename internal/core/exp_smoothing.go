@@ -23,24 +23,28 @@ func init() {
 		ID:      "E3",
 		Source:  "Theorem 1 / Theorem 3",
 		Summary: "i.i.d. box sizes from arbitrary distributions (and literal shuffles of the adversary's boxes) make (8,4,1) cache-adaptive in expectation",
+		Inputs:  InputSeed | InputTrials | InputMaxK,
 		Run:     runE3,
 	})
 	register(Experiment{
 		ID:      "E6",
 		Source:  "Robustness: box-size perturbations",
 		Summary: "Multiplying each worst-case box by an i.i.d. factor in [1,t] leaves the profile worst-case in expectation",
+		Inputs:  InputSeed | InputTrials | InputMaxK,
 		Run:     runE6,
 	})
 	register(Experiment{
 		ID:      "E7",
 		Source:  "Robustness: start-time perturbations",
 		Summary: "A random cyclic start time leaves the expected gap logarithmic",
+		Inputs:  InputSeed | InputTrials | InputMaxK,
 		Run:     runE7,
 	})
 	register(Experiment{
 		ID:      "E8",
 		Source:  "Robustness: box-order perturbations",
 		Summary: "Placing each level's box after a random recursive instance remains worst-case (with prob. 1 for the aligned (a,b,1) witness)",
+		Inputs:  InputSeed | InputTrials | InputMaxK,
 		Run:     runE8,
 	})
 }

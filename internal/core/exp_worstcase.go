@@ -19,12 +19,14 @@ func init() {
 		ID:      "E1",
 		Source:  "Figure 1 / Section 3",
 		Summary: "Construct the recursive worst-case profile M_{8,4}(n) for MM-Scan and verify its potential is Θ(n^{3/2}·log n)",
+		Inputs:  InputMaxK,
 		Run:     runE1,
 	})
 	register(Experiment{
 		ID:      "E2",
 		Source:  "Theorem 2",
 		Summary: "Adaptivity dichotomy: (8,4,1) suffers a Θ(log n) gap on its worst-case profile; a<b or c<1 stay O(1)",
+		Inputs:  InputMaxK,
 		Run:     runE2,
 	})
 }

@@ -34,9 +34,11 @@ func testOpts(run CellRunner) Options {
 	}
 }
 
-// spec4 is the standard 4-cell grid: 2 seeds × maxk {3,4} of E1 at 2 trials.
+// spec4 is the standard 4-cell grid: 2 seeds × maxk {4,5} of E7 at 2
+// trials. E7 reads seed, trials and maxk, so the four cells have four
+// distinct keys — the resume tests count journaled cells by key.
 func spec4() Spec {
-	return Spec{Experiments: []string{"E1"}, SeedStart: 11, SeedCount: 2, Trials: 2, MaxKMin: 4, MaxKMax: 5}
+	return Spec{Experiments: []string{"E7"}, SeedStart: 11, SeedCount: 2, Trials: 2, MaxKMin: 4, MaxKMax: 5}
 }
 
 // echoBody is the deterministic stub result for a cell.
@@ -114,7 +116,7 @@ func TestJobRunsToCompletion(t *testing.T) {
 		if c.State != "done" {
 			t.Fatalf("cell %s state %q", c.Key, c.State)
 		}
-		want := echoBody("E1", core.Config{Seed: c.Seed, Trials: c.Trials, MaxK: c.MaxK})
+		want := echoBody("E7", core.Config{Seed: c.Seed, Trials: c.Trials, MaxK: c.MaxK})
 		if string(c.Table) != string(want) {
 			t.Fatalf("cell %s body %q, want %q", c.Key, c.Table, want)
 		}
@@ -435,7 +437,7 @@ func TestKillRestartResume(t *testing.T) {
 	// Byte-identity with an uninterrupted run: every cell's body equals the
 	// deterministic stub output, whether it came from the journal or a rerun.
 	for _, c := range fin.Cells {
-		want := echoBody("E1", core.Config{Seed: c.Seed, Trials: c.Trials, MaxK: c.MaxK})
+		want := echoBody("E7", core.Config{Seed: c.Seed, Trials: c.Trials, MaxK: c.MaxK})
 		if string(c.Table) != string(want) {
 			t.Fatalf("cell %s body %q, want %q", c.Key, c.Table, want)
 		}
@@ -443,6 +445,97 @@ func TestKillRestartResume(t *testing.T) {
 	l := m2.Ledger()
 	checkConservation(t, l)
 	if l.CellsSubmitted != 4 || l.CellsCompleted != 4 || l.JobsCompleted != 1 {
+		t.Fatalf("resumed ledger: %+v", l)
+	}
+}
+
+// TestDuplicateKeyCellsResumeFromOneRecord: E11 reads no config field, so
+// a job over E11 × 3 seeds has three cells with one key. All three
+// complete, and after a kill with a single cell journaled, restart recovers
+// every one of them from that record and runs nothing.
+func TestDuplicateKeyCellsResumeFromOneRecord(t *testing.T) {
+	spec := Spec{Experiments: []string{"E11"}, SeedStart: 1, SeedCount: 3, Trials: 2, MaxKMin: 4, MaxKMax: 4}
+	norm, err := spec.normalize(4096)
+	if err != nil {
+		t.Fatalf("normalize: %v", err)
+	}
+	cells := norm.cells()
+	key := core.CacheKey("E11", core.Config{})
+	if len(cells) != 3 {
+		t.Fatalf("spec expands to %d cells, want 3", len(cells))
+	}
+	for _, c := range cells {
+		if c.Key != key {
+			t.Fatalf("cell at seed %d has key %s, want the shared %s", c.Config.Seed, c.Key, key)
+		}
+	}
+	keyBody := func(id string, cfg core.Config) []byte { return []byte(core.CacheKey(id, cfg)) }
+
+	// Phase 1: the first cell completes and is journaled; the others block
+	// until the kill cancels them.
+	dir := t.TempDir()
+	var calls atomic.Int32
+	blockAfter1 := func(ctx context.Context, id string, cfg core.Config) ([]byte, error) {
+		if calls.Add(1) > 1 {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return keyBody(id, cfg), nil
+	}
+	opts := testOpts(blockAfter1)
+	opts.Dir = dir
+	m1, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open phase 1: %v", err)
+	}
+	st, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		cur, _ := m1.Status(st.ID, false)
+		if cur.Completed >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never completed a cell: %+v", cur)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m1.killForTest()
+
+	// Phase 2: the one journaled body settles all three cells.
+	var reruns atomic.Int32
+	counting := func(ctx context.Context, id string, cfg core.Config) ([]byte, error) {
+		reruns.Add(1)
+		return keyBody(id, cfg), nil
+	}
+	opts2 := testOpts(counting)
+	opts2.Dir = dir
+	m2, err := Open(opts2)
+	if err != nil {
+		t.Fatalf("Open phase 2: %v", err)
+	}
+	defer closeManager(t, m2)
+	if resumed, ok := m2.Status(st.ID, false); !ok || resumed.Completed != 3 {
+		t.Fatalf("resume pre-marked %+v, want all 3 cells done from one journal record", resumed)
+	}
+	fin := waitSettled(t, m2, st.ID)
+	if fin.Status != JobCompleted || fin.Completed != 3 {
+		t.Fatalf("resumed final status: %+v", fin)
+	}
+	if n := reruns.Load(); n != 0 {
+		t.Fatalf("resume ran %d cells, want 0", n)
+	}
+	for _, c := range fin.Cells {
+		if c.Key != key || string(c.Table) != key {
+			t.Fatalf("cell at seed %d: key %s body %q, want key and body %s", c.Seed, c.Key, c.Table, key)
+		}
+	}
+	l := m2.Ledger()
+	checkConservation(t, l)
+	if l.CellsSubmitted != 3 || l.CellsCompleted != 3 || l.JobsCompleted != 1 {
 		t.Fatalf("resumed ledger: %+v", l)
 	}
 }
@@ -477,7 +570,7 @@ func TestResumeIdentityAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiment cells")
 	}
-	spec := Spec{Experiments: []string{"E1"}, SeedStart: 7, SeedCount: 2, Trials: 2, MaxKMin: 4, MaxKMax: 5}
+	spec := Spec{Experiments: []string{"E7"}, SeedStart: 7, SeedCount: 2, Trials: 2, MaxKMin: 4, MaxKMax: 5}
 	norm, err := spec.normalize(4096)
 	if err != nil {
 		t.Fatalf("normalize: %v", err)

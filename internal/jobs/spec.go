@@ -35,7 +35,9 @@ type Spec struct {
 // Cell is one work item of a job: a single (experiment, config) run,
 // content-addressed by the same cache key the /v1/run path uses, which is
 // what makes journal replay, result-cache hits, and duplicate submissions
-// all line up on the same identity.
+// all line up on the same identity. The key covers only the experiment's
+// declared inputs, so cells that differ only in fields it does not read
+// (every seed of E11, say) share one key and one journaled body.
 type Cell struct {
 	Experiment string
 	Config     core.Config

@@ -141,18 +141,28 @@ type ExperimentInfo struct {
 	ID      string `json:"id"`
 	Source  string `json:"source"`
 	Summary string `json:"summary"`
+	// Inputs names the request config fields (seed, trials, max_k) the
+	// experiment reads — exactly the fields its result's key covers, so
+	// requests that differ only in the others share one cached table.
+	Inputs []string `json:"inputs"`
+}
+
+// ListExperiments returns the registry's rows in ID order, as GET
+// /v1/experiments serves them.
+func ListExperiments() []ExperimentInfo {
+	exps := core.Experiments()
+	out := make([]ExperimentInfo, len(exps))
+	for i, e := range exps {
+		out[i] = ExperimentInfo{ID: e.ID, Source: e.Source, Summary: e.Summary, Inputs: e.Inputs.Names()}
+	}
+	return out
 }
 
 // handleExperiments serves GET /v1/experiments.
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	exps := core.Experiments()
-	out := make([]ExperimentInfo, len(exps))
-	for i, e := range exps {
-		out[i] = ExperimentInfo{ID: e.ID, Source: e.Source, Summary: e.Summary}
-	}
 	writeJSON(w, http.StatusOK, struct {
 		Experiments []ExperimentInfo `json:"experiments"`
-	}{out})
+	}{ListExperiments()})
 }
 
 // handleJobSubmit serves POST /v1/jobs: validate, admit, journal, return

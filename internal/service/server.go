@@ -4,10 +4,13 @@
 // same versioned Table JSON the CLI emits, served from a content-addressed
 // result cache whenever the identical run has been computed before.
 //
-// The design leans entirely on PR 1's determinism guarantee: every
-// experiment is a pure function of (schema version, experiment ID, seed,
-// trials, maxK), so a canonical hash of those inputs (core.CacheKey) is a
-// sound address for the result bytes. On top of that the server adds
+// The design leans entirely on the determinism guarantee: every
+// experiment is a pure function of the schema version, its ID and the
+// config fields it declares as inputs (a subset of seed, trials and maxK;
+// it runs with the others zeroed), so a canonical hash of exactly those
+// (core.CacheKey) is a sound address for the result bytes, and requests
+// that differ only in fields the experiment does not read share one
+// entry. On top of that the server adds
 // singleflight de-duplication (concurrent identical requests run once), a
 // semaphore bounding how many distinct experiments execute at a time,
 // per-run timeouts threaded as context cancellation into engine.Map, and

@@ -122,6 +122,52 @@ func TestServiceCacheHit(t *testing.T) {
 	}
 }
 
+// TestServiceCachedAcrossSeeds: the key covers only an experiment's
+// declared inputs. E11 reads no config field, so a request at seed 2 hits
+// the table computed at seed 1 — same key, same bytes — while E3, which
+// reads the seed, misses at both. The envelope still echoes each request's
+// own config.
+func TestServiceCachedAcrossSeeds(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	run := func(id string, seed uint64) RunResponse {
+		t.Helper()
+		cfg := smokeConfig()
+		cfg.Seed = seed
+		resp, data := postRun(t, ts, runBody(cfg, id))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s seed %d: %d: %s", id, seed, resp.StatusCode, data)
+		}
+		var r RunResponse
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Config.Seed != seed {
+			t.Errorf("%s seed %d: envelope echoes seed %d", id, seed, r.Config.Seed)
+		}
+		return r
+	}
+	e11a, e11b := run("E11", 1), run("E11", 2)
+	if e11a.Cached || !e11b.Cached {
+		t.Errorf("E11 cached = %v then %v, want a miss then a hit", e11a.Cached, e11b.Cached)
+	}
+	if e11a.Key != e11b.Key || !bytes.Equal(e11a.Table, e11b.Table) {
+		t.Error("E11 at seeds 1 and 2 got different keys or table bytes")
+	}
+	e3a, e3b := run("E3", 1), run("E3", 2)
+	if e3a.Cached || e3b.Cached || e3a.Key == e3b.Key {
+		t.Errorf("E3 at seeds 1 and 2: cached %v/%v, keys equal %v; want two misses under two keys",
+			e3a.Cached, e3b.Cached, e3a.Key == e3b.Key)
+	}
+	var m metricsSnapshot
+	getJSON(t, ts, "/metrics", &m)
+	if m.Cache.Hits != 1 || m.Cache.Misses != 3 || m.Runs.Started != 3 {
+		t.Errorf("hits=%d misses=%d runs=%d, want 1/3/3", m.Cache.Hits, m.Cache.Misses, m.Runs.Started)
+	}
+}
+
 // TestServiceCLIAndServerTablesIdentical is the no-drift guarantee: the
 // table the service returns is byte-identical (modulo run-dependent
 // Metrics) to what the CLI's core.RunContext entry point produces for the
@@ -664,6 +710,19 @@ func TestServiceExperimentsEndpoint(t *testing.T) {
 		got := body.Experiments[i]
 		if got.ID != e.ID || got.Source != e.Source || got.Summary != e.Summary {
 			t.Errorf("entry %d = %+v, want %s/%s/%s", i, got, e.ID, e.Source, e.Summary)
+		}
+		if !reflect.DeepEqual(got.Inputs, e.Inputs.Names()) {
+			t.Errorf("%s inputs = %v, want %v", e.ID, got.Inputs, e.Inputs.Names())
+		}
+	}
+	// The wire form: an experiment that reads no field lists [], not null.
+	var raw struct {
+		Experiments []map[string]json.RawMessage `json:"experiments"`
+	}
+	getJSON(t, ts, "/v1/experiments", &raw)
+	for _, row := range raw.Experiments {
+		if string(row["id"]) == `"E11"` && string(row["inputs"]) != "[]" {
+			t.Errorf("E11 inputs on the wire = %s, want []", row["inputs"])
 		}
 	}
 }

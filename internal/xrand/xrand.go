@@ -10,8 +10,6 @@
 // trials each own a private generator without locking.
 package xrand
 
-import "math"
-
 // Source is a deterministic pseudo-random source. It is NOT safe for
 // concurrent use; derive one Source per goroutine with Split.
 type Source struct {
@@ -133,13 +131,4 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 		j := s.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Exp returns an exponentially distributed sample with rate 1.
-func (s *Source) Exp() float64 {
-	u := s.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return -math.Log(u)
 }

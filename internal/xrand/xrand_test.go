@@ -176,6 +176,15 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
+// Exp returns an exponentially distributed sample with rate 1.
+func (s *Source) Exp() float64 {
+	u := s.Float64()
+	if u == 0 {
+		u = math.SmallestNonzeroFloat64
+	}
+	return -math.Log(u)
+}
+
 // Norm returns a standard normal sample (Box–Muller; one value per call,
 // deliberately simple over fast).
 func (s *Source) Norm() float64 {
