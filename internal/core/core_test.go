@@ -524,20 +524,30 @@ func TestCacheKey(t *testing.T) {
 	if len(k1) != 64 {
 		t.Errorf("CacheKey length %d, want 64 hex chars", len(k1))
 	}
-	// Every input the tables depend on must move the key.
-	seen := map[string]string{"base": k1}
-	for name, k := range map[string]string{
-		"id":     CacheKey("E4", cfg),
-		"seed":   CacheKey("E3", Config{Seed: cfg.Seed + 1, Trials: cfg.Trials, MaxK: cfg.MaxK}),
-		"trials": CacheKey("E3", Config{Seed: cfg.Seed, Trials: cfg.Trials + 1, MaxK: cfg.MaxK}),
-		"maxk":   CacheKey("E3", Config{Seed: cfg.Seed, Trials: cfg.Trials, MaxK: cfg.MaxK + 1}),
-	} {
-		for prev, pk := range seen {
-			if k == pk {
-				t.Errorf("changing %s collides with %s", name, prev)
+	if k := CacheKey("E4", cfg); k == k1 {
+		t.Error("changing the experiment ID did not move the key")
+	}
+	// For every experiment, moving a declared field moves the key and
+	// moving an undeclared one does not, so configs share a key exactly
+	// when the experiment cannot tell them apart.
+	bumps := []struct {
+		in   Inputs
+		name string
+		cfg  Config
+	}{
+		{InputSeed, "seed", Config{Seed: cfg.Seed + 1, Trials: cfg.Trials, MaxK: cfg.MaxK}},
+		{InputTrials, "trials", Config{Seed: cfg.Seed, Trials: cfg.Trials + 1, MaxK: cfg.MaxK}},
+		{InputMaxK, "maxk", Config{Seed: cfg.Seed, Trials: cfg.Trials, MaxK: cfg.MaxK + 1}},
+	}
+	for _, e := range Experiments() {
+		k := CacheKey(e.ID, cfg)
+		for _, b := range bumps {
+			moved := CacheKey(e.ID, b.cfg) != k
+			if declared := e.Inputs&b.in != 0; moved != declared {
+				t.Errorf("%s (inputs %v): changing %s moved the key = %v, want %v",
+					e.ID, e.Inputs.Names(), b.name, moved, declared)
 			}
 		}
-		seen[name] = k
 	}
 	// The context must NOT move the key: it is not part of the result.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -62,7 +62,18 @@ func TestChaosStorm(t *testing.T) {
 	cfgFor := func(i int) (string, core.Config) {
 		cfg := core.DefaultConfig()
 		cfg.Seed, cfg.Trials, cfg.MaxK = uint64(7+i%configs), 2, 4
-		return "E1", cfg
+		return "E7", cfg
+	}
+	// The storm's coverage rests on those keys being distinct: E7 reads
+	// seed, trials and max_k, so each seed is its own content address. An
+	// experiment that ignores the seed would fold the storm onto one key.
+	keys := make(map[string]bool)
+	for i := 0; i < configs; i++ {
+		id, cfg := cfgFor(i)
+		keys[core.CacheKey(id, cfg)] = true
+	}
+	if len(keys) != configs {
+		t.Fatalf("storm configs span %d cache keys, want %d", len(keys), configs)
 	}
 
 	// normalize strips the one run-dependent part of a table body — the
@@ -113,7 +124,7 @@ func TestChaosStorm(t *testing.T) {
 	// A small queue in front of few run slots makes real sheds likely under
 	// 12 concurrent clients while conservation still has to balance. Four
 	// cache shards put the storm on the sharded paths for real: keys spread
-	// over shards, so singleflight tables, eviction policies, and the
+	// over shards, so singleflight tables, LRU eviction, and the
 	// per-shard counters all run concurrently under the fault spec.
 	// JobsDir arms the journal for real, so jobs.journal faults hit actual
 	// fsync'd appends and the jobs ledger is fed by the same durable path
@@ -155,7 +166,7 @@ func TestChaosStorm(t *testing.T) {
 			// the cancellation arm of the ledger.
 			if g%3 == 0 {
 				st, err := c.SubmitJob(context.Background(), jobs.Spec{
-					Experiments: []string{"E1"},
+					Experiments: []string{"E7"},
 					SeedStart:   7, SeedCount: configs,
 					Trials:  2,
 					MaxKMin: 4, MaxKMax: 4,
