@@ -75,8 +75,6 @@ type Options struct {
 	// MaxJobs bounds concurrently active (non-terminal) jobs; Submit sheds
 	// beyond it. Default 8.
 	MaxJobs int
-	// MaxCellsPerJob bounds a single spec's grid. Default 4096.
-	MaxCellsPerJob int
 	// Retries is the per-cell attempt budget before the cell is poisoned.
 	// Default 3.
 	Retries int
@@ -106,18 +104,19 @@ type Options struct {
 	// work must not starve interactive Maps of recruits. Default:
 	// engine.Shared().
 	Pool *engine.Pool
-	// PoolReserve is how many pool tokens dispatch leaves free for
-	// interactive work; 0 selects the default of 1, negative means no
-	// reserve.
-	PoolReserve int
 }
+
+const (
+	// maxCellsPerJob bounds a single spec's grid.
+	maxCellsPerJob = 4096
+	// poolReserve is how many pool tokens dispatch leaves free for
+	// interactive work.
+	poolReserve = 1
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxJobs == 0 {
 		o.MaxJobs = 8
-	}
-	if o.MaxCellsPerJob == 0 {
-		o.MaxCellsPerJob = 4096
 	}
 	if o.Retries == 0 {
 		o.Retries = 3
@@ -142,12 +141,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Pool == nil {
 		o.Pool = engine.Shared()
-	}
-	switch {
-	case o.PoolReserve == 0:
-		o.PoolReserve = 1
-	case o.PoolReserve < 0:
-		o.PoolReserve = 0
 	}
 	return o
 }
@@ -380,7 +373,7 @@ func (m *Manager) restore(rep *Replay) {
 			m.journalErrs.Add(1)
 			continue
 		}
-		norm, err := spec.normalize(m.opts.MaxCellsPerJob)
+		norm, err := spec.normalize(maxCellsPerJob)
 		if err != nil {
 			// The journaled spec no longer validates (e.g. an experiment
 			// retired across versions): drop the job rather than the journal.
@@ -489,7 +482,7 @@ func (m *Manager) newJob(id string, spec Spec) *Job {
 // Submit validates and admits a job, journals its creation, and wakes the
 // scheduler. It returns immediately with the job's initial status.
 func (m *Manager) Submit(spec Spec) (*Status, error) {
-	norm, err := spec.normalize(m.opts.MaxCellsPerJob)
+	norm, err := spec.normalize(maxCellsPerJob)
 	if err != nil {
 		return nil, err
 	}
@@ -748,7 +741,7 @@ func (m *Manager) dispatchLoop() {
 			<-m.slots
 			return // nothing dispatchable; a submit/completion will kick us
 		}
-		release, ok := m.opts.Pool.TryToken(m.opts.PoolReserve)
+		release, ok := m.opts.Pool.TryToken(poolReserve)
 		if !ok {
 			// Engine pool busy with interactive work: put the cell back and
 			// retry shortly — batch only consumes idle capacity.

@@ -2,7 +2,6 @@ package paging
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/trace"
 )
@@ -200,51 +199,6 @@ func (l *LRU) evict() {
 // Contains reports whether block is resident without recording a hit.
 func (l *LRU) Contains(block int64) bool {
 	return block >= 0 && block < int64(len(l.slot)) && l.slot[block] != nilNode
-}
-
-// UnboundedCapacity is the capacity at which an LRU never self-evicts. The
-// service's result cache builds its LRU order there and drives evictions
-// itself: it decides *when* to evict (an entry-count bound, a bytes bound)
-// and asks the LRU *which* entry goes, through Touch/Insert/Victim/Remove.
-// Contract: Insert an ID at most once until it is Removed, Touch only
-// resident IDs, and Victim is stable until the next mutation.
-const UnboundedCapacity = int64(math.MaxInt64)
-
-// Touch records a use of a resident entry. At UnboundedCapacity the LRU
-// never self-evicts, so Access doubles as both Touch (hit path: move to
-// front) and Insert (miss path: push front).
-func (l *LRU) Touch(id int64) { l.Access(id) }
-
-// Insert admits a new entry as the most recently used; see Touch.
-func (l *LRU) Insert(id int64) { l.Access(id) }
-
-// Victim returns the least recently used resident block — the one Access
-// would evict next — or -1 when the cache is empty. It does not evict;
-// pair it with Remove when an external bound (bytes, entry count) rather
-// than this cache's own capacity decides when to evict.
-func (l *LRU) Victim() int64 {
-	if l.tail == nilNode {
-		return -1
-	}
-	return l.blockOf[l.tail]
-}
-
-// Remove evicts one specific resident block, wherever it sits in the
-// recency order, and reports whether it was resident. O(1): the dense
-// index finds the node and the intrusive list unlinks it in place.
-func (l *LRU) Remove(block int64) bool {
-	if block < 0 || block >= int64(len(l.slot)) {
-		return false
-	}
-	s := l.slot[block]
-	if s == nilNode {
-		return false
-	}
-	l.unlink(s)
-	l.slot[block] = nilNode
-	l.free = append(l.free, s)
-	l.size--
-	return true
 }
 
 // RunLRUProfile replays tr through an LRU whose capacity follows the raw

@@ -110,8 +110,8 @@ func (q *TwoQ) Reserve(maxBlock int64) { q.ensure(maxBlock) }
 
 // kinDyn is A1in's slot entitlement: a quarter of the *current* occupancy,
 // at least one. While the cache is full this equals the classic Kin = c/4;
-// tying it to occupancy instead of capacity keeps the rule meaningful in
-// external-bound mode, where capacity is unbounded.
+// tying it to occupancy instead of capacity keeps the rule meaningful while
+// a large cache is still filling.
 func (q *TwoQ) kinDyn() int64 {
 	k := q.Len() / 4
 	if k < 1 {

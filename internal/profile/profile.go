@@ -129,20 +129,6 @@ func (p *SquareProfile) MaxBox() int64 {
 	return m
 }
 
-// MinBox returns the smallest box size (0 for an empty profile).
-func (p *SquareProfile) MinBox() int64 {
-	if len(p.boxes) == 0 {
-		return 0
-	}
-	m := p.boxes[0]
-	for _, b := range p.boxes[1:] {
-		if b < m {
-			m = b
-		}
-	}
-	return m
-}
-
 // SizeHistogram returns a map from box size to multiplicity.
 func (p *SquareProfile) SizeHistogram() map[int64]int64 {
 	h := make(map[int64]int64)

@@ -45,8 +45,8 @@ func TestBasicAccounting(t *testing.T) {
 	if p.Duration() != 25 {
 		t.Errorf("Duration = %d, want 25", p.Duration())
 	}
-	if p.MaxBox() != 16 || p.MinBox() != 1 {
-		t.Errorf("Max/Min = %d/%d", p.MaxBox(), p.MinBox())
+	if p.MaxBox() != 16 {
+		t.Errorf("MaxBox = %d, want 16", p.MaxBox())
 	}
 	// Potential with e = 1.5: 1 + 8 + 64 + 8 = 81.
 	if got := p.Potential(1.5); math.Abs(got-81) > 1e-9 {

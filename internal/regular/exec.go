@@ -444,13 +444,3 @@ func (e *Exec) Run(next func() int64, maxBoxes int64, visit func(box, progress i
 	}
 	return nil
 }
-
-// RunCollect is Run with the per-box sizes and progress gathered into
-// slices, for tests and small experiments.
-func (e *Exec) RunCollect(next func() int64, maxBoxes int64) (boxes, progress []int64, err error) {
-	err = e.Run(next, maxBoxes, func(b, p int64) {
-		boxes = append(boxes, b)
-		progress = append(progress, p)
-	})
-	return boxes, progress, err
-}

@@ -218,16 +218,9 @@ func TestScanCompletedByLargeBox(t *testing.T) {
 func TestRunCollect(t *testing.T) {
 	e := mustExec(t, MMScanSpec, 64)
 	src := profile.FuncSource(func() int64 { return 16 })
-	boxes, prog, err := e.RunCollect(src.Next, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(boxes) != len(prog) {
-		t.Fatal("length mismatch")
-	}
 	var total int64
-	for _, p := range prog {
-		total += p
+	if err := e.Run(src.Next, 0, func(_, p int64) { total += p }); err != nil {
+		t.Fatal(err)
 	}
 	if total != e.TotalLeaves() {
 		t.Errorf("total progress %d, want %d", total, e.TotalLeaves())

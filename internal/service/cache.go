@@ -7,17 +7,14 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/paging"
 )
 
 // shardedCache is the service's content-addressed result store: rendered
 // result bodies keyed by core.CacheKey hashes, spread over N independent
 // shards so concurrent requests for different keys never contend on one
 // mutex. Each shard owns its own lock, its own singleflight table, and its
-// own LRU order — a *paging.LRU built at paging.UnboundedCapacity, so it
-// never self-evicts and the shard drives evictions through its
-// Touch/Insert/Victim/Remove methods.
+// own LRU order: an intrusive doubly-linked recency list threaded through
+// its entries.
 //
 // Because experiments are deterministic pure functions of the hashed
 // inputs, a cached body is not an approximation of a fresh run — it is
@@ -38,28 +35,21 @@ type cacheConfig struct {
 	shards int
 	// maxEntries and maxBytes bound the whole cache (they are split evenly
 	// across shards, rounded up). Either being 0 disables caching: do()
-	// still collapses concurrent identical runs, but nothing is stored —
-	// the successor semantics of the old capacity<=0 behaviour, where
-	// insert immediately evicted the entry it had just added.
+	// still collapses concurrent identical runs, but nothing is stored.
 	maxEntries int64
 	maxBytes   int64
 }
 
-// cacheShard is one lock's worth of the cache. Entries are indexed two
-// ways: by key for lookup, and by a dense int64 ID for the LRU order,
-// whose kernel wants the compact universes the paging package is built
-// around. IDs are recycled through a free list, so the dense side
-// stays as small as the shard's peak entry count.
+// cacheShard is one lock's worth of the cache. Entries are indexed by key
+// for lookup and linked head-to-tail in recency order for eviction.
 type cacheShard struct {
 	mu sync.Mutex
 	//lint:guardedby mu
 	entries map[string]*cacheEntry
 	//lint:guardedby mu
-	byID []*cacheEntry
+	head *cacheEntry // most recently used
 	//lint:guardedby mu
-	freeIDs []int64
-	//lint:guardedby mu
-	order *paging.LRU
+	tail *cacheEntry // least recently used: the next eviction victim
 	//lint:guardedby mu
 	bytes int64 // sum of resident body lengths
 	//lint:guardedby mu
@@ -77,10 +67,12 @@ type cacheShard struct {
 	evictions atomic.Int64
 }
 
+// cacheEntry is one cached body. prev and next link it into its shard's
+// recency list and are guarded by that shard's mu.
 type cacheEntry struct {
-	key  string
-	id   int64 // dense LRU ID
-	body []byte
+	key        string
+	body       []byte
+	prev, next *cacheEntry
 }
 
 // flight is one in-progress computation of a key, a leader's run.
@@ -120,14 +112,9 @@ func newShardedCache(cfg cacheConfig) (*shardedCache, error) {
 	perEntries := (cfg.maxEntries + int64(n) - 1) / int64(n)
 	perBytes := (cfg.maxBytes + int64(n) - 1) / int64(n)
 	for i := range c.shards {
-		order, err := paging.NewLRU(paging.UnboundedCapacity)
-		if err != nil {
-			return nil, err
-		}
 		c.shards[i] = &cacheShard{
 			entries:    make(map[string]*cacheEntry),
 			inflight:   make(map[string]*flight),
-			order:      order,
 			maxEntries: perEntries,
 			maxBytes:   perBytes,
 		}
@@ -223,7 +210,7 @@ func (c *shardedCache) do(ctx context.Context, key string, fn func() ([]byte, er
 	sh := c.shards[c.shardFor(key)]
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok {
-		sh.order.Touch(e.id)
+		sh.moveToFrontLocked(e)
 		body := e.body
 		sh.mu.Unlock()
 		return body, outcomeHit, nil
@@ -268,10 +255,14 @@ func runContained(key string, fn func() ([]byte, error)) (body []byte, err error
 	return fn()
 }
 
-// insertLocked adds (or refreshes) a body and evicts past the shard's
-// bounds. Callers hold sh.mu. The entry just inserted is never the
+// insertLocked adds a freshly computed body at the front of the recency
+// list and evicts past the shard's bounds. Callers hold sh.mu. The key is
+// never already resident: do inserts only as a flight's leader, and the hit
+// check and the flight registration happen under one lock, so a key with an
+// entry never starts a flight. The entry just inserted is never the
 // eviction victim: a body too large to ever fit is simply not cached, and
-// the overflow loop stops before reaching the newest entry.
+// the new entry sits at the head, so the overflow loop reaches it only
+// when it is the sole entry, and stops there.
 //
 //lint:locked mu
 func (c *shardedCache) insertLocked(sh *cacheShard, key string, body []byte) {
@@ -279,64 +270,57 @@ func (c *shardedCache) insertLocked(sh *cacheShard, key string, body []byte) {
 		return
 	}
 	n := int64(len(body))
-	if e, ok := sh.entries[key]; ok {
-		// Possible if an entry was evicted and recomputed concurrently;
-		// both computations produced equivalent bytes, keep the fresh ones.
-		if n > sh.maxBytes {
-			sh.removeLocked(e) // grew past what this shard may ever hold
-			return
-		}
-		sh.bytes += n - int64(len(e.body))
-		e.body = body
-		sh.order.Touch(e.id)
-		sh.evictOverflowLocked(e.id)
-		return
-	}
 	if n > sh.maxBytes {
 		return // can never fit; caching it would evict everything for nothing
 	}
 	e := &cacheEntry{key: key, body: body}
-	if k := len(sh.freeIDs); k > 0 {
-		e.id = sh.freeIDs[k-1]
-		sh.freeIDs = sh.freeIDs[:k-1]
-		sh.byID[e.id] = e
-	} else {
-		e.id = int64(len(sh.byID))
-		sh.byID = append(sh.byID, e)
-	}
 	sh.entries[key] = e
-	sh.order.Insert(e.id)
+	sh.pushFrontLocked(e)
 	sh.bytes += n
-	sh.evictOverflowLocked(e.id)
-}
-
-// evictOverflowLocked evicts least recently used entries until both bounds
-// hold again, never evicting the entry identified by keep. keep was just
-// inserted or touched, so it is the most recently used: the LRU victim is
-// keep only when keep is the sole entry. Callers hold sh.mu.
-//
-//lint:locked mu
-func (sh *cacheShard) evictOverflowLocked(keep int64) {
-	for sh.bytes > sh.maxBytes || int64(len(sh.entries)) > sh.maxEntries {
-		v := sh.order.Victim()
-		if v < 0 || v == keep {
-			return
-		}
-		sh.removeLocked(sh.byID[v])
+	for (sh.bytes > sh.maxBytes || int64(len(sh.entries)) > sh.maxEntries) && sh.tail != e {
+		v := sh.tail
+		sh.unlinkLocked(v)
+		delete(sh.entries, v.key)
+		sh.bytes -= int64(len(v.body))
 		sh.evictions.Add(1)
 	}
 }
 
-// removeLocked forgets an entry everywhere: key map, dense index, LRU
-// order, bytes ledger. Callers hold sh.mu.
-//
 //lint:locked mu
-func (sh *cacheShard) removeLocked(e *cacheEntry) {
-	delete(sh.entries, e.key)
-	sh.order.Remove(e.id)
-	sh.bytes -= int64(len(e.body))
-	sh.byID[e.id] = nil
-	sh.freeIDs = append(sh.freeIDs, e.id)
+func (sh *cacheShard) pushFrontLocked(e *cacheEntry) {
+	e.prev = nil
+	e.next = sh.head
+	if sh.head != nil {
+		sh.head.prev = e
+	}
+	sh.head = e
+	if sh.tail == nil {
+		sh.tail = e
+	}
+}
+
+//lint:locked mu
+func (sh *cacheShard) unlinkLocked(e *cacheEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		sh.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		sh.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+//lint:locked mu
+func (sh *cacheShard) moveToFrontLocked(e *cacheEntry) {
+	if sh.head == e {
+		return
+	}
+	sh.unlinkLocked(e)
+	sh.pushFrontLocked(e)
 }
 
 // cacheStats is a point-in-time aggregate view of the cache for /metrics.

@@ -144,6 +144,7 @@ func TestCacheSingleflightSharesOneRun(t *testing.T) {
 	if misses != 1 {
 		t.Errorf("%d misses, want exactly 1 (rest coalesce or hit)", misses)
 	}
+	assertBounds(t, c)
 }
 
 func TestCacheCoalescedWaiterHonoursContext(t *testing.T) {

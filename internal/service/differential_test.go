@@ -221,5 +221,8 @@ func TestCacheDifferentialCoalesce(t *testing.T) {
 		if c.len() != 1 {
 			t.Errorf("%T len = %d, want 1", c, c.len())
 		}
+		if sc, ok := c.(*shardedCache); ok {
+			assertBounds(t, sc)
+		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 // This file preserves the pre-sharding resultCache as a differential-test
 // oracle, the same discipline internal/paging uses for its kernels
 // (oracle_test.go there keeps the map/heap policies the array kernels
-// replaced). The sharded cache at 1 shard with the LRU policy and an
-// unbounded bytes budget must be outcome-identical to this implementation
+// replaced). The sharded cache at 1 shard with an unbounded bytes budget must be outcome-identical to this implementation
 // on any operation sequence; differential_test.go replays recorded
 // sequences against both.
 

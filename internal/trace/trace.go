@@ -145,16 +145,6 @@ func (t *Trace) DistinctBlocks() int64 {
 	return n
 }
 
-// Slice returns the subtrace [lo, hi) as a view-copy (markers included).
-func (t *Trace) Slice(lo, hi int) (*Trace, error) {
-	if lo < 0 || hi < lo || hi > len(t.blocks) {
-		return nil, fmt.Errorf("trace: slice [%d,%d) out of range [0,%d)", lo, hi, len(t.blocks))
-	}
-	b := &Builder{}
-	ReplayRange(t, b, lo, hi)
-	return b.Build(), nil
-}
-
 // String summarises the trace.
 func (t *Trace) String() string {
 	return fmt.Sprintf("Trace{refs=%d, leaves=%d, maxBlock=%d}", t.Len(), t.leaves, t.maxBlock)

@@ -73,30 +73,6 @@ func TestDistinctCountsRepeats(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	b := &Builder{}
-	for i := int64(0); i < 6; i++ {
-		b.Access(i)
-		if i%2 == 1 {
-			b.EndLeaf()
-		}
-	}
-	tr := b.Build()
-	s, err := tr.Slice(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 || s.Block(0) != 2 || !s.EndsLeaf(1) || s.Leaves() != 1 {
-		t.Errorf("slice wrong: %v blocks=%d leaves=%d", s, s.Block(0), s.Leaves())
-	}
-	if _, err := tr.Slice(4, 2); err == nil {
-		t.Error("inverted slice accepted")
-	}
-	if _, err := tr.Slice(0, 100); err == nil {
-		t.Error("overlong slice accepted")
-	}
-}
-
 func TestEmptyTrace(t *testing.T) {
 	tr := (&Builder{}).Build()
 	if tr.Len() != 0 || tr.DistinctBlocks() != 0 || tr.Leaves() != 0 {

@@ -111,8 +111,7 @@ gate 'TestCacheDifferential|TestCacheBytesBound|TestCacheShardRouting|TestCacheD
 echo "== go test -race (policy registry + adaptive kernels) =="
 # The ReplacementPolicy registry end to end: ARC/2Q differential oracles,
 # the by-name box replay (PolicyStream, Replay/PolicyRun and the opt box
-# replay), the registry-name plumbing through MeasureTracePolicy, the LRU's
-# external-bound conformance against its naive reference, the
+# replay), the registry-name plumbing through MeasureTracePolicy, the
 # Hit-then-Access vs Contains-then-Access differential over every kernel,
 # and the one-pass LRU/OPT fault curves against per-capacity replays.
 gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess|TestFaultCurvesMatchFixedReplays' \
