@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -362,6 +363,8 @@ func TestNestedMapSaturationDegradesToSerial(t *testing.T) {
 	outer := p.Group()
 	var entered atomic.Int64
 	barrier := make(chan struct{})
+	var finished sync.WaitGroup
+	finished.Add(workers)
 	err := outer.Map(workers, func(cell, _ int) error {
 		// Hold every outer cell here until all of them run at once: the
 		// pool is then provably saturated when the inner Maps start.
@@ -369,6 +372,13 @@ func TestNestedMapSaturationDegradesToSerial(t *testing.T) {
 			close(barrier)
 		}
 		<-barrier
+		// Hold every outer cell again until all inner Maps are done: an
+		// outer cell that returned early would hand its worker's token back
+		// while another inner Map could still recruit it.
+		defer func() {
+			finished.Done()
+			finished.Wait()
+		}()
 		inner := p.Group()
 		var innerCur, innerPeak atomic.Int64
 		if err := inner.Map(25, func(c, w int) error {
