@@ -44,6 +44,37 @@ func (w *workerState) exec(spec regular.Spec, n int64) (*regular.Exec, error) {
 	return e, nil
 }
 
+// sweep runs one Monte-Carlo cell per (row r, level k, trial) on g, for
+// r < rows, k = kMin..kMax and trial < trials(k), and returns the results
+// as out[r][k-kMin][trial]. The cells are laid out row-major and each gets
+// its worker's scratch state; cell derives its seed from its coordinates,
+// so the grid is identical for any worker count.
+func sweep(g *engine.Group, rows, kMin, kMax int, trials func(k int) int,
+	cell func(ws *workerState, r, k, trial int) (float64, error)) ([][][]float64, error) {
+	type coord struct{ r, k, trial int }
+	var cells []coord
+	out := make([][][]float64, rows)
+	for r := range out {
+		out[r] = make([][]float64, kMax-kMin+1)
+		for k := kMin; k <= kMax; k++ {
+			out[r][k-kMin] = make([]float64, trials(k))
+			for trial := range out[r][k-kMin] {
+				cells = append(cells, coord{r, k, trial})
+			}
+		}
+	}
+	workers := newWorkerStates(g)
+	if err := g.Map(len(cells), func(i, w int) error {
+		c := cells[i]
+		v, err := cell(workers[w], c.r, c.k, c.trial)
+		out[c.r][c.k-kMin][c.trial] = v
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // finishMetrics copies a group's execution accounting onto the table.
 func finishMetrics(t *Table, g *engine.Group) {
 	t.Metrics.Cells = g.Cells()

@@ -85,7 +85,7 @@ func runE12(cfg Config) (*Table, error) {
 
 	// i.i.d. part: box sizes drawn from the worst-case profile's own box
 	// distribution (Theorem 1's strongest test) — one engine cell per
-	// (policy, size, trial), laid out row-major.
+	// (policy, size, trial).
 	dists := make(map[int]xrand.Dist, kMax-kMin+1)
 	for k := kMin; k <= kMax; k++ {
 		d, err := xrand.WorstCaseBoxDist(8, 4, profile.Pow(4, k))
@@ -94,40 +94,27 @@ func runE12(cfg Config) (*Table, error) {
 		}
 		dists[k] = d
 	}
-	type cell struct{ p, k, trial int }
-	var cells []cell
-	for p := range policies {
-		for k := kMin; k <= kMax; k++ {
-			for trial := 0; trial < cfg.Trials; trial++ {
-				cells = append(cells, cell{p, k, trial})
-			}
-		}
-	}
 	g := engine.NewGroup().WithContext(cfg.Context())
-	gaps := make([]float64, len(cells))
-	if err := g.Map(len(cells), func(i, _ int) error {
-		c := cells[i]
-		rng := xrand.New(xrand.Split(cfg.Seed, "E12", int64(c.p), int64(c.k), int64(c.trial)))
-		src := profile.FuncSource(func() int64 { return dists[c.k].Sample(rng) })
-		res, err := adaptivity.MeasureTracePolicy(spec, profile.Pow(4, c.k), policies[c.p], src, 0)
-		if err != nil {
-			return fmt.Errorf("E12 %s k=%d trial %d: %w", policies[c.p], c.k, c.trial, err)
-		}
-		gaps[i] = res.Gap()
-		return nil
-	}); err != nil {
+	gaps, err := sweep(g, len(policies), kMin, kMax, func(int) int { return cfg.Trials },
+		func(_ *workerState, p, k, trial int) (float64, error) {
+			rng := xrand.New(xrand.Split(cfg.Seed, "E12", int64(p), int64(k), int64(trial)))
+			src := profile.FuncSource(func() int64 { return dists[k].Sample(rng) })
+			res, err := adaptivity.MeasureTracePolicy(spec, profile.Pow(4, k), policies[p], src, 0)
+			if err != nil {
+				return 0, fmt.Errorf("E12 %s k=%d trial %d: %w", policies[p], k, trial, err)
+			}
+			return res.Gap(), nil
+		})
+	if err != nil {
 		return nil, err
 	}
 
 	var notes []string
-	idx := 0
 	for p, pol := range policies {
 		var wcCurve gapCurve
 		for k := kMin; k <= kMax; k++ {
-			kGaps := gaps[idx : idx+cfg.Trials]
-			idx += cfg.Trials
 			wcCurve.add(k, []float64{wcGaps[p][k-kMin]})
-			s := stats.Summarize(kGaps)
+			s := stats.Summarize(gaps[p][k-kMin])
 			t.AddRow(pol, k, profile.Pow(4, k), wcGaps[p][k-kMin], s.Mean, s.CI95())
 		}
 		fit, err := wcCurve.slope()

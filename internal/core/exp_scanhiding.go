@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/adaptivity"
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/stats"
@@ -95,16 +96,8 @@ func runA6(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			price := spec.Potentials(n)
-			var pot float64
-			maxBoxes := int64(spec.IOCost(n)) + 1
-			err = e.Run(src.Next, maxBoxes, func(box, _ int64) {
-				pot += price.Of(box)
-			})
-			if err != nil {
-				return 0, err
-			}
-			return pot / spec.Potential(n), nil
+			res, err := adaptivity.GapOnSourceExec(e, src)
+			return res.Gap(), err
 		}
 
 		canonical, err := run(false, wc)

@@ -14,9 +14,10 @@ import (
 
 // This file implements the smoothing experiments: E3 (Theorem 1 — i.i.d.
 // box sizes close the gap) and E6–E8 (the three weaker smoothings that
-// fail). E3, E6 and E7 fan their Monte-Carlo cells out on the engine with
-// per-cell xrand.Split seeds, so their tables are identical for any worker
-// count; E8's trials are few and cheap enough to stay serial.
+// fail). E3, E6 and E7 fan their Monte-Carlo cells out on the engine
+// through sweep, with per-cell xrand.Split seeds, so their tables are
+// identical for any worker count; E8's trials are few and cheap enough to
+// stay serial.
 
 func init() {
 	register(Experiment{
@@ -53,14 +54,14 @@ func init() {
 type gapCurve struct {
 	ks    []float64
 	means []float64
-	cis   []float64
 }
 
-func (g *gapCurve) add(k int, gaps []float64) {
+// add records level k's mean gap and returns the level's summary.
+func (g *gapCurve) add(k int, gaps []float64) stats.Summary {
 	s := stats.Summarize(gaps)
 	g.ks = append(g.ks, float64(k))
 	g.means = append(g.means, s.Mean)
-	g.cis = append(g.cis, s.CI95())
+	return s
 }
 
 func (g *gapCurve) slope() (stats.Fit, error) { return stats.LinearFit(g.ks, g.means) }
@@ -119,53 +120,32 @@ func runE3(cfg Config) (*Table, error) {
 		Header: []string{"distribution", "k", "n", "mean gap", "ci95", "worst-case gap"},
 	}
 	g := engine.NewGroup().WithContext(cfg.Context())
-	workers := newWorkerStates(g)
 
-	// i.i.d. part: one engine cell per (distribution, size, trial), laid out
-	// row-major so each (distribution, k) group is a contiguous run of
-	// cfg.Trials results.
-	type iidCell struct{ d, k, trial int }
-	var cells []iidCell
-	for d := range dists {
-		for k := 3; k <= cfg.MaxK; k++ {
-			for trial := 0; trial < cfg.Trials; trial++ {
-				cells = append(cells, iidCell{d, k, trial})
+	// i.i.d. part: one engine cell per (distribution, size, trial).
+	gaps, err := sweep(g, len(dists), 3, cfg.MaxK, func(int) int { return cfg.Trials },
+		func(ws *workerState, d, k, trial int) (float64, error) {
+			e, err := ws.exec(spec, profile.Pow(4, k))
+			if err != nil {
+				return 0, err
 			}
-		}
-	}
-	gaps := make([]float64, len(cells))
-	if err := g.Map(len(cells), func(i, w int) error {
-		c := cells[i]
-		e, err := workers[w].exec(spec, profile.Pow(4, c.k))
-		if err != nil {
-			return err
-		}
-		seed := xrand.Split(cfg.Seed, "E3", int64(c.d), int64(c.k), int64(c.trial))
-		gap, err := adaptivity.GapSampleExec(e, dists[c.d], seed)
-		if err != nil {
-			return err
-		}
-		gaps[i] = gap
-		return nil
-	}); err != nil {
+			seed := xrand.Split(cfg.Seed, "E3", int64(d), int64(k), int64(trial))
+			return adaptivity.GapSampleExec(e, dists[d], seed)
+		})
+	if err != nil {
 		return nil, err
 	}
 	var notes []string
-	idx := 0
-	for _, d := range dists {
+	for d, dist := range dists {
 		var curve gapCurve
 		for k := 3; k <= cfg.MaxK; k++ {
-			kGaps := gaps[idx : idx+cfg.Trials]
-			idx += cfg.Trials
-			curve.add(k, kGaps)
-			s := stats.Summarize(kGaps)
-			t.AddRow(d.Name(), k, profile.Pow(4, k), s.Mean, s.CI95(), fmt.Sprintf("%d", k+1))
+			s := curve.add(k, gaps[d][k-3])
+			t.AddRow(dist.Name(), k, profile.Pow(4, k), s.Mean, s.CI95(), fmt.Sprintf("%d", k+1))
 		}
 		fit, err := curve.slope()
 		if err != nil {
 			return nil, err
 		}
-		notes = append(notes, fmt.Sprintf("%s: slope %+.3f/level (worst case: +1.0)", d.Name(), fit.Beta))
+		notes = append(notes, fmt.Sprintf("%s: slope %+.3f/level (worst case: +1.0)", dist.Name(), fit.Beta))
 	}
 
 	// Literal shuffle of the adversary's own boxes: each worst-case profile
@@ -181,40 +161,23 @@ func runE3(cfg Config) (*Table, error) {
 			return nil, err
 		}
 	}
-	type shCell struct{ k, trial int }
-	var shCells []shCell
-	for k := 3; k <= cfg.MaxK; k++ {
-		for trial := 0; trial < trimmedTrials(cfg.Trials, k, 7); trial++ {
-			shCells = append(shCells, shCell{k, trial})
-		}
-	}
-	shGaps := make([]float64, len(shCells))
-	if err := g.Map(len(shCells), func(i, w int) error {
-		c := shCells[i]
-		ws := workers[w]
-		e, err := ws.exec(spec, profile.Pow(4, c.k))
-		if err != nil {
-			return err
-		}
-		rng := xrand.New(xrand.Split(cfg.Seed, "E3/shuffle", int64(c.k), int64(c.trial)))
-		ws.shuffled.Reset(shIdx[c.k], rng)
-		res, err := adaptivity.GapOnSourceExec(e, &ws.shuffled)
-		if err != nil {
-			return err
-		}
-		shGaps[i] = res.Gap()
-		return nil
-	}); err != nil {
+	shGaps, err := sweep(g, 1, 3, cfg.MaxK, func(k int) int { return trimmedTrials(cfg.Trials, k, 7) },
+		func(ws *workerState, _, k, trial int) (float64, error) {
+			e, err := ws.exec(spec, profile.Pow(4, k))
+			if err != nil {
+				return 0, err
+			}
+			rng := xrand.New(xrand.Split(cfg.Seed, "E3/shuffle", int64(k), int64(trial)))
+			ws.shuffled.Reset(shIdx[k], rng)
+			res, err := adaptivity.GapOnSourceExec(e, &ws.shuffled)
+			return res.Gap(), err
+		})
+	if err != nil {
 		return nil, err
 	}
 	var curve gapCurve
-	idx = 0
 	for k := 3; k <= cfg.MaxK; k++ {
-		trials := trimmedTrials(cfg.Trials, k, 7)
-		kGaps := shGaps[idx : idx+trials]
-		idx += trials
-		curve.add(k, kGaps)
-		s := stats.Summarize(kGaps)
+		s := curve.add(k, shGaps[0][k-3])
 		t.AddRow("shuffle(M_{8,4})", k, profile.Pow(4, k), s.Mean, s.CI95(), fmt.Sprintf("%d", k+1))
 	}
 	fit, err := curve.slope()
@@ -242,44 +205,25 @@ func runE6(cfg Config) (*Table, error) {
 	}
 
 	g := engine.NewGroup().WithContext(cfg.Context())
-	workers := newWorkerStates(g)
-	type cell struct {
-		tf       int64
-		k, trial int
-	}
-	var cells []cell
-	for _, tf := range factors {
-		for k := 3; k <= cfg.MaxK; k++ {
-			for trial := 0; trial < trimmedTrials(cfg.Trials, k, 7); trial++ {
-				cells = append(cells, cell{tf, k, trial})
+	gaps, err := sweep(g, len(factors), 3, cfg.MaxK, func(k int) int { return trimmedTrials(cfg.Trials, k, 7) },
+		func(ws *workerState, r, k, trial int) (float64, error) {
+			e, err := ws.exec(spec, profile.Pow(4, k))
+			if err != nil {
+				return 0, err
 			}
-		}
-	}
-	gaps := make([]float64, len(cells))
-	if err := g.Map(len(cells), func(i, w int) error {
-		c := cells[i]
-		ws := workers[w]
-		e, err := ws.exec(spec, profile.Pow(4, c.k))
-		if err != nil {
-			return err
-		}
-		rng := xrand.New(xrand.Split(cfg.Seed, "E6", c.tf, int64(c.k), int64(c.trial)))
-		if err := ws.perturbed.Reset(wcs[c.k], rng, c.tf); err != nil {
-			return err
-		}
-		res, err := adaptivity.GapOnSourceExec(e, &ws.perturbed)
-		if err != nil {
-			return err
-		}
-		gaps[i] = res.Gap()
-		return nil
-	}); err != nil {
+			rng := xrand.New(xrand.Split(cfg.Seed, "E6", factors[r], int64(k), int64(trial)))
+			if err := ws.perturbed.Reset(wcs[k], rng, factors[r]); err != nil {
+				return 0, err
+			}
+			res, err := adaptivity.GapOnSourceExec(e, &ws.perturbed)
+			return res.Gap(), err
+		})
+	if err != nil {
 		return nil, err
 	}
 
 	var notes []string
-	idx := 0
-	for _, tf := range factors {
+	for r, tf := range factors {
 		// The paper's condition is t <= √n, i.e. k >= 2·log_4(t); only
 		// those sizes enter the slope fit.
 		minValidK := 0
@@ -288,16 +232,12 @@ func runE6(cfg Config) (*Table, error) {
 		}
 		var curve gapCurve
 		for k := 3; k <= cfg.MaxK; k++ {
-			trials := trimmedTrials(cfg.Trials, k, 7)
-			kGaps := gaps[idx : idx+trials]
-			idx += trials
+			kGaps := gaps[r][k-3]
+			s, valid := stats.Summary{}, "yes"
 			if k >= minValidK {
-				curve.add(k, kGaps)
-			}
-			s := stats.Summarize(kGaps)
-			valid := "yes"
-			if k < minValidK {
-				valid = "no (t>√n)"
+				s = curve.add(k, kGaps)
+			} else {
+				s, valid = stats.Summarize(kGaps), "no (t>√n)"
 			}
 			t.AddRow(tf, k, profile.Pow(4, k), s.Mean, s.CI95(), valid)
 		}
@@ -336,42 +276,24 @@ func runE7(cfg Config) (*Table, error) {
 	}
 
 	g := engine.NewGroup().WithContext(cfg.Context())
-	workers := newWorkerStates(g)
-	type cell struct{ k, trial int }
-	var cells []cell
-	for k := 3; k <= cfg.MaxK; k++ {
-		for trial := 0; trial < trimmedTrials(cfg.Trials, k, 7); trial++ {
-			cells = append(cells, cell{k, trial})
-		}
-	}
-	gaps := make([]float64, len(cells))
-	if err := g.Map(len(cells), func(i, w int) error {
-		c := cells[i]
-		ws := workers[w]
-		e, err := ws.exec(spec, profile.Pow(4, c.k))
-		if err != nil {
-			return err
-		}
-		rng := xrand.New(xrand.Split(cfg.Seed, "E7", int64(c.k), int64(c.trial)))
-		ws.rotated.Reset(rotIdx[c.k], rng)
-		res, err := adaptivity.GapOnSourceExec(e, &ws.rotated)
-		if err != nil {
-			return err
-		}
-		gaps[i] = res.Gap()
-		return nil
-	}); err != nil {
+	gaps, err := sweep(g, 1, 3, cfg.MaxK, func(k int) int { return trimmedTrials(cfg.Trials, k, 7) },
+		func(ws *workerState, _, k, trial int) (float64, error) {
+			e, err := ws.exec(spec, profile.Pow(4, k))
+			if err != nil {
+				return 0, err
+			}
+			rng := xrand.New(xrand.Split(cfg.Seed, "E7", int64(k), int64(trial)))
+			ws.rotated.Reset(rotIdx[k], rng)
+			res, err := adaptivity.GapOnSourceExec(e, &ws.rotated)
+			return res.Gap(), err
+		})
+	if err != nil {
 		return nil, err
 	}
 
 	var curve gapCurve
-	idx := 0
 	for k := 3; k <= cfg.MaxK; k++ {
-		trials := trimmedTrials(cfg.Trials, k, 7)
-		kGaps := gaps[idx : idx+trials]
-		idx += trials
-		curve.add(k, kGaps)
-		s := stats.Summarize(kGaps)
+		s := curve.add(k, gaps[0][k-3])
 		t.AddRow(k, profile.Pow(4, k), s.Mean, s.CI95(), s.Min, s.Max, fmt.Sprintf("%d", k+1))
 	}
 	fit, err := curve.slope()
@@ -397,11 +319,7 @@ func runE8(cfg Config) (*Table, error) {
 
 		// Canonical end-scan algorithm on randomly order-perturbed profiles.
 		var gaps []float64
-		trials := cfg.Trials
-		if k >= 6 && trials > 8 {
-			trials = 8
-		}
-		for trial := 0; trial < trials; trial++ {
+		for trial := 0; trial < trimmedTrials(cfg.Trials, k, 6); trial++ {
 			op, err := smoothing.OrderPerturbed(8, 4, n, rng)
 			if err != nil {
 				return nil, err
@@ -434,14 +352,11 @@ func runE8(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			price := spec.Potentials(n)
-			var pot float64
-			for !e.Done() {
-				box := src.Next()
-				pot += price.Of(box)
-				e.Step(box)
+			res, err := adaptivity.GapOnSourceExec(e, src)
+			if err != nil {
+				return nil, err
 			}
-			alignedGaps = append(alignedGaps, pot/spec.Potential(n))
+			alignedGaps = append(alignedGaps, res.Gap())
 		}
 		al := stats.Summarize(alignedGaps)
 		if al.Min != al.Max {

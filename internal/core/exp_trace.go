@@ -157,7 +157,7 @@ func runE10(cfg Config) (*Table, error) {
 	ts := e10Trials(cfg)
 	trials := len(ts)
 	violated := make([]bool, trials)
-	g := engine.NewGroup()
+	g := engine.NewGroup().WithContext(cfg.Context())
 	if err := g.Map(trials, func(trial, _ int) error {
 		tl := ts[trial]
 		endLate, err := paging.SquareRunFrom(tl.tr, tl.i, tl.boxes)
@@ -190,6 +190,7 @@ func runE10(cfg Config) (*Table, error) {
 	} else {
 		t.Note = "no counterexample: for every sampled trace, square sequence, and start pair i' <= i, the earlier start finished no later."
 	}
+	finishMetrics(t, g)
 	return t, nil
 }
 

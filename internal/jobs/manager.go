@@ -81,9 +81,6 @@ type Options struct {
 	// CellConcurrency bounds batch cells in flight across all jobs.
 	// Default 2.
 	CellConcurrency int
-	// PerJobConcurrency bounds one job's cells in flight, so a single wide
-	// job cannot monopolize the batch slots. Default: CellConcurrency.
-	PerJobConcurrency int
 	// BaseDelay/MaxDelay shape the capped exponential retry backoff.
 	// Defaults 50ms / 2s.
 	BaseDelay time.Duration
@@ -123,9 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CellConcurrency == 0 {
 		o.CellConcurrency = 2
-	}
-	if o.PerJobConcurrency == 0 {
-		o.PerJobConcurrency = o.CellConcurrency
 	}
 	if o.BaseDelay == 0 {
 		o.BaseDelay = 50 * time.Millisecond
@@ -758,9 +752,8 @@ func (m *Manager) dispatchLoop() {
 
 // nextDispatch picks the next cell under weighted round-robin: the cursor
 // walks the submission ring, each job spends up to `weight` credits before
-// the cursor moves on, and jobs that are terminal, drained, or at their
-// per-job concurrency bound are skipped (with their credit refreshed for
-// the next cycle).
+// the cursor moves on, and jobs that are terminal or drained are skipped
+// (with their credit refreshed for the next cycle).
 func (m *Manager) nextDispatch() (*Job, int, Cell, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -774,7 +767,7 @@ func (m *Manager) nextDispatch() (*Job, int, Cell, bool) {
 		}
 		j := m.order[m.rr]
 		j.mu.Lock()
-		if j.status == JobRunning && len(j.queue) > 0 && j.running < m.opts.PerJobConcurrency {
+		if j.status == JobRunning && len(j.queue) > 0 {
 			ci := j.queue[0]
 			j.queue = j.queue[1:]
 			j.cells[ci].state = CellRunning

@@ -301,7 +301,6 @@ func TestWeightedRoundRobinOrder(t *testing.T) {
 	}
 	opts := testOpts(run)
 	opts.CellConcurrency = 1
-	opts.PerJobConcurrency = 1
 	m, err := Open(opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)

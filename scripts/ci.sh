@@ -80,11 +80,13 @@ echo "== perfbench module =="
 (cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (short) =="
-# Beside the engine fan-out tests: the declared-inputs contract of the
-# cache key (register's check, the key moving exactly with declared
-# fields, the pinned full-input key, runTimed's projection, E10's seed
-# read, the JSON names).
-gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers|TestRegisterRejectsUndeclaredInputs|TestCacheKey$|TestCacheKeyPinnedForFullInputs|TestRunTimedProjectsConfig|TestE10SamplesMoveWithSeed|TestInputNamesMatchConfigTags' \
+# Beside the engine fan-out tests: core's Monte-Carlo level sweep (each
+# cell once at its slot, the first failure, 1 vs 4 workers), E10's fan-out
+# under the run's context, and the declared-inputs contract of the cache
+# key (register's check, the key moving exactly with declared fields, the
+# pinned full-input key, runTimed's projection, E10's seed read, the JSON
+# names).
+gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers|TestSweep|TestE10HonoursCancellation|TestRegisterRejectsUndeclaredInputs|TestCacheKey$|TestCacheKeyPinnedForFullInputs|TestRunTimedProjectsConfig|TestE10SamplesMoveWithSeed|TestInputNamesMatchConfigTags' \
     -race -short \
     ./internal/engine/ \
     ./internal/adaptivity/ \
