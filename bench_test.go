@@ -382,7 +382,7 @@ func BenchmarkStoppingTimeEstimate(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		st, err := adaptivity.EstimateStoppingTimes(regular.MMScanSpec, 1024, dist, uint64(i), 8)
+		st, err := adaptivity.EstimateStoppingTimes(engine.NewGroup(), regular.MMScanSpec, 1024, dist, uint64(i), 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -400,7 +400,7 @@ func BenchmarkGapOnDist(b *testing.B) {
 	}
 	var lastMean float64
 	for i := 0; i < b.N; i++ {
-		gaps, err := adaptivity.GapOnDist(regular.MMScanSpec, profile.Pow(4, 6), dist, uint64(i), 3)
+		gaps, err := adaptivity.GapOnDist(engine.NewGroup(), regular.MMScanSpec, profile.Pow(4, 6), dist, uint64(i), 3)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -61,6 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	rng := xrand.New(*seed)
 	var p *profile.SquareProfile
+	var raw profile.Raw // set by the raw types, squared below
 	var err error
 	switch *typ {
 	case "worstcase":
@@ -73,25 +74,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "orderperturbed":
 		p, err = smoothing.OrderPerturbed(*a, *b, *n, rng)
 	case "sawtooth":
-		var raw []int64
 		raw, err = profile.Sawtooth(*minM, *maxM, *period, *length)
-		if err == nil {
-			p, err = profile.Squarize(raw)
-		}
 	case "walk":
-		var raw []int64
 		raw, err = profile.RandomWalk(rng, (*minM+*maxM)/2, *minM, *maxM, *step, *length)
-		if err == nil {
-			p, err = profile.Squarize(raw)
-		}
 	case "constant":
-		var raw []int64
 		raw, err = profile.Constant(*maxM, *length)
-		if err == nil {
-			p, err = profile.Squarize(raw)
-		}
 	default:
 		return fmt.Errorf("unknown profile type %q", *typ)
+	}
+	if err == nil && raw != nil {
+		p, err = profile.SquarizeRaw(raw)
 	}
 	if err != nil {
 		return err

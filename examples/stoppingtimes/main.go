@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"repro/internal/adaptivity"
+	"repro/internal/engine"
 	"repro/internal/regular"
 	"repro/internal/xrand"
 )
@@ -33,7 +34,7 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "stopping times (Monte Carlo, 4000 trials):")
 	fmt.Fprintf(w, "%8s %12s %12s %14s\n", "n", "f(n)", "f'(n)", "f·m_n/n^1.5")
 	for _, n := range []int64{16, 64, 256, 1024} {
-		st, err := adaptivity.EstimateStoppingTimes(spec, n, dist, 1, 4000)
+		st, err := adaptivity.EstimateStoppingTimes(engine.NewGroup(), spec, n, dist, 1, 4000)
 		if err != nil {
 			return err
 		}
@@ -44,7 +45,7 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "\nEquation 3: the right column bounded ⇔ cache-adaptive in expectation.")
 
 	fmt.Fprintln(w, "\nLemma 3 at n = 256:")
-	res, err := adaptivity.CheckLemma3(spec, 256, dist, 2, 6000)
+	res, err := adaptivity.CheckLemma3(engine.NewGroup(), spec, 256, dist, 2, 6000)
 	if err != nil {
 		return err
 	}

@@ -177,20 +177,20 @@ func GapSampleExec(e *regular.Exec, dist xrand.Dist, seed uint64) (float64, erro
 // GapOnDist runs `trials` independent executions of spec on n blocks with
 // i.i.d. box sizes from dist (Theorem 1's setting) and returns the per-trial
 // gaps. Each trial derives its own generator from seed, so the result is
-// deterministic in (seed, trials) even though trials run on all cores.
-func GapOnDist(spec regular.Spec, n int64, dist xrand.Dist, seed uint64, trials int) ([]float64, error) {
+// deterministic in (seed, trials) even though the trials fan out on g: they
+// count as g's cells and stop when g's context is cancelled.
+func GapOnDist(g *engine.Group, spec regular.Spec, n int64, dist xrand.Dist, seed uint64, trials int) ([]float64, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("adaptivity: trials = %d < 1", trials)
 	}
 	// Derive the per-trial generators serially (the derivation order is
-	// part of the contract), then run the trials on the shared engine pool.
+	// part of the contract), then run the trials on g.
 	root := xrand.New(seed)
 	rngs := make([]*xrand.Source, trials)
 	for t := range rngs {
 		rngs[t] = root.Split()
 	}
 	gaps := make([]float64, trials)
-	g := engine.NewGroup()
 	err := g.Map(trials, func(t, _ int) error {
 		rng := rngs[t]
 		src := profile.FuncSource(func() int64 { return dist.Sample(rng) })
@@ -222,8 +222,9 @@ type StoppingTimes struct {
 // EstimateStoppingTimes Monte-Carlo estimates f(n) and f'(n) for spec under
 // dist. The f and f' estimates use common random numbers (the same box
 // stream per trial), which sharpens the f/f' ratio estimate used by the
-// Equation 8 check.
-func EstimateStoppingTimes(spec regular.Spec, n int64, dist xrand.Dist, seed uint64, trials int) (StoppingTimes, error) {
+// Equation 8 check. The trials fan out on g: they count as g's cells and
+// stop when g's context is cancelled.
+func EstimateStoppingTimes(g *engine.Group, spec regular.Spec, n int64, dist xrand.Dist, seed uint64, trials int) (StoppingTimes, error) {
 	if trials < 1 {
 		return StoppingTimes{}, fmt.Errorf("adaptivity: trials = %d < 1", trials)
 	}
@@ -234,7 +235,6 @@ func EstimateStoppingTimes(spec regular.Spec, n int64, dist xrand.Dist, seed uin
 	}
 	fs := make([]float64, trials)
 	fps := make([]float64, trials)
-	g := engine.NewGroup()
 	samplers := make([]*stoppingSampler, g.Workers())
 	err := g.Map(trials, func(t, w int) error {
 		if samplers[w] == nil {

@@ -284,7 +284,7 @@ func TestGapOnDistBoundedAndFlat(t *testing.T) {
 	var ks, means []float64
 	for k := 4; k <= 7; k++ {
 		n := profile.Pow(4, k)
-		gaps, err := GapOnDist(spec, n, dist, 42, 12)
+		gaps, err := GapOnDist(engine.NewGroup(), spec, n, dist, 42, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestGapOnDistBoundedAndFlat(t *testing.T) {
 
 func TestGapOnDistValidation(t *testing.T) {
 	dist, _ := xrand.NewUniform(1, 4)
-	if _, err := GapOnDist(regular.MMScanSpec, 16, dist, 1, 0); err == nil {
+	if _, err := GapOnDist(engine.NewGroup(), regular.MMScanSpec, 16, dist, 1, 0); err == nil {
 		t.Error("0 trials accepted")
 	}
 }
@@ -318,7 +318,7 @@ func TestEstimateStoppingTimesPointMass(t *testing.T) {
 	spec := regular.MMScanSpec
 	n := int64(64)
 	dist, _ := xrand.NewUniform(n, n)
-	st, err := EstimateStoppingTimes(spec, n, dist, 7, 50)
+	st, err := EstimateStoppingTimes(engine.NewGroup(), spec, n, dist, 7, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestEstimateStoppingTimesUnitBoxes(t *testing.T) {
 	spec := regular.MMScanSpec
 	n := int64(64)
 	dist, _ := xrand.NewUniform(1, 1)
-	st, err := EstimateStoppingTimes(spec, n, dist, 7, 5)
+	st, err := EstimateStoppingTimes(engine.NewGroup(), spec, n, dist, 7, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestEstimateStoppingTimesOrdering(t *testing.T) {
 	// f' <= f always (skipping the root scan can only help).
 	spec := regular.MMScanSpec
 	dist, _ := xrand.NewUniform(2, 100)
-	st, err := EstimateStoppingTimes(spec, 256, dist, 11, 40)
+	st, err := EstimateStoppingTimes(engine.NewGroup(), spec, 256, dist, 11, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestCheckLemma3QEqualsP(t *testing.T) {
 		mustUniform(t, 8, 128),
 		mustTwoPoint(t, 4, 256, 0.05),
 	} {
-		res, err := CheckLemma3(spec, n, dist, 99, 6000)
+		res, err := CheckLemma3(engine.NewGroup(), spec, n, dist, 99, 6000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +395,7 @@ func TestCheckLemma3NoBigBoxes(t *testing.T) {
 	spec := regular.MMScanSpec
 	n := int64(256)
 	dist := mustUniform(t, 2, 16)
-	res, err := CheckLemma3(spec, n, dist, 5, 400)
+	res, err := CheckLemma3(engine.NewGroup(), spec, n, dist, 5, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,13 +409,13 @@ func TestCheckLemma3NoBigBoxes(t *testing.T) {
 
 func TestCheckLemma3Validation(t *testing.T) {
 	dist := mustUniform(t, 1, 8)
-	if _, err := CheckLemma3(regular.MMInPlaceSpec, 64, dist, 1, 10); err == nil {
+	if _, err := CheckLemma3(engine.NewGroup(), regular.MMInPlaceSpec, 64, dist, 1, 10); err == nil {
 		t.Error("c != 1 accepted")
 	}
-	if _, err := CheckLemma3(regular.MMScanSpec, 3, dist, 1, 10); err == nil {
+	if _, err := CheckLemma3(engine.NewGroup(), regular.MMScanSpec, 3, dist, 1, 10); err == nil {
 		t.Error("n < b accepted")
 	}
-	if _, err := CheckLemma3(regular.MMScanSpec, 64, dist, 1, 1); err == nil {
+	if _, err := CheckLemma3(engine.NewGroup(), regular.MMScanSpec, 64, dist, 1, 1); err == nil {
 		t.Error("1 trial accepted")
 	}
 }
@@ -424,7 +424,7 @@ func TestCheckRecurrence(t *testing.T) {
 	spec := regular.MMScanSpec
 	dist := mustUniform(t, 4, 64)
 	sizes := []int64{16, 64, 256, 1024, 4096}
-	points, product, err := CheckRecurrence(spec, sizes, dist, 123, 200, 4)
+	points, product, err := CheckRecurrence(engine.NewGroup(), spec, sizes, dist, 123, 200, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,13 +455,13 @@ func TestCheckRecurrence(t *testing.T) {
 
 func TestCheckRecurrenceValidation(t *testing.T) {
 	dist := mustUniform(t, 1, 8)
-	if _, _, err := CheckRecurrence(regular.MMInPlaceSpec, []int64{16, 64}, dist, 1, 10, 4); err == nil {
+	if _, _, err := CheckRecurrence(engine.NewGroup(), regular.MMInPlaceSpec, []int64{16, 64}, dist, 1, 10, 4); err == nil {
 		t.Error("c != 1 accepted")
 	}
-	if _, _, err := CheckRecurrence(regular.MMScanSpec, []int64{16, 256}, dist, 1, 10, 4); err == nil {
+	if _, _, err := CheckRecurrence(engine.NewGroup(), regular.MMScanSpec, []int64{16, 256}, dist, 1, 10, 4); err == nil {
 		t.Error("non-consecutive sizes accepted")
 	}
-	if _, _, err := CheckRecurrence(regular.MMScanSpec, []int64{48}, dist, 1, 10, 4); err == nil {
+	if _, _, err := CheckRecurrence(engine.NewGroup(), regular.MMScanSpec, []int64{48}, dist, 1, 10, 4); err == nil {
 		t.Error("non-power size accepted")
 	}
 }
@@ -488,11 +488,11 @@ func mustTwoPoint(t *testing.T, small, big int64, p float64) xrand.Dist {
 // twice yields identical per-trial results regardless of scheduling.
 func TestGapOnDistDeterministicUnderParallelism(t *testing.T) {
 	dist := mustUniform(t, 4, 64)
-	a, err := GapOnDist(regular.MMScanSpec, 1024, dist, 77, 32)
+	a, err := GapOnDist(engine.NewGroup(), regular.MMScanSpec, 1024, dist, 77, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GapOnDist(regular.MMScanSpec, 1024, dist, 77, 32)
+	b, err := GapOnDist(engine.NewGroup(), regular.MMScanSpec, 1024, dist, 77, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,11 +505,11 @@ func TestGapOnDistDeterministicUnderParallelism(t *testing.T) {
 
 func TestEstimateStoppingTimesDeterministicUnderParallelism(t *testing.T) {
 	dist := mustUniform(t, 4, 64)
-	a, err := EstimateStoppingTimes(regular.MMScanSpec, 1024, dist, 5, 32)
+	a, err := EstimateStoppingTimes(engine.NewGroup(), regular.MMScanSpec, 1024, dist, 5, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateStoppingTimes(regular.MMScanSpec, 1024, dist, 5, 32)
+	b, err := EstimateStoppingTimes(engine.NewGroup(), regular.MMScanSpec, 1024, dist, 5, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,12 +526,12 @@ func TestTrialsDeterministicAcrossWorkers(t *testing.T) {
 
 	engine.SetSharedWorkers(4)
 	dist := mustUniform(t, 4, 64)
-	parallelGaps, err := GapOnDist(regular.MMScanSpec, 256, dist, 123, 24)
+	parallelGaps, err := GapOnDist(engine.NewGroup(), regular.MMScanSpec, 256, dist, 123, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engine.SetSharedWorkers(1)
-	serialGaps, err := GapOnDist(regular.MMScanSpec, 256, dist, 123, 24)
+	serialGaps, err := GapOnDist(engine.NewGroup(), regular.MMScanSpec, 256, dist, 123, 24)
 	if err != nil {
 		t.Fatal(err)
 	}

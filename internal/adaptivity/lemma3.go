@@ -41,8 +41,10 @@ type Lemma3Result struct {
 }
 
 // CheckLemma3 estimates every quantity in Lemma 3 by Monte Carlo for an
-// (a,b,1)-regular spec. It requires c = 1 (the lemma's setting).
-func CheckLemma3(spec regular.Spec, n int64, dist xrand.Dist, seed uint64, trials int) (Lemma3Result, error) {
+// (a,b,1)-regular spec. It requires c = 1 (the lemma's setting). Its trials
+// fan out on g, so they count as g's cells and stop when g's context is
+// cancelled.
+func CheckLemma3(g *engine.Group, spec regular.Spec, n int64, dist xrand.Dist, seed uint64, trials int) (Lemma3Result, error) {
 	if spec.C != 1 {
 		return Lemma3Result{}, fmt.Errorf("adaptivity: Lemma 3 check requires c = 1, got %v", spec)
 	}
@@ -65,7 +67,6 @@ func CheckLemma3(spec regular.Spec, n int64, dist xrand.Dist, seed uint64, trial
 	}
 	boxesUsed := make([]int64, trials)
 	sawBig := make([]bool, trials)
-	g := engine.NewGroup()
 	if err := g.Map(trials, func(t, _ int) error {
 		rng := rngs[t]
 		e, err := regular.NewExec(spec, child)
@@ -105,7 +106,7 @@ func CheckLemma3(spec regular.Spec, n int64, dist xrand.Dist, seed uint64, trial
 	}
 
 	// f(n) and f'(n) on the full problem.
-	st, err := EstimateStoppingTimes(spec, n, dist, seed^0x5ca1ab1e, trials)
+	st, err := EstimateStoppingTimes(g, spec, n, dist, seed^0x5ca1ab1e, trials)
 	if err != nil {
 		return res, err
 	}
@@ -134,7 +135,8 @@ type RecurrencePoint struct {
 // of b) and evaluates the Equation 6–8 quantities. C is the Equation 9
 // threshold constant. It returns the per-size points and the product
 // Π f(n)/f'(n) over the sizes — Equation 8 asserts this product is O(1).
-func CheckRecurrence(spec regular.Spec, sizes []int64, dist xrand.Dist, seed uint64, trials int, c float64) ([]RecurrencePoint, float64, error) {
+// Each size's trials fan out on g, as EstimateStoppingTimes describes.
+func CheckRecurrence(g *engine.Group, spec regular.Spec, sizes []int64, dist xrand.Dist, seed uint64, trials int, c float64) ([]RecurrencePoint, float64, error) {
 	if spec.C != 1 {
 		return nil, 0, fmt.Errorf("adaptivity: recurrence check requires c = 1, got %v", spec)
 	}
@@ -149,19 +151,15 @@ func CheckRecurrence(spec regular.Spec, sizes []int64, dist xrand.Dist, seed uin
 	}
 
 	// Each size's stopping-time estimate is an independent Monte-Carlo job
-	// with its own derived seed, so the sizes fan out on the engine; the
-	// ratio pass below chains consecutive points and stays serial.
+	// with its own derived seed. The sizes run in turn, each fanning its
+	// trials out on g; the ratio pass below chains consecutive points.
 	ests := make([]StoppingTimes, len(sizes))
-	g := engine.NewGroup()
-	if err := g.Map(len(sizes), func(i, _ int) error {
-		st, err := EstimateStoppingTimes(spec, sizes[i], dist, seed+uint64(i)*7919, trials)
+	for i := range sizes {
+		st, err := EstimateStoppingTimes(g, spec, sizes[i], dist, seed+uint64(i)*7919, trials)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		ests[i] = st
-		return nil
-	}); err != nil {
-		return nil, 0, err
 	}
 
 	points := make([]RecurrencePoint, 0, len(sizes))

@@ -142,18 +142,46 @@ func (c *errAfterFirst) Err() error {
 }
 
 // TestE10HonoursCancellation checks that E10's trial fan-out runs under
-// the run's context, and that a normal run reports its cells.
+// the run's context, and that a normal run reports its Trials·100 cells.
 func TestE10HonoursCancellation(t *testing.T) {
+	checkHonoursCancellation(t, "E10", int64(testConfig().Trials*100))
+}
+
+// checkHonoursCancellation runs id under a context cancelled just after the
+// runner's first check, which must fail the run with context.Canceled, and
+// then normally, which must report wantCells engine cells.
+func checkHonoursCancellation(t *testing.T, id string, wantCells int64) {
+	t.Helper()
 	cfg := testConfig()
 	ctx := &errAfterFirst{Context: context.Background()}
-	if tb, err := RunContext(ctx, "E10", cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("E10 under a context cancelled mid-run returned (%v, %v), want context.Canceled", tb, err)
+	if tb, err := RunContext(ctx, id, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("%s under a context cancelled mid-run returned (%v, %v), want context.Canceled", id, tb, err)
 	}
-	tb, err := Run("E10", cfg)
+	tb, err := Run(id, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(cfg.Trials * 100); tb.Metrics.Cells != want {
-		t.Errorf("E10 Metrics.Cells = %d, want Trials·100 = %d", tb.Metrics.Cells, want)
+	if tb.Metrics.Cells != wantCells {
+		t.Errorf("%s Metrics.Cells = %d, want %d", id, tb.Metrics.Cells, wantCells)
 	}
+}
+
+// TestE4HonoursCancellation: E4's nine Lemma-3 checks each fan out
+// Trials·150 trials of f(n/4) and as many of f(n) and f'(n).
+func TestE4HonoursCancellation(t *testing.T) {
+	checkHonoursCancellation(t, "E4", int64(9*2*testConfig().Trials*150))
+}
+
+// TestE5HonoursCancellation: E5 estimates f and f' at n = 4^2..4^MaxK,
+// Trials·10 trials each.
+func TestE5HonoursCancellation(t *testing.T) {
+	cfg := testConfig()
+	checkHonoursCancellation(t, "E5", int64((cfg.MaxK-1)*cfg.Trials*10))
+}
+
+// TestA5HonoursCancellation: A5 runs Trials i.i.d. trials at each of its
+// ten sweep points (k = 4, 6, ..., 16 for b = 2 and k = 4, 6, 8 for b = 4
+// when MaxK <= 8).
+func TestA5HonoursCancellation(t *testing.T) {
+	checkHonoursCancellation(t, "A5", int64(10*testConfig().Trials))
 }

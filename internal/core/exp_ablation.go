@@ -164,54 +164,43 @@ func runA1(cfg Config) (*Table, error) {
 func runA2(cfg Config) (*Table, error) {
 	spec := regular.MMScanSpec
 	n := profile.Pow(4, 6)
-	tr, err := regular.SyntheticTrace(spec, n)
-	if err != nil {
-		return nil, err
-	}
-	rng := xrand.New(cfg.Seed ^ 0xa2)
+	emit := func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
 
 	t := &Table{
 		ID:     "A2",
 		Title:  "Square-profile reduction: raw-profile LRU vs inner-square square-cache (canonical (8,4,1) trace, n=4^6)",
 		Header: []string{"raw profile", "LRU misses (raw)", "square boxes", "square-cache IOs", "IO ratio"},
 	}
+	// Each raw profile is streamed twice, once into the LRU replay (which
+	// reads a step per miss) and once through the reduction (which reads
+	// the whole horizon), so neither holds the horizon as a slice. The walk
+	// re-seeds its generator for each pass and so repeats its steps.
 	const horizon = 1 << 21
 	rawProfiles := []struct {
 		name string
-		m    []int64
-	}{}
-	saw, err := profile.Sawtooth(16, 1024, 4096, horizon)
-	if err != nil {
-		return nil, err
+		raw  func() (profile.Raw, error)
+	}{
+		{"sawtooth[16..1024]", func() (profile.Raw, error) { return profile.Sawtooth(16, 1024, 4096, horizon) }},
+		{"walk[16..1024]", func() (profile.Raw, error) {
+			return profile.RandomWalk(xrand.New(cfg.Seed^0xa2), 256, 16, 1024, 32, horizon)
+		}},
+		{"constant[256]", func() (profile.Raw, error) { return profile.Constant(256, horizon) }},
 	}
-	rawProfiles = append(rawProfiles, struct {
-		name string
-		m    []int64
-	}{"sawtooth[16..1024]", saw})
-	walk, err := profile.RandomWalk(rng, 256, 16, 1024, 32, horizon)
-	if err != nil {
-		return nil, err
-	}
-	rawProfiles = append(rawProfiles, struct {
-		name string
-		m    []int64
-	}{"walk[16..1024]", walk})
-	con, err := profile.Constant(256, horizon)
-	if err != nil {
-		return nil, err
-	}
-	rawProfiles = append(rawProfiles, struct {
-		name string
-		m    []int64
-	}{"constant[256]", con})
 
 	var worstRatio float64
 	for _, rp := range rawProfiles {
-		lruMisses, err := paging.RunLRUProfile(tr, rp.m)
+		raw, err := rp.raw()
 		if err != nil {
 			return nil, err
 		}
-		sq, err := profile.Squarize(rp.m)
+		lruMisses, err := paging.RunLRUProfile(emit, n-1, raw)
+		if err != nil {
+			return nil, err
+		}
+		if raw, err = rp.raw(); err != nil {
+			return nil, err
+		}
+		sq, err := profile.SquarizeRaw(raw)
 		if err != nil {
 			return nil, err
 		}
@@ -219,11 +208,12 @@ func runA2(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := paging.PolicyRun(paging.SquareReplayName, tr, src, 0)
-		if err != nil {
+		var sqIOs int64
+		if err := paging.Replay(paging.SquareReplayName, emit, int64(spec.IOCost(n)), n-1, src, 0, func(b paging.BoxStat) {
+			sqIOs += b.IOs
+		}); err != nil {
 			return nil, err
 		}
-		sqIOs := paging.TotalIOs(st)
 		ratio := float64(sqIOs) / float64(lruMisses)
 		if r := maxf(ratio, 1/ratio); r > worstRatio {
 			worstRatio = r

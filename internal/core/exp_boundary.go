@@ -4,12 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/adaptivity"
+	"repro/internal/engine"
 	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/smoothing"
 	"repro/internal/sorting"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -44,10 +44,11 @@ func runA5(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	rng := xrand.New(cfg.Seed ^ 0xa5)
+	g := engine.NewGroup().WithContext(cfg.Context())
 	var notes []string
 	for _, spec := range []regular.Spec{regular.MustSpec(2, 2, 1), regular.MustSpec(4, 4, 1)} {
 		// Comparable sizes across b: sweep k so n spans a few orders.
-		var ks, means []float64
+		var curve gapCurve
 		maxK := cfg.MaxK
 		if maxK < 8 {
 			maxK = 8 // at least three sweep points regardless of MaxK
@@ -57,16 +58,14 @@ func runA5(cfg Config) (*Table, error) {
 		}
 		for k := 4; k <= maxK; k += 2 {
 			n := profile.Pow(spec.B, k)
-			gaps, err := adaptivity.GapOnDist(spec, n, dist, rng.Uint64(), cfg.Trials)
+			gaps, err := adaptivity.GapOnDist(g, spec, n, dist, rng.Uint64(), cfg.Trials)
 			if err != nil {
 				return nil, err
 			}
-			s := stats.Summarize(gaps)
+			s := curve.add(k, gaps)
 			t.AddRow(spec.String(), k, n, s.Mean, s.CI95(), fmt.Sprintf("%d", k+1))
-			ks = append(ks, float64(k))
-			means = append(means, s.Mean)
 		}
-		fit, err := stats.LinearFit(ks, means)
+		fit, err := curve.slope()
 		if err != nil {
 			return nil, err
 		}
@@ -112,5 +111,6 @@ func runA5(cfg Config) (*Table, error) {
 	}
 
 	t.Note = joinNotes(notes) + " — unlike the a > b case (E3), shuffling the boxes barely moves the a = b gap: smoothing cannot rescue merge-sort-shaped algorithms, matching footnote 3's DAM-level obstruction."
+	finishMetrics(t, g)
 	return t, nil
 }

@@ -3,6 +3,7 @@ package paging
 import (
 	"fmt"
 
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -201,33 +202,64 @@ func (l *LRU) Contains(block int64) bool {
 	return block >= 0 && block < int64(len(l.slot)) && l.slot[block] != nilNode
 }
 
-// RunLRUProfile replays tr through an LRU whose capacity follows the raw
-// memory profile m: the cache has capacity m[t] while serving the t-th miss
-// (I/O); time — and hence the profile index — advances only on misses, as
-// in the CA model. If the trace needs more I/Os than len(m), the last entry
-// is held. Returns the miss count.
-func RunLRUProfile(tr *trace.Trace, m []int64) (int64, error) {
-	if len(m) == 0 {
+// RunLRUProfile replays the stream emit produces through an LRU whose
+// capacity follows the raw memory profile m: the cache has capacity m(t)
+// while serving the t-th miss (I/O); time — and hence the profile index —
+// advances only on misses, as in the CA model. m is read in order, one
+// step per miss, so only a RawReader window of it is held; if the stream
+// needs more I/Os than m has steps, the last step is held. maxBlock is the
+// stream's largest block ID (-1 if unknown), used to pre-size the cache.
+// Returns the miss count.
+func RunLRUProfile(emit func(trace.Sink) error, maxBlock int64, m profile.Raw) (int64, error) {
+	rd := profile.NewRawReader(m)
+	first, ok := rd.Next()
+	if !ok {
 		return 0, fmt.Errorf("paging: empty profile")
 	}
-	l, err := NewLRU(m[0])
+	l, err := NewLRU(first)
 	if err != nil {
 		return 0, err
 	}
-	l.Reserve(tr.MaxBlock())
-	for i := 0; i < tr.Len(); i++ {
-		if l.Access(tr.Block(i)) {
-			continue
-		}
-		// A miss: time advanced; apply the post-I/O capacity.
-		t := l.Misses()
-		idx := int(t)
-		if idx >= len(m) {
-			idx = len(m) - 1
-		}
-		if err := l.SetCapacity(m[idx]); err != nil {
-			return 0, err
-		}
+	if maxBlock >= 0 {
+		l.Reserve(maxBlock)
+	}
+	s := &profileLRU{lru: l, m: rd, size: first}
+	if err := emit(s); err != nil {
+		return 0, err
+	}
+	if s.err != nil {
+		return 0, s.err
 	}
 	return l.Misses(), nil
 }
+
+// profileLRU is RunLRUProfile's sink: an LRU that applies the profile's
+// next size after every miss.
+type profileLRU struct {
+	lru  *LRU
+	m    *profile.RawReader
+	size int64 // the capacity the profile last set
+	err  error
+}
+
+func (s *profileLRU) Access(block int64) {
+	if s.err != nil || s.lru.Access(block) {
+		return
+	}
+	// A miss: time advanced; apply the post-I/O capacity.
+	if m, ok := s.m.Next(); ok {
+		s.size = m
+	}
+	s.err = s.lru.SetCapacity(s.size)
+}
+
+func (s *profileLRU) AccessRange(lo, count int64) {
+	for i := int64(0); i < count && s.err == nil; i++ {
+		s.Access(lo + i)
+	}
+}
+
+func (s *profileLRU) EndLeaf() {}
+
+// Stopped ends the replay at the first capacity error.
+func (s *profileLRU) Stopped() bool { return s.err != nil }

@@ -296,6 +296,15 @@ func TestRunLRUFixedLoopFitsCache(t *testing.T) {
 	}
 }
 
+// sawtoothSteps materializes a sawtooth raw profile, for use as box sizes.
+func sawtoothSteps(minM, maxM int64, period, length int) ([]int64, error) {
+	raw, err := profile.Sawtooth(minM, maxM, period, length)
+	if err != nil {
+		return nil, err
+	}
+	return profile.Collect(raw), nil
+}
+
 func TestRunLRUProfile(t *testing.T) {
 	b := &trace.Builder{}
 	for rep := 0; rep < 4; rep++ {
@@ -303,7 +312,7 @@ func TestRunLRUProfile(t *testing.T) {
 	}
 	tr := b.Build()
 	big, _ := profile.Constant(16, 64)
-	missesBig, err := RunLRUProfile(tr, big)
+	missesBig, err := RunLRUProfile(tr.Emit, tr.MaxBlock(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,12 +320,60 @@ func TestRunLRUProfile(t *testing.T) {
 		t.Errorf("big profile misses = %d, want 8", missesBig)
 	}
 	small, _ := profile.Constant(4, 64)
-	missesSmall, _ := RunLRUProfile(tr, small)
+	missesSmall, _ := RunLRUProfile(tr.Emit, tr.MaxBlock(), small)
 	if missesSmall <= missesBig {
 		t.Errorf("small cache (%d misses) not worse than big (%d)", missesSmall, missesBig)
 	}
-	if _, err := RunLRUProfile(tr, nil); err == nil {
+	if _, err := RunLRUProfile(tr.Emit, tr.MaxBlock(), profile.SliceRaw(nil)); err == nil {
 		t.Error("empty profile accepted")
+	}
+	if _, err := RunLRUProfile(tr.Emit, tr.MaxBlock(), profile.SliceRaw([]int64{4, 4, 0, 4})); err == nil {
+		t.Error("a zero capacity step accepted")
+	}
+}
+
+// runLRUProfileSlice is RunLRUProfile's materialized form: the profile
+// indexed by the miss count, clamped to its last step. It is the oracle
+// the streamed replay is checked against.
+func runLRUProfileSlice(tr *trace.Trace, m []int64) (int64, error) {
+	l, err := NewLRU(m[0])
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < tr.Len(); i++ {
+		if l.Access(tr.Block(i)) {
+			continue
+		}
+		idx := min(int(l.Misses()), len(m)-1)
+		if err := l.SetCapacity(m[idx]); err != nil {
+			return 0, err
+		}
+	}
+	return l.Misses(), nil
+}
+
+// TestRunLRUProfileMatchesSlice checks the streamed replay against the
+// indexed one, on profiles shorter than the miss count (the last step is
+// held) and longer than a RawReader window.
+func TestRunLRUProfileMatchesSlice(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		src := xrand.New(xrand.Split(61, "lru-profile", int64(trial)))
+		tr := localTrace(src, 3000, 1+src.Int63n(200))
+		m := make([]int64, 1+src.Intn(6000))
+		for i := range m {
+			m[i] = 1 + src.Int63n(64)
+		}
+		want, err := runLRUProfileSlice(tr, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunLRUProfile(tr.Emit, tr.MaxBlock(), profile.SliceRaw(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("trial %d: streamed misses %d, indexed %d", trial, got, want)
+		}
 	}
 }
 

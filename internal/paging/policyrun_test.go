@@ -61,7 +61,7 @@ func TestPolicyRunConstantProfileMatchesFixed(t *testing.T) {
 func TestPolicyRunSquareRouting(t *testing.T) {
 	src := xrand.New(xrand.Split(52, "policyrun-square", 0))
 	tr := localTrace(src, 600, 48)
-	boxes, err := profile.Sawtooth(2, 17, 9, 40)
+	boxes, err := sawtoothSteps(2, 17, 9, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestReplayOPTRefusesBeyondCeiling(t *testing.T) {
 func TestPolicyRunVaryingProfileMatchesOracle(t *testing.T) {
 	src := xrand.New(xrand.Split(53, "policyrun-vary", 0))
 	tr := localTrace(src, 900, 64)
-	boxes, err := profile.Sawtooth(2, 23, 11, 4000)
+	boxes, err := sawtoothSteps(2, 23, 11, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestPolicyRunVaryingProfileMatchesOracle(t *testing.T) {
 // accounting. Traces are long enough against the box sizes that the heap
 // evicts and re-keys many times per replay.
 func TestReplayOPTVaryingProfileMatchesOracle(t *testing.T) {
-	sawtooth, err := profile.Sawtooth(2, 23, 11, 4000)
+	sawtooth, err := sawtoothSteps(2, 23, 11, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,10 +226,21 @@ func TestWorstCaseSourceRejectsA1(t *testing.T) {
 	}
 }
 
+// collected materializes a raw-profile generator's steps.
+func collected(r Raw, err error) ([]int64, error) {
+	if err != nil {
+		return nil, err
+	}
+	return Collect(r), nil
+}
+
 func TestConstant(t *testing.T) {
-	m, err := Constant(8, 5)
+	m, err := collected(Constant(8, 5))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(m) != 5 {
+		t.Fatalf("constant profile has %d steps, want 5", len(m))
 	}
 	for _, v := range m {
 		if v != 8 {
@@ -245,7 +256,7 @@ func TestConstant(t *testing.T) {
 }
 
 func TestSawtoothShape(t *testing.T) {
-	m, err := Sawtooth(10, 100, 50, 150)
+	m, err := collected(Sawtooth(10, 100, 50, 150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,7 @@ func TestSawtoothShape(t *testing.T) {
 
 func TestRandomWalkBounds(t *testing.T) {
 	src := xrand.New(5)
-	m, err := RandomWalk(src, 50, 10, 100, 7, 10000)
+	m, err := collected(RandomWalk(src, 50, 10, 100, 7, 10000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +299,7 @@ func TestRandomWalkBounds(t *testing.T) {
 }
 
 func TestSquarizeConstant(t *testing.T) {
-	m, _ := Constant(4, 16)
+	m, _ := collected(Constant(4, 16))
 	p, err := Squarize(m)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +374,7 @@ func TestSquarizeInvariants(t *testing.T) {
 }
 
 func TestSquarizeSawtooth(t *testing.T) {
-	m, _ := Sawtooth(4, 256, 300, 1200)
+	m, _ := collected(Sawtooth(4, 256, 300, 1200))
 	p, err := Squarize(m)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,7 +24,9 @@ type runRequest struct {
 // RunResponse is the POST /v1/run reply. Table carries the experiment's
 // versioned Table JSON verbatim — the same bytes whether the run was fresh,
 // coalesced onto a concurrent identical run, or replayed from the cache;
-// only the envelope's cached/coalesced markers differ.
+// only the envelope's cached/coalesced markers differ. Table is the last
+// field and is omitted when empty, which is how writeRun encodes the
+// envelope alone before splicing the table in.
 type RunResponse struct {
 	SchemaVersion int             `json:"schema_version"`
 	Key           string          `json:"key"` // content address (core.CacheKey)
@@ -31,7 +34,7 @@ type RunResponse struct {
 	Coalesced     bool            `json:"coalesced,omitempty"`
 	Experiment    string          `json:"experiment"`
 	Config        core.Config     `json:"config"`
-	Table         json.RawMessage `json:"table"`
+	Table         json.RawMessage `json:"table,omitempty"`
 }
 
 // errorResponse is every non-2xx body. Field names the offending config
@@ -125,15 +128,38 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RunResponse{
+	writeRun(w, RunResponse{
 		SchemaVersion: core.SnapshotSchemaVersion,
 		Key:           key,
 		Cached:        oc == outcomeHit,
 		Coalesced:     oc == outcomeCoalesced,
 		Experiment:    req.Experiment,
 		Config:        req.Config,
-		Table:         body,
-	})
+	}, body)
+}
+
+// writeRun writes a 200 reply of resp with table as its Table, the bytes
+// writeJSON would write for it, without re-encoding the table: it encodes
+// the envelope (resp without Table), then indents the table once into
+// place and closes the object. table is json.Marshal output, already
+// compact with HTML escaped, so indenting it is all the encoder's own
+// pass over a RawMessage would do.
+func writeRun(w http.ResponseWriter, resp RunResponse, table []byte) {
+	env, err := json.MarshalIndent(resp, "", "  ")
+	var b bytes.Buffer
+	if err == nil {
+		b.Grow(len(env) + 2*len(table))
+		b.Write(env[:len(env)-len("\n}")])
+		b.WriteString(",\n  \"table\": ")
+		err = json.Indent(&b, table, "  ", "  ")
+		b.WriteString("\n}\n")
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		//lint:ignore errcheck the client is gone if writing to it fails; nothing to do
+		_, _ = w.Write(b.Bytes())
+	}
 }
 
 // ExperimentInfo is one GET /v1/experiments row, mirroring `cadaptive -list`.

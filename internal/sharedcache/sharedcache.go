@@ -114,11 +114,19 @@ func Simulate(cfg Config, rng *xrand.Source) ([]Allocation, error) {
 	out := make([]Allocation, len(cfg.Processes))
 	for i, p := range cfg.Processes {
 		out[i] = Allocation{Process: p}
+		if life := min(p.Depart, cfg.Horizon) - p.Arrive; life > 0 {
+			out[i].M = make([]int64, 0, life)
+		}
 	}
+	// Per-step scratch, sized for every process at once and reused each
+	// step, so a run allocates the same whatever its horizon.
+	active := make([]int, 0, len(cfg.Processes))
+	demandBuf := make([]int64, len(cfg.Processes))
+	allocBuf := make([]int64, len(cfg.Processes))
 	// Winner-take-all state: the winner's current share fraction numerator.
 	winnerShare := int64(0)
 	for t := 0; t < cfg.Horizon; t++ {
-		var active []int
+		active = active[:0]
 		for i, p := range cfg.Processes {
 			if t >= p.Arrive && t < p.Depart {
 				active = append(active, i)
@@ -127,7 +135,7 @@ func Simulate(cfg Config, rng *xrand.Source) ([]Allocation, error) {
 		if len(active) == 0 {
 			continue
 		}
-		demands := make([]int64, len(active))
+		demands := demandBuf[:len(active)]
 		var totalDemand int64
 		for j, i := range active {
 			d := cfg.Processes[i].Demand
@@ -140,7 +148,7 @@ func Simulate(cfg Config, rng *xrand.Source) ([]Allocation, error) {
 			totalDemand += d
 		}
 
-		allocs := make([]int64, len(active))
+		allocs := allocBuf[:len(active)]
 		switch cfg.Policy {
 		case EvenSplit:
 			share := cfg.CacheBlocks / int64(len(active))

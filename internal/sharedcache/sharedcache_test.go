@@ -209,3 +209,47 @@ func TestInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSimulateAllocsIndependentOfHorizon pins Simulate's allocations to
+// its setup: the per-step scratch is reused and every allocation slice is
+// sized up front to the process's steps inside the horizon, so a run ten
+// times longer makes the same number of allocations, under every policy.
+// The horizons keep every slice a small-object allocation (< 32 KB), which
+// the runtime counts exactly.
+func TestSimulateAllocsIndependentOfHorizon(t *testing.T) {
+	scaled := func(policy Policy, horizon int) Config {
+		cfg := baseConfig()
+		cfg.Policy = policy
+		cfg.DemandJitter = 3
+		cfg.Horizon = horizon
+		for i := range cfg.Processes {
+			p := &cfg.Processes[i]
+			p.Arrive = p.Arrive * horizon / 2000
+			p.Depart = p.Depart * horizon / 2000
+		}
+		// One process outlives the horizon: its allocation stops there.
+		cfg.Processes[1].Depart = 2 * horizon
+		return cfg
+	}
+	for _, policy := range []Policy{EvenSplit, Proportional, WinnerTakeAll} {
+		var allocs [2]float64
+		for i, horizon := range []int{300, 3000} {
+			cfg := scaled(policy, horizon)
+			rng := xrand.New(3)
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				out, err := Simulate(cfg, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range out {
+					if want := min(a.Process.Depart, horizon) - a.Process.Arrive; len(a.M) != want || cap(a.M) != want {
+						t.Fatalf("%v: %s has len %d cap %d, want %d", policy, a.Process.Name, len(a.M), cap(a.M), want)
+					}
+				}
+			})
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%v: %v allocations at horizon 300, %v at 3000", policy, allocs[0], allocs[1])
+		}
+	}
+}

@@ -81,19 +81,22 @@ echo "== perfbench module =="
 
 echo "== go test -race (short) =="
 # Beside the engine fan-out tests: core's Monte-Carlo level sweep (each
-# cell once at its slot, the first failure, 1 vs 4 workers), E10's fan-out
-# under the run's context, and the declared-inputs contract of the cache
+# cell once at its slot, the first failure, 1 vs 4 workers), the E4, E5,
+# E10 and A5 fan-outs under the run's context (cancelled mid-run, and
+# every trial counted as a cell), and the declared-inputs contract of the cache
 # key (register's check, the key moving exactly with declared fields, the
 # pinned full-input key, runTimed's projection, E10's seed read, the JSON
 # names).
-gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers|TestSweep|TestE10HonoursCancellation|TestRegisterRejectsUndeclaredInputs|TestCacheKey$|TestCacheKeyPinnedForFullInputs|TestRunTimedProjectsConfig|TestE10SamplesMoveWithSeed|TestInputNamesMatchConfigTags' \
+gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers|TestSweep|TestE10HonoursCancellation|TestE4HonoursCancellation|TestE5HonoursCancellation|TestA5HonoursCancellation|TestRegisterRejectsUndeclaredInputs|TestCacheKey$|TestCacheKeyPinnedForFullInputs|TestRunTimedProjectsConfig|TestE10SamplesMoveWithSeed|TestInputNamesMatchConfigTags' \
     -race -short \
     ./internal/engine/ \
     ./internal/adaptivity/ \
     ./internal/core/
 
 echo "== go test -race (service + paging properties) =="
-gate 'TestService|TestCache|TestLRU|TestFIFO|TestOPT|TestHitsPlusMisses|TestShrink|TestClient|TestSharedOPTRecordingMatchesPerCall' \
+# Among them, the /v1/run reply spliced around the cached table against
+# encoding the whole response, for every experiment's table.
+gate 'TestService|TestCache|TestLRU|TestFIFO|TestOPT|TestHitsPlusMisses|TestShrink|TestClient|TestSharedOPTRecordingMatchesPerCall|TestRunResponseSplice' \
     -race -short \
     ./internal/service/ \
     ./internal/paging/
@@ -171,12 +174,19 @@ echo "== draw-identity differentials =="
 # The forms E3-E7 draw through, each against the form it replaced: the
 # in-place shuffle, perturbation and rotation sources against the eager
 # smoothings, the one-stream f/f' sampler against two seeded streams, and
-# the bounded and weighted draws against their old arithmetic.
-gate 'TestSourcesMatchEager|TestShuffleIndexRejectsMoreThan256Sizes|FuzzSmoothingSourcesMatchEager|TestStoppingSampler|TestBoundedUint64|TestWeightedSearchMatchesBinarySearch' \
+# the bounded and weighted draws against their old arithmetic. Beside them,
+# A2's streamed raw profiles against the materialized ones: the streamed
+# square reduction against the slice greedy, the walk's draw order, the
+# per-miss LRU replay against indexing the profile, and A2's table at
+# several seeds.
+gate 'TestSourcesMatchEager|TestShuffleIndexRejectsMoreThan256Sizes|FuzzSmoothingSourcesMatchEager|TestStoppingSampler|TestBoundedUint64|TestWeightedSearchMatchesBinarySearch|TestSquarizeRawMatchesSliceGreedy|TestRandomWalkDrawOrder|TestRunLRUProfileMatchesSlice|TestA2MatchesSlicePath' \
     -race -count=1 \
     ./internal/smoothing/ \
     ./internal/adaptivity/ \
-    ./internal/xrand/
+    ./internal/xrand/ \
+    ./internal/profile/ \
+    ./internal/paging/ \
+    ./internal/core/
 
 echo "== bench smoke =="
 # One iteration of every benchmark so the bench harness can't bit-rot:
