@@ -24,9 +24,9 @@
 // through paging.Replay, -lru at a constant profile of -lru blocks.
 // Unknown names are rejected with the accepted list.
 //
-// -worstcase streams -reps repetitions of the trace, each in a fresh
-// address range, into one square replay bounded by the worst-case
-// profile's boxes (paging.ServedEmitRepeat).
+// -worstcase counts how many of -reps back-to-back runs of the trace, each
+// in a fresh address range, the worst-case profile's boxes complete
+// (paging.Completions).
 //
 // This is the substrate behind experiments E9 and E11.
 package main
@@ -218,16 +218,12 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		c, err := measure()
-		if err != nil {
-			return err
-		}
-		served, err := paging.ServedEmitRepeat(emit, c.MaxBlock, boxSrc, nBoxes, *reps, c.MaxBlock+1)
+		runs, err := paging.Completions(emit, boxSrc, nBoxes, *reps)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "worst-case profile: %d boxes, %d I/Os; %s completed %d multiplies\n",
-			nBoxes, duration, *alg, served/c.Refs)
+			nBoxes, duration, *alg, runs)
 		did = true
 	}
 	if *profPath != "" {

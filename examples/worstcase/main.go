@@ -64,36 +64,20 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "\nMM-Scan vs MM-InPlace: multiplies completed within the profile (B = 8 words/block)")
 	const bw = 8
 	for _, dim := range []int{32, 64, 128, 256} {
-		wc, err := matrix.WorstCaseProfile(dim, bw)
-		if err != nil {
-			return err
-		}
 		// 16 back-to-back multiplies, each over fresh blocks, against the
-		// profile's boxes; the served prefix says how many completed.
-		multiplies := func(tr *trace.Trace) (int, error) {
-			src, err := profile.NewSliceSource(wc)
+		// profile's boxes; paging.Completions says how many completed.
+		multiplies := func(emit func(trace.Sink) error) (int64, error) {
+			src, nBoxes, _, err := matrix.WorstCaseBoxStream(dim, bw)
 			if err != nil {
 				return 0, err
 			}
-			served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src, int64(wc.Len()), 16, tr.MaxBlock()+1)
-			if err != nil {
-				return 0, err
-			}
-			return int(served) / tr.Len(), nil
+			return paging.Completions(emit, src, nBoxes, 16)
 		}
-		scanTr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
+		scan, err := multiplies(func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
 		if err != nil {
 			return err
 		}
-		inpTr, err := trace.Materialize(func(s trace.Sink) error { return matrix.EmitMulInPlace(dim, bw, s) })
-		if err != nil {
-			return err
-		}
-		scan, err := multiplies(scanTr)
-		if err != nil {
-			return err
-		}
-		inp, err := multiplies(inpTr)
+		inp, err := multiplies(func(s trace.Sink) error { return matrix.EmitMulInPlace(dim, bw, s) })
 		if err != nil {
 			return err
 		}

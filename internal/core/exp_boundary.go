@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/adaptivity"
 	"repro/internal/engine"
-	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/smoothing"
@@ -80,34 +79,19 @@ func runA5(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := trace.Materialize(func(s trace.Sink) error { return sorting.EmitMergeSort(n, bw, s) })
+		emit := func(s trace.Sink) error { return sorting.EmitMergeSort(n, bw, s) }
+		ordered, err := profileRuns(wc, 8, emit)
 		if err != nil {
 			return nil, err
 		}
-		const reps = 8
-		// Stream the fresh-address repetitions straight into a box-limited
-		// square replay for each profile — the repeated trace is never built.
-		countSorts := func(boxes []int64) (int, error) {
-			src, err := profile.NewBoxesSource(boxes)
-			if err != nil {
-				return 0, err
-			}
-			served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src, int64(len(boxes)), reps, tr.MaxBlock()+1)
-			return int(served), err
-		}
-		endOrdered, err := countSorts(wc.Boxes())
-		if err != nil {
-			return nil, err
-		}
-		sh := smoothing.Shuffle(wc, rng)
-		endShuffled, err := countSorts(sh.Boxes())
+		shuffled, err := profileRuns(smoothing.Shuffle(wc, rng), 8, emit)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("real merge sort (trace)", "-", n,
-			fmt.Sprintf("shuffled profile: %d sorts", endShuffled/tr.Len()),
+			fmt.Sprintf("shuffled profile: %d sorts", shuffled),
 			"-",
-			fmt.Sprintf("ordered profile: %d sorts", endOrdered/tr.Len()))
+			fmt.Sprintf("ordered profile: %d sorts", ordered))
 	}
 
 	t.Note = joinNotes(notes) + " — unlike the a > b case (E3), shuffling the boxes barely moves the a = b gap: smoothing cannot rescue merge-sort-shaped algorithms, matching footnote 3's DAM-level obstruction."

@@ -84,9 +84,10 @@ func runA7(cfg Config) (*Table, error) {
 		// Duration-weighted mean box size (the I/O-time average the sorter
 		// actually experiences).
 		var dur, weighted float64
-		for _, b := range p.Boxes() {
-			dur += float64(b)
-			weighted += float64(b) * float64(b)
+		for i := 0; i < p.Len(); i++ {
+			b := float64(p.Box(i))
+			dur += b
+			weighted += b * b
 		}
 		meanBox := weighted / dur
 		t.AddRow(name, meanBox, adaptive.IOs, oblivious.IOs, ratio, math.Log2(meanBox))

@@ -66,42 +66,23 @@ func runE9(cfg Config) (*Table, error) {
 	if cfg.MaxK >= 10 {
 		dims = append(dims, 4096)
 	}
-	var lastScan, lastInp int
-	firstInp := 0
+	var lastScan, lastInp, firstInp int64
 	for i, dim := range dims {
 		_, nBoxes, duration, err := matrix.WorstCaseBoxStream(dim, bw)
 		if err != nil {
 			return nil, err
 		}
 		// Enough repetitions to comfortably exceed the profile's capacity for
-		// both algorithms at every size. The repetitions are streamed into
-		// one box-limited square replay with a fresh address range per rep,
-		// never materialized.
+		// both algorithms at every size.
 		reps := 12
 		if dim >= 1024 {
 			reps = 16
 		}
-		count := func(emit func(trace.Sink) error) (int, error) {
-			c := &trace.CountingSink{}
-			if err := emit(c); err != nil {
-				return 0, err
-			}
-			// Each algorithm replays against the profile from its first box.
-			boxSrc, _, _, err := matrix.WorstCaseBoxStream(dim, bw)
-			if err != nil {
-				return 0, err
-			}
-			served, err := paging.ServedEmitRepeat(emit, c.MaxBlock, boxSrc, nBoxes, reps, c.MaxBlock+1)
-			if err != nil {
-				return 0, err
-			}
-			return int(served / c.Refs), nil
-		}
-		scanCount, err := count(func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
+		scanCount, err := mmScanRuns(dim, bw, reps, func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
 		if err != nil {
 			return nil, err
 		}
-		inpCount, err := count(func(s trace.Sink) error { return matrix.EmitMulInPlace(dim, bw, s) })
+		inpCount, err := mmScanRuns(dim, bw, reps, func(s trace.Sink) error { return matrix.EmitMulInPlace(dim, bw, s) })
 		if err != nil {
 			return nil, err
 		}
@@ -113,6 +94,16 @@ func runE9(cfg Config) (*Table, error) {
 	}
 	t.Note = fmt.Sprintf("MM-Scan stays at %d multiply per profile; MM-InPlace grows from %d to %d — one extra multiply per doubling of dim, the Ω(log(N/B)) shape.", lastScan, firstInp, lastInp)
 	return t, nil
+}
+
+// mmScanRuns counts how many of reps runs of emit MM-Scan's worst-case
+// profile for dim×dim matrices completes, read from its first box.
+func mmScanRuns(dim int, bw int64, reps int, emit func(trace.Sink) error) (int64, error) {
+	src, nBoxes, _, err := matrix.WorstCaseBoxStream(dim, bw)
+	if err != nil {
+		return 0, err
+	}
+	return paging.Completions(emit, src, nBoxes, reps)
 }
 
 // e10Trial is one No-Catch-up trial: a random trace, a square-box

@@ -79,10 +79,12 @@ func (g *gepTraceGen) inPlace(xOff, uOff, vOff, d int64) {
 	}
 }
 
-// gepSchedule returns the 8 octant calls of fwRec in order.
-func gepSchedule(xOff, uOff, vOff, d int64) []struct{ x, u, v int64 } {
+// gepSchedule returns the 8 octant calls of fwRec in order. An array, not
+// a slice: it stays on the stack, so re-emitting a trace allocates nothing
+// per internal node.
+func gepSchedule(xOff, uOff, vOff, d int64) [8]struct{ x, u, v int64 } {
 	o := func(off, qi, qj int64) int64 { return octant(off, d, qi, qj) }
-	return []struct{ x, u, v int64 }{
+	return [8]struct{ x, u, v int64 }{
 		{o(xOff, 0, 0), o(uOff, 0, 0), o(vOff, 0, 0)},
 		{o(xOff, 0, 1), o(uOff, 0, 0), o(vOff, 0, 1)},
 		{o(xOff, 1, 0), o(uOff, 1, 0), o(vOff, 0, 0)},

@@ -135,8 +135,11 @@ func (g *traceGen) mulScan(cOff, aOff, bOff, d int64) {
 // used by ablation A1 to probe the paper's open question about randomised
 // algorithms. The addressing (which temp quadrant each product writes,
 // which input quadrants it reads) is unchanged; only the order is random.
-// The order is drawn from rng while the trace is generated, so a caller
-// that replays the trace more than once materializes it first.
+// The order is drawn from rng while the trace is generated, and the
+// recursion never stops early, so every emission from the same rng state
+// draws the same orders and leaves rng in the same state: a caller that
+// replays the trace more than once (paging.Completions) rewinds rng to its
+// starting state before each emission.
 func EmitMulScanShuffled(dim int, blockWords int64, rng *xrand.Source, s trace.Sink) error {
 	if err := validateTraceArgs(dim, blockWords); err != nil {
 		return err
@@ -211,38 +214,16 @@ func (g *traceGen) mulInPlace(cOff, aOff, bOff, d int64) {
 	}
 }
 
-// WorstCaseProfile builds the Figure-1 worst-case profile matched to the
-// traced MM-Scan implementation for dim×dim matrices: recursively, the
+// WorstCaseBoxStream streams the Figure-1 worst-case profile matched to
+// the traced MM-Scan implementation for dim×dim matrices: recursively, the
 // profile for a d×d product is eight copies of the profile for d/2
 // followed by one box the size of the level's merge scan (3·d²/B blocks —
 // read T1, read T2, write C); the base case gets a box exactly the size of
 // a base-case product's footprint (3·⌈base²/B⌉ blocks). Running the traced
 // MM-Scan against this profile reproduces the paper's lockstep: every box
-// serves exactly one scan or one base case.
-func WorstCaseProfile(dim int, blockWords int64) (*profile.SquareProfile, error) {
-	if err := validateTraceArgs(dim, blockWords); err != nil {
-		return nil, err
-	}
-	var boxes []int64
-	var build func(d int64)
-	build = func(d int64) {
-		if d <= traceBaseDim {
-			boxes = append(boxes, 3*((d*d+blockWords-1)/blockWords))
-			return
-		}
-		for i := 0; i < 8; i++ {
-			build(d / 2)
-		}
-		boxes = append(boxes, 3*d*d/blockWords)
-	}
-	build(int64(dim))
-	return profile.New(boxes)
-}
-
-// WorstCaseBoxStream is the streaming form of WorstCaseProfile: it returns
-// a box source whose first `count` boxes are exactly
-// WorstCaseProfile(dim, blockWords).Boxes(), plus that count and the
-// profile's total duration (Σ box sizes), both computed in closed form. The
+// serves exactly one scan or one base case. It returns a box source whose
+// first `count` boxes are the profile, plus that count and the profile's
+// total duration (Σ box sizes), both computed in closed form. The
 // profile is never materialised — the recursive structure is an 8-ary
 // odometer (a leaf box per base case, one level-j merge-scan box after
 // every 8^j-th leaf) — so dim-4096-class profiles, whose materialised box

@@ -1,11 +1,13 @@
 package matrix
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/trace"
+	"repro/internal/xrand"
 )
 
 func TestTraceValidation(t *testing.T) {
@@ -97,12 +99,12 @@ func TestTraceSingleBoxServesMultiply(t *testing.T) {
 	}
 }
 
-// multipliesOn counts how many of reps back-to-back copies of tr (block
-// IDs shifted by stride per copy) the boxes complete. It checks
-// paging.ServedEmitRepeat over tr.Emit against the same repetitions
-// replayed one by one (trace.Replay into a trace.OffsetSink) into an
-// unbounded square replay, counting what its first len(boxes) boxes serve.
-func multipliesOn(t *testing.T, tr *trace.Trace, boxes []int64, reps int, stride int64) int {
+// multipliesOn counts how many of reps back-to-back copies of tr (each
+// in a fresh address range) the boxes complete. It checks
+// paging.Completions over tr.Emit against the same repetitions replayed
+// one by one (trace.Replay into a trace.OffsetSink) into an unbounded
+// square replay, counting what its first len(boxes) boxes serve.
+func multipliesOn(t *testing.T, tr *trace.Trace, boxes []int64, reps int) int {
 	t.Helper()
 	src := func() profile.Source {
 		s, err := profile.NewBoxesSource(boxes)
@@ -111,45 +113,75 @@ func multipliesOn(t *testing.T, tr *trace.Trace, boxes []int64, reps int, stride
 		}
 		return s
 	}
-	var closed, want int64
+	var closed, served int64
 	q := paging.NewSquareStream(src(), 0, func(b paging.BoxStat) {
 		if closed++; closed <= int64(len(boxes)) {
-			want += b.Refs
+			served += b.Refs
 		}
 	})
 	for r := 0; r < reps; r++ {
-		trace.Replay(tr, trace.OffsetSink{S: q, Shift: int64(r) * stride})
+		trace.Replay(tr, trace.OffsetSink{S: q, Shift: int64(r) * (tr.MaxBlock() + 1)})
 	}
 	if err := q.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	served, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src(), int64(len(boxes)), reps, stride)
+	runs, err := paging.Completions(tr.Emit, src(), int64(len(boxes)), reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served != want {
-		t.Fatalf("ServedEmitRepeat served %d, replayed repetitions %d", served, want)
+	if want := served / int64(tr.Len()); runs != want {
+		t.Fatalf("Completions = %d, replayed repetitions complete %d", runs, want)
 	}
-	return int(served) / tr.Len()
+	return int(runs)
 }
 
-// TestRepeatTrace: repetitions that reuse their blocks verbatim (stride 0)
-// run again out of the same cache, so one box of the trace's footprint
-// serves every copy; fewer than one repetition is rejected.
+// TestRepeatTrace: one box of the trace's footprint completes one of
+// several repetitions in fresh address ranges; fewer than one repetition
+// is rejected.
 func TestRepeatTrace(t *testing.T) {
 	tr, _ := materialize(EmitMulInPlace, 16, 8)
 	foot := int64(tr.DistinctBlocks())
-	if got := multipliesOn(t, tr, []int64{foot}, 3, 0); got != 3 {
-		t.Errorf("one footprint-sized box completed %d of 3 verbatim repetitions", got)
-	}
-	if got := multipliesOn(t, tr, []int64{foot}, 3, tr.MaxBlock()+1); got != 1 {
+	if got := multipliesOn(t, tr, []int64{foot}, 3); got != 1 {
 		t.Errorf("one footprint-sized box completed %d fresh repetitions, want 1", got)
 	}
 	for _, reps := range []int{0, -3} {
 		src, _ := profile.NewBoxesSource([]int64{foot})
-		if _, err := paging.ServedEmitRepeat(tr.Emit, tr.MaxBlock(), src, 1, reps, 0); err == nil {
+		if _, err := paging.Completions(tr.Emit, src, 1, reps); err == nil {
 			t.Errorf("reps=%d accepted", reps)
 		}
+	}
+}
+
+// TestMulScanShuffledReplaysFromRewoundSource: the shuffled MM-Scan never
+// stops early, so every emission from one generator state — into a sink
+// that takes everything or one whose boxes run out after a few
+// references — draws the same orders and leaves the generator in the same
+// state. A1 replays one shuffled trace by rewinding its generator on this.
+func TestMulScanShuffledReplaysFromRewoundSource(t *testing.T) {
+	start := *xrand.New(7)
+	rng := start
+	emit := func(s trace.Sink) error { return EmitMulScanShuffled(32, 8, &rng, s) }
+	first, err := trace.Materialize(emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := rng
+	rng = start
+	again, err := trace.Materialize(emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) || rng != end {
+		t.Fatal("a rewound generator emitted a different trace or ended elsewhere")
+	}
+	rng = start
+	src, _ := profile.NewBoxesSource([]int64{5})
+	q := paging.NewSquareStream(src, 1, func(paging.BoxStat) {})
+	if err := emit(q); err != nil {
+		t.Fatal(err)
+	}
+	if !q.Stopped() || rng != end {
+		t.Fatal("an emission into a stopped sink left the generator elsewhere")
 	}
 }
 
@@ -166,15 +198,15 @@ func TestScanVsInPlaceOnWorstCaseProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wc, err := WorstCaseProfile(dim, bw)
+	wc, err := worstCaseProfile(dim, bw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boxes := wc.Boxes()
 
 	const reps = 16
-	scanCount := multipliesOn(t, scanTr, boxes, reps, scanTr.MaxBlock()+1)
-	inpCount := multipliesOn(t, inpTr, boxes, reps, inpTr.MaxBlock()+1)
+	scanCount := multipliesOn(t, scanTr, boxes, reps)
+	inpCount := multipliesOn(t, inpTr, boxes, reps)
 	// The paper: MM-Scan performs exactly one multiply on its worst-case
 	// profile; MM-InPlace performs Ω(log(N/B)) multiplies on the same
 	// profile.
@@ -192,7 +224,7 @@ func TestInPlaceMultipliesGrowLogarithmically(t *testing.T) {
 	const bw = 8
 	counts := make(map[int]int)
 	for _, dim := range []int{32, 128} {
-		wc, err := WorstCaseProfile(dim, bw)
+		wc, err := worstCaseProfile(dim, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +232,7 @@ func TestInPlaceMultipliesGrowLogarithmically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[dim] = multipliesOn(t, inpTr, wc.Boxes(), 16, inpTr.MaxBlock()+1)
+		counts[dim] = multipliesOn(t, inpTr, wc.Boxes(), 16)
 	}
 	if counts[128] <= counts[32] {
 		t.Errorf("multiplies did not grow with size: dim32=%d, dim128=%d", counts[32], counts[128])

@@ -298,21 +298,22 @@ func TestSquareStreamZeroAllocSteadyState(t *testing.T) {
 // TestServedEmitRepeatAllocsIndependentOfLength: the repeated replay
 // allocates per call and per repetition (the stream, residency growth
 // into each shifted address range, the OffsetSink adapter), never per
-// reference — the SquareStream hot path stays allocation-free under
-// ServedEmitRepeat, so a 10× longer base stream allocates the same.
+// reference — the measuring pass and the SquareStream hot path stay
+// allocation-free under Completions, so a 10× longer base stream
+// allocates the same.
 func TestServedEmitRepeatAllocsIndependentOfLength(t *testing.T) {
 	allocs := func(refs int) float64 {
 		src := xrand.New(xrand.Split(50, "alloc-servedrepeat", 0))
 		tr := localTrace(src, refs, 128)
 		return testing.AllocsPerRun(10, func() {
-			if _, err := ServedEmitRepeat(tr.Emit, 127, constSource{8}, 1<<40, 6, 128); err != nil {
+			if _, err := Completions(tr.Emit, constSource{8}, 1<<40, 6); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	short, long := allocs(2000), allocs(20000)
 	if long != short {
-		t.Fatalf("ServedEmitRepeat allocates %.1f times over 2000 refs but %.1f over 20000, want equal", short, long)
+		t.Fatalf("Completions allocates %.1f times over 2000 refs but %.1f over 20000, want equal", short, long)
 	}
 }
 

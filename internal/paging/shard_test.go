@@ -217,13 +217,13 @@ func TestSquareEmitParallelTotalRefsIsAdvisory(t *testing.T) {
 	}
 }
 
-// --- ServedEmitRepeat --------------------------------------------------------
+// --- Completions -------------------------------------------------------------
 
-// repeatServed is the reference answer for ServedEmitRepeat: the shifted
-// repetitions of tr replayed one by one (trace.Replay into a
-// trace.OffsetSink) into an unbounded square replay, summing the
-// references served by its first nBoxes boxes.
-func repeatServed(t testing.TB, tr *trace.Trace, src profile.Source, nBoxes int64, reps int, stride int64) int64 {
+// repeatServed is the reference answer for servedEmitRepeat: the
+// repetitions of tr, each shifted to a fresh address range, replayed one
+// by one (trace.Replay into a trace.OffsetSink) into an unbounded square
+// replay, summing the references served by its first nBoxes boxes.
+func repeatServed(t testing.TB, tr *trace.Trace, src profile.Source, nBoxes int64, reps int) int64 {
 	t.Helper()
 	var boxes, served int64
 	q := NewSquareStream(src, 0, func(b BoxStat) {
@@ -232,7 +232,7 @@ func repeatServed(t testing.TB, tr *trace.Trace, src profile.Source, nBoxes int6
 		}
 	})
 	for r := 0; r < reps; r++ {
-		trace.Replay(tr, trace.OffsetSink{S: q, Shift: int64(r) * stride})
+		trace.Replay(tr, trace.OffsetSink{S: q, Shift: int64(r) * (tr.MaxBlock() + 1)})
 	}
 	if err := q.Finish(); err != nil {
 		t.Fatal(err)
@@ -240,29 +240,31 @@ func repeatServed(t testing.TB, tr *trace.Trace, src profile.Source, nBoxes int6
 	return served
 }
 
-// TestServedEmitRepeatParallelSmallStrideFallsBack: with stride <=
-// maxBlock the repetitions overlap in address space, so a later
-// repetition can hit blocks an earlier one left resident in the same box.
-// The count must still match the replayed repetitions exactly.
-func TestServedEmitRepeatParallelSmallStrideFallsBack(t *testing.T) {
-	rng := xrand.New(0x5c2)
-	tr := randomTrace(rng, 600, 48)
-	boxes := []int64{5, 40}
-	nBoxes, reps := int64(40), 4
-	for _, stride := range []int64{0, 1, tr.MaxBlock()} {
-		want := repeatServed(t, tr, cycling(t, boxes), nBoxes, reps, stride)
-		got, err := ServedEmitRepeat(tr.Emit, tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("stride %d: served %d, want %d", stride, got, want)
-		}
+// checkRepeat pins servedEmitRepeat and Completions over emit (tr's
+// stream) against repeatServed; it reports whether the boxes outlast the
+// first repetition.
+func checkRepeat(t *testing.T, trial int, tr *trace.Trace, emit func(trace.Sink) error, boxes []int64, nBoxes int64, reps int) bool {
+	t.Helper()
+	want := repeatServed(t, tr, cycling(t, boxes), nBoxes, reps)
+	got, err := servedEmitRepeat(emit, tr.MaxBlock(), cycling(t, boxes), nBoxes, reps)
+	if err != nil {
+		t.Fatalf("trial %d: %v", trial, err)
 	}
+	if got != want {
+		t.Fatalf("trial %d: served %d, want %d", trial, got, want)
+	}
+	runs, err := Completions(emit, cycling(t, boxes), nBoxes, reps)
+	if err != nil {
+		t.Fatalf("trial %d: %v", trial, err)
+	}
+	if runs != want/int64(tr.Len()) {
+		t.Fatalf("trial %d: %d completions, want %d", trial, runs, want/int64(tr.Len()))
+	}
+	return want > int64(tr.Len())
 }
 
 // TestServedRepeatParallelMatchesSerial drives a materialized trace through
-// its own Emit method, the form the worst-case example passes.
+// its own Emit method.
 func TestServedRepeatParallelMatchesSerial(t *testing.T) {
 	rng := xrand.New(0x5c1)
 	multi := 0 // trials whose boxes outlast the first repetition
@@ -274,17 +276,7 @@ func TestServedRepeatParallelMatchesSerial(t *testing.T) {
 		}
 		nBoxes := 1 + rng.Int63n(200)
 		reps := 1 + rng.Intn(6)
-		stride := tr.MaxBlock() + 1
-
-		want := repeatServed(t, tr, cycling(t, boxes), nBoxes, reps, stride)
-		got, err := ServedEmitRepeat(tr.Emit, tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got != want {
-			t.Fatalf("trial %d: served %d, want %d", trial, got, want)
-		}
-		if want > int64(tr.Len()) {
+		if checkRepeat(t, trial, tr, tr.Emit, boxes, nBoxes, reps) {
 			multi++
 		}
 	}
@@ -307,21 +299,11 @@ func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 		}
 		nBoxes := 1 + rng.Int63n(200)
 		reps := 1 + rng.Intn(6)
-		stride := tr.MaxBlock() + 1
 		emit := func(s trace.Sink) error {
 			trace.Replay(tr, s)
 			return nil
 		}
-
-		want := repeatServed(t, tr, cycling(t, boxes), nBoxes, reps, stride)
-		got, err := ServedEmitRepeat(emit, tr.MaxBlock(), cycling(t, boxes), nBoxes, reps, stride)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got != want {
-			t.Fatalf("trial %d: served %d, want %d", trial, got, want)
-		}
-		if want > int64(tr.Len()) {
+		if checkRepeat(t, trial, tr, emit, boxes, nBoxes, reps) {
 			multi++
 		}
 	}
@@ -330,13 +312,41 @@ func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCompletionsEdgeCases: fewer than one repetition is rejected, no
+// boxes complete nothing without emitting, boxes that outlast the
+// workload complete every repetition, and a workload with no references
+// is an error rather than a division by zero.
+func TestCompletionsEdgeCases(t *testing.T) {
+	tr := buildTrace([]int64{0, 1, 2, 3, 4, 5}, nil)
+	for _, reps := range []int{0, -3} {
+		if _, err := Completions(tr.Emit, cycling(t, []int64{6}), 1, reps); err == nil {
+			t.Errorf("reps=%d accepted", reps)
+		}
+	}
+	emitted := false
+	noted := func(s trace.Sink) error {
+		emitted = true
+		return tr.Emit(s)
+	}
+	if runs, err := Completions(noted, cycling(t, []int64{6}), 0, 3); err != nil || runs != 0 || emitted {
+		t.Errorf("nBoxes 0: %d completions, %v, emitted %v; want 0, nil, false", runs, err, emitted)
+	}
+	if runs, err := Completions(tr.Emit, cycling(t, []int64{1000}), 1, 4); err != nil || runs != 4 {
+		t.Errorf("one box past the workload: %d completions, %v; want every one of 4", runs, err)
+	}
+	empty := func(trace.Sink) error { return nil }
+	if _, err := Completions(empty, cycling(t, []int64{6}), 1, 2); err == nil {
+		t.Error("a workload with no references was accepted")
+	}
+}
+
 // --- Box errors -------------------------------------------------------------
 
 // TestBoxSizeErrorParity: an invalid box is reported with the cursor's one
 // text whether it leads or turns up mid-stream, and the references served
 // before it still count — through a SquareStream, SquareRunFrom (which
-// validates every box up front, so even an empty suffix reports it) and
-// ServedEmitRepeat.
+// validates every box up front, so even an empty suffix reports it),
+// servedEmitRepeat and Completions.
 func TestBoxSizeErrorParity(t *testing.T) {
 	tr := buildTrace([]int64{0, 1, 2, 3, 4, 5}, nil)
 	for _, c := range []struct {
@@ -361,9 +371,12 @@ func TestBoxSizeErrorParity(t *testing.T) {
 				t.Fatalf("boxes %v: SquareRunFrom from %d: error %v, want %q", c.boxes, start, err, c.msg)
 			}
 		}
-		served, err := ServedEmitRepeat(tr.Emit, tr.MaxBlock(), cycling(t, c.boxes), int64(len(c.boxes)), 2, tr.MaxBlock()+1)
+		served, err := servedEmitRepeat(tr.Emit, tr.MaxBlock(), cycling(t, c.boxes), int64(len(c.boxes)), 2)
 		if err == nil || err.Error() != c.msg || served != c.served {
-			t.Fatalf("boxes %v: ServedEmitRepeat = %d, %v; want %d, %q", c.boxes, served, err, c.served, c.msg)
+			t.Fatalf("boxes %v: servedEmitRepeat = %d, %v; want %d, %q", c.boxes, served, err, c.served, c.msg)
+		}
+		if _, err := Completions(tr.Emit, cycling(t, c.boxes), int64(len(c.boxes)), 2); err == nil || err.Error() != c.msg {
+			t.Fatalf("boxes %v: Completions error %v, want %q", c.boxes, err, c.msg)
 		}
 	}
 }
@@ -470,7 +483,7 @@ func TestServedEmitRepeatHaltsAtBoxLimit(t *testing.T) {
 		trace.Replay(tr, countingSink{Sink: s, delivered: &delivered})
 		return nil
 	}
-	served, err := ServedEmitRepeat(emit, tr.MaxBlock(), cycling(t, []int64{5}), 1, 50, tr.MaxBlock()+1)
+	served, err := servedEmitRepeat(emit, tr.MaxBlock(), cycling(t, []int64{5}), 1, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +510,7 @@ func TestDefaultShardsStaysSerialWithoutIdleWorkers(t *testing.T) {
 
 // FuzzParallelMatchesSerial drives random traces and cycled box profiles
 // through SquareEmitParallel at a fuzzed shard count and through
-// ServedEmitRepeat, and demands bit-identical results against the serial
+// servedEmitRepeat, and demands bit-identical results against the serial
 // references (a SquareStream replay; repeatServed's repetitions).
 // The corpus inputs parameterize deterministic generators, so every
 // failure replays exactly.
@@ -534,14 +547,13 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 			t.Fatalf("SquareEmitParallel(shards=%d) ledger diverges from the serial square replay", shards)
 		}
 
-		stride := tr.MaxBlock() + 1
-		want := repeatServed(t, tr, srcOf(), nBoxes, reps, stride)
-		served, err := ServedEmitRepeat(tr.Emit, tr.MaxBlock(), srcOf(), nBoxes, reps, stride)
+		want := repeatServed(t, tr, srcOf(), nBoxes, reps)
+		served, err := servedEmitRepeat(tr.Emit, tr.MaxBlock(), srcOf(), nBoxes, reps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if served != want {
-			t.Fatalf("ServedEmitRepeat = %d, want %d", served, want)
+			t.Fatalf("servedEmitRepeat = %d, want %d", served, want)
 		}
 	})
 }

@@ -6,7 +6,7 @@
 //
 //  1. Square semantics — the cache-adaptive model's square-profile
 //     discretisation (SquareStream, which also counts what a finite box
-//     sequence serves: ServedEmitRepeat, SquareRunFrom). Prior work
+//     sequence serves: Completions, SquareRunFrom). Prior work
 //     (Bender et al. 2014) shows that, w.l.o.g. up to constant factors,
 //     one may assume cache is cleared at the start of each square, after
 //     which a square of size X serves exactly X distinct blocks: each
@@ -68,7 +68,7 @@ func SquareRunFrom(tr *trace.Trace, startIdx int, boxes []int64) (int, error) {
 		trace.ReplayRange(tr, s, startIdx, tr.Len())
 		return nil
 	}
-	served, err := ServedEmitRepeat(suffix, tr.MaxBlock(), src, int64(len(boxes)), 1, 0)
+	served, err := servedEmitRepeat(suffix, tr.MaxBlock(), src, int64(len(boxes)), 1)
 	if err != nil {
 		return 0, err
 	}

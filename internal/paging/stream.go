@@ -12,7 +12,7 @@ import (
 // ledger of the box being served — and the square-semantics consumer built
 // on them: SquareStream, the per-box ledger behind Replay's "square" name,
 // which also counts the references a finite box sequence serves
-// (ServedEmitRepeat, SquareRunFrom) and finds the shard cuts of the
+// (Completions, SquareRunFrom) and finds the shard cuts of the
 // parallel replay (SquareEmitParallel). Generators emit straight into it
 // and a materialized trace replays into it through the same methods, so
 // streamed and materialized runs share one implementation and cannot
@@ -58,8 +58,8 @@ func (e boxSizeError) Error() string {
 }
 
 // boxLimitError reports a replay needing a box past its maxBoxes guard.
-// The counts over a finite box sequence (ServedEmitRepeat) read it as the
-// normal end of that sequence.
+// The counts over a finite box sequence (Completions, SquareRunFrom) read
+// it as the normal end of that sequence.
 type boxLimitError int64
 
 func (e boxLimitError) Error() string {
@@ -219,34 +219,50 @@ func growResident(resident []int64, block int64) []int64 {
 	return grown
 }
 
-// ServedEmitRepeat counts the references served when reps copies of a
-// generated base stream are replayed, one after another, against the
-// first nBoxes boxes of src under square semantics: a SquareStream
-// guarded at nBoxes boxes, whose guard tripping is the normal end of the
-// count. Repetition r is shifted to block IDs +r·stride: stride =
-// maxBlock+1 relocates each repetition to a fresh address range
-// (back-to-back multiplies of different inputs), stride = 0 reuses the
-// blocks verbatim. emit replays the base workload (block IDs in
-// [0, maxBlock]) and is called once per repetition until the boxes run
-// out; a materialized trace passes tr.Emit. This is the worst-case
-// repetition count behind E9 and mmtrace -worstcase, and with one
-// repetition the No-Catch-up check's SquareRunFrom. With nBoxes < 1 src
-// is never read and nothing is served. On an invalid box the references
-// served before it are returned with the error.
-func ServedEmitRepeat(emit func(trace.Sink) error, maxBlock int64, src profile.Source, nBoxes int64, reps int, stride int64) (int64, error) {
+// Completions counts how many of reps back-to-back runs of a workload
+// the first nBoxes boxes of src complete under square semantics. emit
+// replays the workload; one trace.CountingSink pass measures its length
+// and largest block ID, then each run is replayed in a fresh address range
+// (run r shifted by r·(maxBlock+1): back-to-back multiplies of different
+// inputs) into one SquareStream guarded at nBoxes boxes, and the count is
+// the references served over the workload's length. This is the
+// worst-case repetition count behind E9, A1, A4, A5 and mmtrace
+// -worstcase. emit is called once to measure and then once per run until
+// the boxes run out, so it must emit the same stream every time. With
+// nBoxes < 1 nothing is emitted and nothing completes. On an invalid box
+// the runs completed before it are returned with the error.
+func Completions(emit func(trace.Sink) error, src profile.Source, nBoxes int64, reps int) (int64, error) {
 	if reps < 1 {
 		return 0, fmt.Errorf("paging: reps %d < 1", reps)
 	}
 	if nBoxes < 1 {
 		return 0, nil
 	}
+	var c trace.CountingSink
+	if err := emit(&c); err != nil {
+		return 0, err
+	}
+	if c.Refs == 0 {
+		return 0, errors.New("paging: workload emits no references")
+	}
+	served, err := servedEmitRepeat(emit, c.MaxBlock, src, nBoxes, reps)
+	return served / c.Refs, err
+}
+
+// servedEmitRepeat counts the references served when reps runs of the
+// workload emit replays (block IDs in [0, maxBlock]) are streamed, run r
+// shifted to block IDs +r·(maxBlock+1), into a SquareStream guarded at
+// nBoxes >= 1 boxes, whose guard tripping is the normal end of the count.
+// With one run it is the No-Catch-up check's SquareRunFrom. On an invalid
+// box the references served before it are returned with the error.
+func servedEmitRepeat(emit func(trace.Sink) error, maxBlock int64, src profile.Source, nBoxes int64, reps int) (int64, error) {
 	var served int64
 	q := NewSquareStream(src, nBoxes, func(b BoxStat) { served += b.Refs })
 	q.Reserve(maxBlock)
 	for r := 0; r < reps && !q.Stopped(); r++ {
 		var sink trace.Sink = q
-		if shift := int64(r) * stride; shift != 0 {
-			sink = trace.OffsetSink{S: q, Shift: shift}
+		if r > 0 {
+			sink = trace.OffsetSink{S: q, Shift: int64(r) * (maxBlock + 1)}
 		}
 		if err := emit(sink); err != nil {
 			return 0, err

@@ -74,6 +74,26 @@ func TestOdometerSourceMatchesWorstCaseSource(t *testing.T) {
 	}
 }
 
+// TestOdometerSourceReusesItsQueue: once the queue has held the deepest
+// run of closers a stretch of the stream needs, drawing it allocates
+// nothing, however many boxes the stream serves.
+func TestOdometerSourceReusesItsQueue(t *testing.T) {
+	o, err := NewOdometerSource(8, 3, func(level int) int64 { return int64(level) + 3 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ { // past leaf 8^4, which queues four closers
+		o.Next()
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 400; i++ {
+			o.Next()
+		}
+	}); avg != 0 {
+		t.Fatalf("400 odometer draws allocate %.1f times, want 0", avg)
+	}
+}
+
 func TestOdometerSourceValidates(t *testing.T) {
 	if _, err := NewOdometerSource(1, 1, func(int) int64 { return 1 }); err == nil {
 		t.Fatal("a = 1 accepted")

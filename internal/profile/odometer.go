@@ -18,6 +18,7 @@ type OdometerSource struct {
 	closer  func(level int) int64
 	leaf    int64   // leaves emitted so far
 	pending []int64 // closing boxes owed after the current leaf, in order
+	next    int     // index of the next pending box to return
 }
 
 // NewOdometerSource validates the shape constants and returns the stream.
@@ -33,11 +34,13 @@ func NewOdometerSource(a, leafBox int64, closer func(level int) int64) (*Odomete
 
 // Next returns the next box of the stream.
 func (o *OdometerSource) Next() int64 {
-	if len(o.pending) > 0 {
-		box := o.pending[0]
-		o.pending = o.pending[1:]
+	if o.next < len(o.pending) {
+		box := o.pending[o.next]
+		o.next++
 		return box
 	}
+	// Refill in place, so a long stream reuses one small queue.
+	o.pending, o.next = o.pending[:0], 0
 	o.leaf++
 	// Queue the level-closing boxes owed after this leaf.
 	t := o.leaf

@@ -30,7 +30,7 @@ var _ Sink = (*Builder)(nil)
 
 // OffsetSink forwards every access to S with block IDs shifted by Shift.
 // It is how streaming consumers relocate repetitions of a workload to
-// fresh address ranges (paging.ServedEmitRepeat) without materializing
+// fresh address ranges (paging.Completions) without materializing
 // the repeated trace.
 type OffsetSink struct {
 	S     Sink

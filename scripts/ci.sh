@@ -133,10 +133,11 @@ echo "== go test -race (square replay) =="
 # The sharded square replay the benchmark's shard probe measures
 # (plan/execute determinism at explicit shard and worker counts, the
 # ledger-merge equivalence), race-checked since shards share the engine
-# pool; beside it the serial repeated replay (ServedEmitRepeat), the
-# shared box-size error text, the box-limit early-stop regressions and the
-# square MeasureTrace replays.
-gate 'TestSquareRunParallel|TestSquareEmitParallel|FuzzParallelMatchesSerial|TestServedRepeat|TestServedEmitRepeat|TestBoxSizeErrorParity|TestReplayRangeHalts|TestServedEmitRepeatHalts|TestDefaultShards|TestMeasureTrace' \
+# pool; beside it the serial repeated replay and the worst-case completion
+# count built on it (Completions, and its edge cases), the shared box-size
+# error text, the box-limit early-stop regressions and the square
+# MeasureTrace replays.
+gate 'TestSquareRunParallel|TestSquareEmitParallel|FuzzParallelMatchesSerial|TestServedRepeat|TestServedEmitRepeat|TestCompletions|TestBoxSizeErrorParity|TestReplayRangeHalts|TestServedEmitRepeatHalts|TestDefaultShards|TestMeasureTrace' \
     -race -short \
     ./internal/paging/ \
     ./internal/adaptivity/
@@ -178,8 +179,9 @@ echo "== draw-identity differentials =="
 # A2's streamed raw profiles against the materialized ones: the streamed
 # square reduction against the slice greedy, the walk's draw order, the
 # per-miss LRU replay against indexing the profile, and A2's table at
-# several seeds.
-gate 'TestSourcesMatchEager|TestShuffleIndexRejectsMoreThan256Sizes|FuzzSmoothingSourcesMatchEager|TestStoppingSampler|TestBoundedUint64|TestWeightedSearchMatchesBinarySearch|TestSquarizeRawMatchesSliceGreedy|TestRandomWalkDrawOrder|TestRunLRUProfileMatchesSlice|TestA2MatchesSlicePath' \
+# several seeds. Likewise A1's re-emitted shuffled traces against
+# materializing each once, at several seeds.
+gate 'TestSourcesMatchEager|TestShuffleIndexRejectsMoreThan256Sizes|FuzzSmoothingSourcesMatchEager|TestStoppingSampler|TestBoundedUint64|TestWeightedSearchMatchesBinarySearch|TestSquarizeRawMatchesSliceGreedy|TestRandomWalkDrawOrder|TestRunLRUProfileMatchesSlice|TestA2MatchesSlicePath|TestA1MatchesMaterializedPath' \
     -race -count=1 \
     ./internal/smoothing/ \
     ./internal/adaptivity/ \
