@@ -109,18 +109,53 @@ func MeasureSymbolicExec(e *regular.Exec, src profile.Source, maxBoxes int64) (R
 //   - A registered kernel (paging.PolicyNames) replays live, with the box
 //     profile driving its capacity.
 //   - "opt" is the clairvoyant box replay. It needs the future, so it
-//     records the stream, under the same ceiling as SyntheticTrace.
+//     records the stream (RecordTraceOPT), under the same ceiling as
+//     SyntheticTrace, then replays the recording (MeasureOPT).
 func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.Source, maxBoxes int64) (RunResult, error) {
-	if policy == "" {
+	switch policy {
+	case "":
 		policy = paging.SquareReplayName
+	case paging.OPTReplayName:
+		rec, err := RecordTraceOPT(spec, n)
+		if err != nil {
+			return RunResult{}, err
+		}
+		return MeasureOPT(spec, n, rec, src, maxBoxes)
 	}
-	emit := func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
+	return measureBoxes(spec, n, func(fold func(paging.BoxStat)) error {
+		return paging.Replay(policy, syntheticEmit(spec, n), int64(spec.IOCost(n)), n-1, src, maxBoxes, fold)
+	})
+}
+
+// RecordTraceOPT records the canonical synthetic trace for spec on n
+// blocks for the opt replay, refusing traces longer than SyntheticTrace's
+// ceiling before recording anything. The recording is read-only, so every
+// MeasureOPT replay of it may share it, concurrently too.
+func RecordTraceOPT(spec regular.Spec, n int64) (*paging.OPTRecording, error) {
+	return paging.RecordOPT(syntheticEmit(spec, n), int64(spec.IOCost(n)), n-1)
+}
+
+// MeasureOPT is MeasureTracePolicy's "opt" replay over rec, a recording
+// of spec's trace on n blocks (RecordTraceOPT), against boxes from src. A
+// caller measuring one (spec, n) under many profiles records once and
+// calls MeasureOPT per profile.
+func MeasureOPT(spec regular.Spec, n int64, rec *paging.OPTRecording, src profile.Source, maxBoxes int64) (RunResult, error) {
+	return measureBoxes(spec, n, func(fold func(paging.BoxStat)) error {
+		return rec.Replay(src, maxBoxes, fold)
+	})
+}
+
+// syntheticEmit emits the canonical synthetic trace for spec on n blocks.
+func syntheticEmit(spec regular.Spec, n int64) func(trace.Sink) error {
+	return func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
+}
+
+// measureBoxes runs a box replay of spec on n blocks, pricing each box
+// its fold receives into the run.
+func measureBoxes(spec regular.Spec, n int64, replay func(fold func(paging.BoxStat)) error) (RunResult, error) {
 	res := RunResult{Spec: spec, N: n}
 	pot := spec.Potentials(n)
-	err := paging.Replay(policy, emit, int64(spec.IOCost(n)), n-1, src, maxBoxes, func(b paging.BoxStat) {
-		res.addBox(&pot, b.Size, b.Leaves)
-	})
-	if err != nil {
+	if err := replay(func(b paging.BoxStat) { res.addBox(&pot, b.Size, b.Leaves) }); err != nil {
 		return RunResult{}, err
 	}
 	return res, nil

@@ -39,19 +39,43 @@ func init() {
 	})
 }
 
-// e12KMax caps E12's sizes: every cell replays the materialized-scale
-// MM-Scan reference stream through a live kernel (and "opt" materializes
-// the trace outright), so k = 6 (n = 4096, T(n) = 262144 references) keeps
-// the policy × trial grid affordable.
+// e12KMax caps E12's sizes: every cell replays the MM-Scan reference
+// stream through a live kernel (and opt replays a recording of it, one per
+// size), so k = 6 (n = 4096, T(n) = 262144 references) keeps the policy ×
+// trial grid affordable.
 const e12KMax = 6
 
 func runE12(cfg Config) (*Table, error) {
-	cfg = clampMaterializedK(cfg)
 	spec := regular.MMScanSpec
-	kMin, kMax := 3, cfg.MaxK
-	if kMax > e12KMax {
-		kMax = e12KMax
+	kMin, kMax := e12Sizes(cfg)
+	// opt needs the future, so each size's stream is recorded once, here;
+	// every opt run at that size, worst-case and i.i.d. alike, replays the
+	// shared read-only recording.
+	recs := make([]*paging.OPTRecording, kMax+1)
+	for k := kMin; k <= kMax; k++ {
+		rec, err := adaptivity.RecordTraceOPT(spec, profile.Pow(4, k))
+		if err != nil {
+			return nil, fmt.Errorf("E12 opt k=%d: %w", k, err)
+		}
+		recs[k] = rec
 	}
+	return e12Table(cfg, func(pol string, k int, src profile.Source) (adaptivity.RunResult, error) {
+		if pol == paging.OPTReplayName {
+			return adaptivity.MeasureOPT(spec, profile.Pow(4, k), recs[k], src, 0)
+		}
+		return adaptivity.MeasureTracePolicy(spec, profile.Pow(4, k), pol, src, 0)
+	})
+}
+
+// e12Sizes is E12's size range: k = 3 up to MaxK, capped at e12KMax.
+func e12Sizes(cfg Config) (kMin, kMax int) {
+	return 3, min(cfg.MaxK, e12KMax)
+}
+
+// e12Table builds E12's table, running every replay through measure:
+// MM-Scan on 4^k blocks under the named replay against boxes from src.
+func e12Table(cfg Config, measure func(pol string, k int, src profile.Source) (adaptivity.RunResult, error)) (*Table, error) {
+	kMin, kMax := e12Sizes(cfg)
 	policies := paging.ReplayNames()
 
 	t := &Table{
@@ -75,7 +99,7 @@ func runE12(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := adaptivity.MeasureTracePolicy(spec, profile.Pow(4, k), pol, src, 0)
+			res, err := measure(pol, k, src)
 			if err != nil {
 				return nil, fmt.Errorf("E12 %s k=%d: %w", pol, k, err)
 			}
@@ -98,8 +122,9 @@ func runE12(cfg Config) (*Table, error) {
 	gaps, err := sweep(g, len(policies), kMin, kMax, func(int) int { return cfg.Trials },
 		func(_ *workerState, p, k, trial int) (float64, error) {
 			rng := xrand.New(xrand.Split(cfg.Seed, "E12", int64(p), int64(k), int64(trial)))
-			src := profile.FuncSource(func() int64 { return dists[k].Sample(rng) })
-			res, err := adaptivity.MeasureTracePolicy(spec, profile.Pow(4, k), policies[p], src, 0)
+			dist := dists[k]
+			src := profile.FuncSource(func() int64 { return dist.Sample(rng) })
+			res, err := measure(policies[p], k, src)
 			if err != nil {
 				return 0, fmt.Errorf("E12 %s k=%d trial %d: %w", policies[p], k, trial, err)
 			}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// Allocation regression tests: once the dense index and node pool have
+// Allocation regression tests: once the dense index and FIFO's ring have
 // grown to cover the working set, replaying through the array-backed
 // kernels must not allocate at all. A regression here means a per-access
 // allocation snuck back into the hot path. The //allocguard: markers tie
@@ -22,7 +22,7 @@ func TestLRUZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Reserve(tr.MaxBlock())
-	// Warm up: size the node pool and free list to the working set.
+	// Warm up: bring the working set into the cache.
 	for i := 0; i < tr.Len(); i++ {
 		l.Access(tr.Block(i))
 	}

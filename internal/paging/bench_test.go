@@ -304,28 +304,36 @@ func BenchmarkFaultCurve(b *testing.B) {
 	})
 }
 
+// BenchmarkFixedSweep times one replay per capacity over E13's sweep. The
+// fifo, arc and 2q sub-benchmarks are the per-capacity replays E13 runs
+// (it takes lru's and opt's curves from one stack pass); lru and opt are
+// the sweeps BenchmarkFaultCurve's one-pass curves replace. ns/access is
+// per reference replayed, over every capacity of the sweep.
 func BenchmarkFixedSweep(b *testing.B) {
 	tr := e13Trace(b, 128)
 	rec, err := RecordOPT(tr.Emit, int64(tr.Len()), tr.MaxBlock())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("lru", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for c := curveSweepLo; c <= curveSweepHi; c++ {
-				if _, err := RunPolicyFixed("lru", tr, c); err != nil {
-					b.Fatal(err)
+	sweepRefs := tr.Len() * int(curveSweepHi-curveSweepLo+1)
+	for _, name := range PolicyNames() {
+		b.Run(name, func(b *testing.B) {
+			perAccess(b, sweepRefs, func() {
+				for c := curveSweepLo; c <= curveSweepHi; c++ {
+					if _, err := RunPolicyFixed(name, tr, c); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		}
-	})
+			})
+		})
+	}
 	b.Run("opt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		perAccess(b, sweepRefs, func() {
 			for c := curveSweepLo; c <= curveSweepHi; c++ {
 				if _, err := rec.Fixed(c); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
+		})
 	})
 }

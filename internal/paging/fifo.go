@@ -7,16 +7,15 @@ import "fmt"
 // DAM-validation experiments can show the usual LRU/FIFO/OPT ordering on
 // the repository's traces.
 //
-// The implementation is a circular ring of blocks in fetch order plus a
-// dense residency bitmap. A block leaves the ring only from its head, so
-// the ring holds exactly one slot per resident block, and every operation
-// is O(1) with no steady-state allocation.
+// The implementation is a blockRing of blocks in fetch order plus a dense
+// residency bitmap. A block leaves the ring only from its head, so the
+// ring holds exactly one slot per resident block, and every operation is
+// O(1) with no steady-state allocation. The ring's entries are int32, so
+// block IDs must stay below 2^31.
 type FIFO struct {
 	capacity int64
-	resident []bool  // block -> currently cached
-	ring     []int64 // circular buffer of resident blocks in fetch order
-	ringHead int     // index of the oldest resident block
-	size     int     // resident blocks
+	resident []bool    // block -> currently cached
+	ring     blockRing // resident blocks in fetch order
 	misses   int64
 	hits     int64
 }
@@ -30,7 +29,7 @@ func NewFIFO(capacity int64) (*FIFO, error) {
 }
 
 // Len reports the number of resident blocks.
-func (f *FIFO) Len() int64 { return int64(f.size) }
+func (f *FIFO) Len() int64 { return int64(f.ring.size) }
 
 // Misses reports the number of accesses that required a fetch.
 func (f *FIFO) Misses() int64 { return f.misses }
@@ -51,11 +50,11 @@ func (f *FIFO) SetCapacity(capacity int64) error {
 }
 
 // Reserve pre-sizes the residency bitmap for IDs up to maxBlock.
-func (f *FIFO) Reserve(maxBlock int64) { f.ensure(maxBlock) }
+func (f *FIFO) Reserve(maxBlock int64) { f.grow(maxBlock) }
 
 // Clear evicts everything without resetting the hit/miss counters.
 func (f *FIFO) Clear() {
-	for f.size > 0 {
+	for f.ring.size > 0 {
 		f.evict()
 	}
 }
@@ -65,15 +64,22 @@ func (f *FIFO) Clear() {
 //
 //lint:hotpath
 func (f *FIFO) Access(block int64) bool {
-	if f.Hit(block) {
-		return true
+	if block < int64(len(f.resident)) {
+		if f.resident[block] {
+			f.hits++
+			return true
+		}
+	} else {
+		f.grow(block)
 	}
-	f.ensure(block)
 	f.misses++
 	if f.Len() >= f.capacity {
 		f.evict()
 	}
-	f.push(block)
+	if f.ring.full() {
+		f.ring.grow()
+	}
+	f.ring.push(int32(block))
 	f.resident[block] = true
 	return false
 }
@@ -83,7 +89,7 @@ func (f *FIFO) Access(block int64) bool {
 //
 //lint:hotpath
 func (f *FIFO) Hit(block int64) bool {
-	if uint64(block) >= uint64(len(f.resident)) || !f.resident[block] {
+	if !f.Contains(block) {
 		return false
 	}
 	f.hits++
@@ -92,15 +98,25 @@ func (f *FIFO) Hit(block int64) bool {
 
 // Contains reports whether block is resident without recording a hit.
 func (f *FIFO) Contains(block int64) bool {
-	return block >= 0 && block < int64(len(f.resident)) && f.resident[block]
+	return uint64(block) < uint64(len(f.resident)) && f.resident[block]
 }
 
 // Capacity reports the current capacity.
 func (f *FIFO) Capacity() int64 { return f.capacity }
 
-func (f *FIFO) ensure(block int64) {
+// evict removes the least recently fetched resident block; the ring must
+// not be empty.
+func (f *FIFO) evict() { f.resident[f.ring.pop()] = false }
+
+// grow extends the residency bitmap to cover block, at least doubling it.
+//
+//go:noinline
+func (f *FIFO) grow(block int64) {
 	if block < int64(len(f.resident)) {
 		return
+	}
+	if block > int64(^uint32(0)>>1) {
+		panic("paging: block ID past the kernels' 2^31 index")
 	}
 	n := int64(len(f.resident)) * 2
 	if n <= block {
@@ -110,34 +126,4 @@ func (f *FIFO) ensure(block int64) {
 	grown := make([]bool, n)
 	copy(grown, f.resident)
 	f.resident = grown
-}
-
-// push appends block at the ring's tail, unwrapping into a larger buffer
-// when full (growth amortises geometrically).
-func (f *FIFO) push(block int64) {
-	if f.size == len(f.ring) {
-		n := 2 * len(f.ring)
-		if n < 4 {
-			n = 4
-		}
-		//lint:ignore hotpath geometric ring growth amortises to O(1) per fetch; the ring stops growing once sized to the peak window
-		grown := make([]int64, n)
-		for i := 0; i < f.size; i++ {
-			grown[i] = f.ring[(f.ringHead+i)%len(f.ring)]
-		}
-		f.ring = grown
-		f.ringHead = 0
-	}
-	f.ring[(f.ringHead+f.size)%len(f.ring)] = block
-	f.size++
-}
-
-// evict removes the least recently fetched resident block.
-func (f *FIFO) evict() {
-	if f.size == 0 {
-		return
-	}
-	f.resident[f.ring[f.ringHead]] = false
-	f.ringHead = (f.ringHead + 1) % len(f.ring)
-	f.size--
 }

@@ -20,13 +20,13 @@ func kernelIndexLen(t testing.TB, p ReplacementPolicy) int {
 	t.Helper()
 	switch k := p.(type) {
 	case *LRU:
-		return len(k.slot)
+		return len(k.nodes)
 	case *FIFO:
 		return len(k.resident)
 	case *ARC:
-		return len(k.where)
+		return len(k.nodes)
 	case *TwoQ:
-		return len(k.where)
+		return len(k.nodes)
 	}
 	t.Fatalf("kernelIndexLen: unknown kernel %T", p)
 	return 0

@@ -12,37 +12,33 @@ import (
 // cache-adaptive model requires. Shrinking the capacity immediately evicts
 // the least recently used overflow.
 //
-// The implementation is an intrusive doubly-linked list over a slice-backed
-// node pool, with a dense block→node index in place of a hash map: every
-// operation is O(1) with no per-access allocation and no pointer chasing
-// through heap-scattered nodes. The dense index assumes the compact block
-// universes our generators emit (IDs allocated contiguously from 0); memory
-// is O(max block ID seen), which for every trace in this repository is the
-// same as O(distinct blocks) up to a small constant.
+// The implementation is one intrusive recency list in a blockLists, whose
+// nodes are indexed by block ID in place of a hash map: every operation is
+// O(1) with no per-access allocation, and a block's membership and links
+// sit in one node. The dense index assumes the compact block universes our
+// generators emit (IDs allocated contiguously from 0); memory is O(max
+// block ID seen), which for every trace in this repository is the same as
+// O(distinct blocks) up to a small constant.
 type LRU struct {
+	blockLists // one list, lruList: head most, tail least recently used
 	capacity   int64
-	slot       []int32 // block -> node index, nilNode when absent
-	blockOf    []int64 // node -> block
-	prev, next []int32 // intrusive recency list links
-	free       []int32 // recycled node indices
-	head, tail int32   // most / least recently used
-	size       int64
 	misses     int64
 	hits       int64
 }
 
-const nilNode = int32(-1)
+// lruList is the LRU's one list in its blockLists.
+const lruList = uint8(1)
 
 // NewLRU returns an empty LRU with the given capacity (>= 1).
 func NewLRU(capacity int64) (*LRU, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("paging: LRU capacity %d < 1", capacity)
 	}
-	return &LRU{capacity: capacity, head: nilNode, tail: nilNode}, nil
+	return &LRU{blockLists: newBlockLists(), capacity: capacity}, nil
 }
 
 // Len reports the number of resident blocks.
-func (l *LRU) Len() int64 { return l.size }
+func (l *LRU) Len() int64 { return l.ends[lruList].size }
 
 // Misses and Hits report the access counters.
 func (l *LRU) Misses() int64 { return l.misses }
@@ -59,46 +55,38 @@ func (l *LRU) SetCapacity(capacity int64) error {
 		return fmt.Errorf("paging: LRU capacity %d < 1", capacity)
 	}
 	l.capacity = capacity
-	for l.size > l.capacity {
-		l.evict()
+	for l.Len() > l.capacity {
+		l.popTail(lruList)
 	}
 	return nil
 }
 
 // Reserve pre-sizes the block index for IDs up to maxBlock, so the steady
 // state of a replay over a known universe performs no allocations at all.
-func (l *LRU) Reserve(maxBlock int64) { l.ensure(maxBlock) }
+func (l *LRU) Reserve(maxBlock int64) { l.reserve(maxBlock) }
 
 // Clear empties the cache (the square-boundary convention) without
 // touching the counters.
-func (l *LRU) Clear() {
-	for s := l.head; s != nilNode; {
-		nxt := l.next[s]
-		l.slot[l.blockOf[s]] = nilNode
-		l.free = append(l.free, s)
-		s = nxt
-	}
-	l.head, l.tail = nilNode, nilNode
-	l.size = 0
-}
+func (l *LRU) Clear() { l.clear() }
 
 // Access touches block, returning true on a hit. On a miss the block is
 // fetched, evicting the LRU block if the cache is full.
 //
 //lint:hotpath
 func (l *LRU) Access(block int64) bool {
-	if l.Hit(block) {
+	if l.on(block) != 0 {
+		l.hits++
+		l.moveToFront(lruList, int32(block))
 		return true
 	}
-	l.ensure(block)
-	l.misses++
-	if l.size >= l.capacity {
-		l.evict()
+	if block >= int64(len(l.nodes)) {
+		l.reserve(block)
 	}
-	s := l.alloc(block)
-	l.slot[block] = s
-	l.pushFront(s)
-	l.size++
+	l.misses++
+	if l.Len() >= l.capacity {
+		l.popTail(lruList)
+	}
+	l.pushFront(lruList, int32(block))
 	return false
 }
 
@@ -107,100 +95,16 @@ func (l *LRU) Access(block int64) bool {
 //
 //lint:hotpath
 func (l *LRU) Hit(block int64) bool {
-	if uint64(block) >= uint64(len(l.slot)) {
-		return false
-	}
-	s := l.slot[block]
-	if s == nilNode {
+	if l.on(block) == 0 {
 		return false
 	}
 	l.hits++
-	l.moveToFront(s)
+	l.moveToFront(lruList, int32(block))
 	return true
 }
 
-// ensure grows the dense index (geometrically, so growth cost amortises to
-// nothing) until block is a valid slot.
-func (l *LRU) ensure(block int64) {
-	if block < int64(len(l.slot)) {
-		return
-	}
-	n := int64(len(l.slot)) * 2
-	if n <= block {
-		n = block + 1
-	}
-	//lint:ignore hotpath geometric index growth amortises to O(1) per access and Reserve pre-sizes it away in steady state
-	grown := make([]int32, n)
-	copy(grown, l.slot)
-	for i := len(l.slot); i < len(grown); i++ {
-		grown[i] = nilNode
-	}
-	l.slot = grown
-}
-
-func (l *LRU) alloc(block int64) int32 {
-	if n := len(l.free); n > 0 {
-		s := l.free[n-1]
-		l.free = l.free[:n-1]
-		l.blockOf[s] = block
-		return s
-	}
-	s := int32(len(l.blockOf))
-	l.blockOf = append(l.blockOf, block)
-	l.prev = append(l.prev, nilNode)
-	l.next = append(l.next, nilNode)
-	return s
-}
-
-func (l *LRU) pushFront(s int32) {
-	l.prev[s] = nilNode
-	l.next[s] = l.head
-	if l.head != nilNode {
-		l.prev[l.head] = s
-	}
-	l.head = s
-	if l.tail == nilNode {
-		l.tail = s
-	}
-}
-
-func (l *LRU) unlink(s int32) {
-	if p := l.prev[s]; p != nilNode {
-		l.next[p] = l.next[s]
-	} else {
-		l.head = l.next[s]
-	}
-	if n := l.next[s]; n != nilNode {
-		l.prev[n] = l.prev[s]
-	} else {
-		l.tail = l.prev[s]
-	}
-	l.prev[s], l.next[s] = nilNode, nilNode
-}
-
-func (l *LRU) moveToFront(s int32) {
-	if l.head == s {
-		return
-	}
-	l.unlink(s)
-	l.pushFront(s)
-}
-
-func (l *LRU) evict() {
-	if l.tail == nilNode {
-		return
-	}
-	v := l.tail
-	l.unlink(v)
-	l.slot[l.blockOf[v]] = nilNode
-	l.free = append(l.free, v)
-	l.size--
-}
-
 // Contains reports whether block is resident without recording a hit.
-func (l *LRU) Contains(block int64) bool {
-	return block >= 0 && block < int64(len(l.slot)) && l.slot[block] != nilNode
-}
+func (l *LRU) Contains(block int64) bool { return l.on(block) != 0 }
 
 // RunLRUProfile replays the stream emit produces through an LRU whose
 // capacity follows the raw memory profile m: the cache has capacity m(t)

@@ -163,7 +163,7 @@ func (r *OPTRecording) Fixed(capacity int64) (int64, error) {
 	}
 	var ios int64
 	src := profile.FuncSource(func() int64 { return capacity })
-	err := r.replay(src, 0, func(s BoxStat) { ios += s.IOs })
+	err := r.Replay(src, 0, func(s BoxStat) { ios += s.IOs })
 	return ios, err
 }
 
@@ -280,21 +280,24 @@ var (
 	_ trace.Stopper = (*optRecorder)(nil)
 )
 
-// replay runs the recorded stream through Belady's farthest-in-future
+// Replay runs the recorded stream through Belady's farthest-in-future
 // choice while the capacity follows boxes drawn from src, mirroring
 // PolicyStream's accounting: entering a box of size X resizes the cache to
 // X (evicting the farthest-next-use overflow) and grants X misses of
 // budget, and each leaf is credited to the box that served its last
-// access. Each box is passed to fold as it closes. It is the clairvoyant
-// baseline behind Replay's "opt" name, and at a constant profile it is
-// fixed-capacity OPT (RunPolicyFixed).
+// access. Each box is passed to fold as it closes; maxBoxes guards
+// against pathological stalls (0 = unbounded). It is the clairvoyant
+// baseline behind the package Replay's "opt" name, and at a constant
+// profile it is fixed-capacity OPT (Fixed). A caller replaying one stream
+// under many profiles records it once (RecordOPT) and calls Replay per
+// profile, concurrently if it likes: the recording is only read.
 //
 // With a *changing* capacity, greedy farthest-in-future is a natural
 // baseline rather than a provably optimal schedule — Belady's exchange
 // argument needs a fixed capacity. Every online policy still replays
 // against strictly less information, so the baseline is an honest floor in
 // practice on the repository's traces.
-func (r *OPTRecording) replay(src profile.Source, maxBoxes int64, fold func(BoxStat)) error {
+func (r *OPTRecording) Replay(src profile.Source, maxBoxes int64, fold func(BoxStat)) error {
 	n := len(r.blocks)
 	if n == 0 {
 		return nil

@@ -5,7 +5,7 @@ package paging
 // pseudocode as directly as Go allows — slices in recency order (index 0 =
 // LRU end, append = MRU end), linear scans, no dense indexes — so a
 // disagreement with the array-backed kernels points at intrusive-list or
-// membership-byte bookkeeping, not at a shared algorithmic misreading.
+// list-membership bookkeeping, not at a shared algorithmic misreading.
 
 // oracleARC transcribes the ARC pseudocode (Megiddo & Modha, Fig. 4) with
 // the dynamic-capacity generalisation the kernel implements: REPLACE loops

@@ -152,7 +152,7 @@ func Replay(name string, emit func(trace.Sink) error, totalRefs, maxBlock int64,
 		if err != nil {
 			return err
 		}
-		return rec.replay(src, maxBoxes, fold)
+		return rec.Replay(src, maxBoxes, fold)
 	}
 	p, err := NewReplacementPolicy(name, 1)
 	if err != nil {
@@ -213,8 +213,31 @@ func RunPolicyFixed(name string, tr *trace.Trace, capacity int64) (int64, error)
 		return 0, err
 	}
 	p.Reserve(tr.MaxBlock())
-	for i := 0; i < tr.Len(); i++ {
-		p.Access(tr.Block(i))
+	// The package's own kernels get a loop over their concrete type, so
+	// each access is a direct call rather than an interface dispatch (E13
+	// runs hundreds of these replays); any other registered policy runs
+	// through the interface.
+	switch k := p.(type) {
+	case *FIFO:
+		for i := 0; i < tr.Len(); i++ {
+			k.Access(tr.Block(i))
+		}
+	case *LRU:
+		for i := 0; i < tr.Len(); i++ {
+			k.Access(tr.Block(i))
+		}
+	case *ARC:
+		for i := 0; i < tr.Len(); i++ {
+			k.Access(tr.Block(i))
+		}
+	case *TwoQ:
+		for i := 0; i < tr.Len(); i++ {
+			k.Access(tr.Block(i))
+		}
+	default:
+		for i := 0; i < tr.Len(); i++ {
+			p.Access(tr.Block(i))
+		}
 	}
 	return p.Misses(), nil
 }

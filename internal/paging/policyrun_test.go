@@ -317,7 +317,7 @@ func TestSharedOPTRecordingMatchesPerCall(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return rec.replay(bs, 0, collect(&ledgers[cell]))
+		return rec.Replay(bs, 0, collect(&ledgers[cell]))
 	}); err != nil {
 		t.Fatal(err)
 	}

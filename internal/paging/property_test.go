@@ -50,9 +50,9 @@ func randomSchedule(src *xrand.Source, n int, maxCap int64) map[int]int64 {
 // resident returns the cache's content set by walking the intrusive
 // recency list (test-only peek).
 func resident(l *LRU) map[int64]bool {
-	set := make(map[int64]bool, l.size)
-	for s := l.head; s != nilNode; s = l.next[s] {
-		set[l.blockOf[s]] = true
+	set := make(map[int64]bool, l.Len())
+	for s := l.ends[lruList].head; s != nilNode; s = l.nodes[s].next {
+		set[int64(s)] = true
 	}
 	return set
 }

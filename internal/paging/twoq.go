@@ -12,28 +12,28 @@ import (
 // promotes the block to the main LRU list Am. One-shot scans wash through
 // A1in without ever displacing the hot set in Am.
 //
-// Layout matches the ARC kernel: a dense block-indexed membership byte plus
-// intrusive prev/next arrays, three lists (A1in FIFO, A1out ghost FIFO, Am
-// LRU), no steady-state allocation, block IDs dense-remapped below 2^31.
+// Layout: A1out (a ghost FIFO a ghost hit unlinks from the middle) and Am
+// (an LRU list) live in one blockLists, like the ARC kernel's lists. A1in
+// only ever loses its oldest block, so it is a blockRing, and its blocks
+// are marked twoQA1in in their blockLists nodes with no links. There is no
+// steady-state allocation, and block IDs are dense-remapped below 2^31.
 //
 // Tuning follows the paper's recommendation with the fixed fractions made
 // dynamic so capacity changes are honoured: A1in is entitled to
 // max(1, Len()/4) slots (equal to the classic Kin = c/4 whenever the cache
 // is full) and A1out remembers max(1, capacity/2) ghosts.
 type TwoQ struct {
-	capacity int64
-	where    []uint8
-	prev     []int32
-	next     []int32
-	lists    [3]arcList // indexed by twoQA1in/twoQA1out/twoQAm - 1
-	hits     int64
-	misses   int64
+	blockLists           // lists twoQA1out and twoQAm, each newest at the head
+	a1in       blockRing // A1in in fetch order
+	capacity   int64
+	hits       int64
+	misses     int64
 }
 
-// List indexes for TwoQ.where; twoQNone marks an untracked block.
+// List numbers in the 2Q cache's blockLists; twoQA1in marks the blocks in
+// the a1in ring, which are on no list.
 const (
-	twoQNone = uint8(iota)
-	twoQA1in
+	twoQA1in = uint8(iota + 1)
 	twoQA1out
 	twoQAm
 )
@@ -43,11 +43,7 @@ func NewTwoQ(capacity int64) (*TwoQ, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("paging: 2Q capacity %d < 1", capacity)
 	}
-	q := &TwoQ{capacity: capacity}
-	for i := range q.lists {
-		q.lists[i] = arcList{head: nilNode, tail: nilNode}
-	}
-	return q, nil
+	return &TwoQ{blockLists: newBlockLists(), capacity: capacity}, nil
 }
 
 func init() {
@@ -57,10 +53,8 @@ func init() {
 	})
 }
 
-func (q *TwoQ) list(li uint8) *arcList { return &q.lists[li-1] }
-
 // Len reports the number of resident blocks (A1in + Am; ghosts don't count).
-func (q *TwoQ) Len() int64 { return q.lists[twoQA1in-1].size + q.lists[twoQAm-1].size }
+func (q *TwoQ) Len() int64 { return int64(q.a1in.size) + q.ends[twoQAm].size }
 
 // Misses reports the number of accesses that required a fetch.
 func (q *TwoQ) Misses() int64 { return q.misses }
@@ -73,10 +67,7 @@ func (q *TwoQ) Capacity() int64 { return q.capacity }
 
 // Contains reports whether block is resident without recording a hit.
 func (q *TwoQ) Contains(block int64) bool {
-	if block < 0 || block >= int64(len(q.where)) {
-		return false
-	}
-	w := q.where[block]
+	w := q.on(block)
 	return w == twoQA1in || w == twoQAm
 }
 
@@ -86,15 +77,11 @@ func (q *TwoQ) Contains(block int64) bool {
 //
 //lint:hotpath
 func (q *TwoQ) Hit(block int64) bool {
-	if uint64(block) >= uint64(len(q.where)) {
-		return false
-	}
-	switch q.where[block] {
+	switch q.on(block) {
 	case twoQAm:
 		// Hit in the main list: standard LRU promotion.
 		q.hits++
-		q.unlink(block)
-		q.pushFront(twoQAm, block)
+		q.moveToFront(twoQAm, int32(block))
 		return true
 	case twoQA1in:
 		// Hit in probation: deliberately *not* reordered — repeated
@@ -105,8 +92,8 @@ func (q *TwoQ) Hit(block int64) bool {
 	return false
 }
 
-// Reserve pre-sizes the dense indexes for block IDs up to maxBlock.
-func (q *TwoQ) Reserve(maxBlock int64) { q.ensure(maxBlock) }
+// Reserve pre-sizes the dense index for block IDs up to maxBlock.
+func (q *TwoQ) Reserve(maxBlock int64) { q.reserve(maxBlock) }
 
 // kinDyn is A1in's slot entitlement: a quarter of the *current* occupancy,
 // at least one. While the cache is full this equals the classic Kin = c/4;
@@ -140,8 +127,8 @@ func (q *TwoQ) SetCapacity(capacity int64) error {
 	for q.Len() > capacity {
 		q.evictOne()
 	}
-	for q.list(twoQA1out).size > q.kout() {
-		q.dropGhostTail()
+	for q.ends[twoQA1out].size > q.kout() {
+		q.popTail(twoQA1out)
 	}
 	return nil
 }
@@ -149,13 +136,9 @@ func (q *TwoQ) SetCapacity(capacity int64) error {
 // Clear empties the cache and the ghost FIFO (the square-boundary
 // convention) without touching the counters.
 func (q *TwoQ) Clear() {
-	for li := uint8(twoQA1in); li <= twoQAm; li++ {
-		for s := q.list(li).head; s != nilNode; {
-			nxt := q.next[s]
-			q.where[s] = twoQNone
-			s = nxt
-		}
-		*q.list(li) = arcList{head: nilNode, tail: nilNode}
+	q.clear()
+	for q.a1in.size > 0 {
+		q.nodes[q.a1in.pop()].list = 0
 	}
 }
 
@@ -166,27 +149,38 @@ func (q *TwoQ) Clear() {
 //
 //lint:hotpath
 func (q *TwoQ) Access(block int64) bool {
-	if q.Hit(block) {
+	s := int32(block)
+	switch q.on(block) {
+	case twoQAm:
+		q.hits++
+		q.moveToFront(twoQAm, s)
 		return true
-	}
-	q.ensure(block)
-	switch q.where[block] {
+	case twoQA1in:
+		q.hits++
+		return true
 	case twoQA1out:
 		// Ghost hit: second (uncorrelated) reference — promote into Am.
+		q.unlink(s)
 		q.misses++
-		q.unlink(block)
 		if q.Len() >= q.capacity {
 			q.evictOne()
 		}
-		q.pushFront(twoQAm, block)
+		q.pushFront(twoQAm, s)
 		return false
 	}
 	// Completely new block: probation.
+	if block >= int64(len(q.nodes)) {
+		q.reserve(block)
+	}
 	q.misses++
 	if q.Len() >= q.capacity {
 		q.evictOne()
 	}
-	q.pushFront(twoQA1in, block)
+	if q.a1in.full() {
+		q.a1in.grow()
+	}
+	q.a1in.push(s)
+	q.nodes[s].list = twoQA1in
 	return false
 }
 
@@ -194,83 +188,14 @@ func (q *TwoQ) Access(block int64) bool {
 // oldest while A1in is over its entitlement (remembering it as a ghost),
 // otherwise Am's LRU (forgotten outright — Am pages got their chance).
 func (q *TwoQ) evictOne() {
-	a1in := q.list(twoQA1in)
-	if a1in.size > 0 && (a1in.size > q.kinDyn() || q.list(twoQAm).size == 0) {
-		old := a1in.tail
-		q.unlink(int64(old))
-		q.pushFront(twoQA1out, int64(old))
-		for q.list(twoQA1out).size > q.kout() {
-			q.dropGhostTail()
+	if in := int64(q.a1in.size); in > 0 && (in > q.kinDyn() || q.ends[twoQAm].size == 0) {
+		q.pushFront(twoQA1out, q.a1in.pop())
+		for q.ends[twoQA1out].size > q.kout() {
+			q.popTail(twoQA1out)
 		}
 		return
 	}
-	if t := q.list(twoQAm).tail; t != nilNode {
-		q.unlink(int64(t))
-	}
-}
-
-// ensure grows the dense membership and link arrays (geometrically, so
-// growth cost amortises to nothing) until block is a valid index.
-func (q *TwoQ) ensure(block int64) {
-	if block < int64(len(q.where)) {
-		return
-	}
-	n := int64(len(q.where)) * 2
-	if n <= block {
-		n = block + 1
-	}
-	//lint:ignore hotpath geometric index growth amortises to O(1) per access and Reserve pre-sizes it away in steady state
-	grownWhere := make([]uint8, n)
-	copy(grownWhere, q.where)
-	q.where = grownWhere
-	//lint:ignore hotpath geometric link growth, same amortisation as the membership array above
-	grownPrev := make([]int32, n)
-	copy(grownPrev, q.prev)
-	q.prev = grownPrev
-	//lint:ignore hotpath geometric link growth, same amortisation as the membership array above
-	grownNext := make([]int32, n)
-	copy(grownNext, q.next)
-	q.next = grownNext
-}
-
-// pushFront links block at the MRU end of list li and marks membership.
-func (q *TwoQ) pushFront(li uint8, block int64) {
-	l := q.list(li)
-	s := int32(block)
-	q.prev[s] = nilNode
-	q.next[s] = l.head
-	if l.head != nilNode {
-		q.prev[l.head] = s
-	}
-	l.head = s
-	if l.tail == nilNode {
-		l.tail = s
-	}
-	l.size++
-	q.where[block] = li
-}
-
-// unlink removes block from whichever list holds it and clears membership.
-func (q *TwoQ) unlink(block int64) {
-	l := q.list(q.where[block])
-	s := int32(block)
-	if p := q.prev[s]; p != nilNode {
-		q.next[p] = q.next[s]
-	} else {
-		l.head = q.next[s]
-	}
-	if n := q.next[s]; n != nilNode {
-		q.prev[n] = q.prev[s]
-	} else {
-		l.tail = q.prev[s]
-	}
-	l.size--
-	q.where[block] = twoQNone
-}
-
-// dropGhostTail forgets A1out's oldest ghost.
-func (q *TwoQ) dropGhostTail() {
-	if t := q.list(twoQA1out).tail; t != nilNode {
-		q.unlink(int64(t))
+	if q.ends[twoQAm].size > 0 {
+		q.popTail(twoQAm)
 	}
 }

@@ -79,14 +79,21 @@ func emitSyntheticRec(s trace.Sink, st trace.Stopper, spec Spec, m, off int64) {
 		s.EndLeaf()
 		return
 	case child == 1:
-		for i := int64(0); i < spec.A; i++ {
-			s.Access(off + i%spec.B)
+		// Child i's slot is i mod b, kept as a wrapping counter rather
+		// than divided out per leaf.
+		for i, slot := int64(0), int64(0); i < spec.A; i++ {
+			s.Access(off + slot)
 			s.EndLeaf()
+			if slot++; slot == spec.B {
+				slot = 0
+			}
 		}
 	default:
-		for i := int64(0); i < spec.A; i++ {
-			slot := i % spec.B
+		for i, slot := int64(0), int64(0); i < spec.A; i++ {
 			emitSyntheticRec(s, st, spec, child, off+slot*child)
+			if slot++; slot == spec.B {
+				slot = 0
+			}
 		}
 		if st != nil && st.Stopped() {
 			return

@@ -119,10 +119,16 @@ echo "== go test -race (policy registry + adaptive kernels) =="
 # replay), the registry-name plumbing through MeasureTracePolicy, the
 # Hit-then-Access vs Contains-then-Access differential over every kernel,
 # and the one-pass LRU/OPT fault curves against per-capacity replays.
-gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess|TestFaultCurvesMatchFixedReplays' \
+# Beside them, every kernel against its oracle at the edges of its layout
+# (capacities around powers of two, FIFO's ring wrapping and growing,
+# ghost hits unlinked mid-queue, windows of E13's trace), and E12's table
+# from one shared opt recording per size against a recording per run, at
+# 4 engine workers.
+gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess|TestFaultCurvesMatchFixedReplays|TestKernelsMatchOracles|TestFIFORingWraps|TestGhostHitsUnlinkFromQueueMiddle|TestE12SharedOPTMatchesPerCall' \
     -race -short -count=1 \
     ./internal/paging/ \
-    ./internal/adaptivity/
+    ./internal/adaptivity/ \
+    ./internal/core/
 
 echo "== go test -race (symbolic executor) =="
 # The level-indexed executor against the division-based one it replaced,
