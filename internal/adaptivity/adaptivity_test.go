@@ -407,6 +407,30 @@ func TestCheckLemma3NoBigBoxes(t *testing.T) {
 	}
 }
 
+// TestCheckLemma3DeterministicAcrossWorkers: the trials reuse one
+// executor per engine worker, so at 4 workers each executor runs an
+// arbitrary subset of the trials, Reset between them; the result must
+// equal the serial run's in every field.
+func TestCheckLemma3DeterministicAcrossWorkers(t *testing.T) {
+	defer engine.SetSharedWorkers(0)
+	dist := mustUniform(t, 4, 512)
+	run := func(workers int) Lemma3Result {
+		engine.SetSharedWorkers(workers)
+		res, err := CheckLemma3(engine.NewGroup(), regular.MMScanSpec, 256, dist, 17, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial, parallel := run(1), run(4)
+	if serial != parallel {
+		t.Errorf("1 worker %+v\n4 workers %+v", serial, parallel)
+	}
+	if serial.Q == 0 || serial.Q == 1 {
+		t.Errorf("q = %g: the check needs trials both with and without a >= n box", serial.Q)
+	}
+}
+
 func TestCheckLemma3Validation(t *testing.T) {
 	dist := mustUniform(t, 1, 8)
 	if _, err := CheckLemma3(engine.NewGroup(), regular.MMInPlaceSpec, 64, dist, 1, 10); err == nil {

@@ -67,12 +67,19 @@ func CheckLemma3(g *engine.Group, spec regular.Spec, n int64, dist xrand.Dist, s
 	}
 	boxesUsed := make([]int64, trials)
 	sawBig := make([]bool, trials)
-	if err := g.Map(trials, func(t, _ int) error {
+	// One executor per engine worker, Reset between its trials.
+	execs := make([]*regular.Exec, g.Workers())
+	if err := g.Map(trials, func(t, w int) error {
 		rng := rngs[t]
-		e, err := regular.NewExec(spec, child)
-		if err != nil {
-			return err
+		e := execs[w]
+		if e == nil {
+			var err error
+			if e, err = regular.NewExec(spec, child); err != nil {
+				return err
+			}
+			execs[w] = e
 		}
+		e.Reset()
 		for !e.Done() {
 			box := dist.Sample(rng)
 			e.Step(box)

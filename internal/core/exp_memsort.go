@@ -35,27 +35,53 @@ func runA7(cfg Config) (*Table, error) {
 		Title:  "Memory-adaptive vs oblivious sorting (entropy accounting, n = 2^16 blocks)",
 		Header: []string{"profile", "mean box", "adaptive IOs", "oblivious IOs", "speedup", "log2(mean box)"},
 	}
-	n := int64(1 << 16)
 	rng := xrand.New(cfg.Seed ^ 0xa7)
 
-	profiles := make(map[string]*profile.SquareProfile)
-	var order []string
-	add := func(name string, p *profile.SquareProfile) {
-		profiles[name] = p
-		order = append(order, name)
-	}
-
-	add("constant[64]", profile.MustNew([]int64{64}))
-	add("constant[4096]", profile.MustNew([]int64{4096}))
-
-	wc, err := profile.WorstCase(8, 4, profile.Pow(4, 6))
+	// The constant and M_{8,4} rows read neither cfg nor rng, so they are
+	// computed once per process; the shuffle and the winner-take-all
+	// simulation draw from rng, in that order, at every run.
+	wc, err := seedFree("A7 M_{8,4}(4^6) profile", func() (*profile.SquareProfile, error) {
+		return profile.WorstCase(8, 4, profile.Pow(4, 6))
+	})
 	if err != nil {
 		return nil, err
 	}
-	add("M_{8,4}(4^6)", wc)
-	add("shuffle(M_{8,4})", smoothing.Shuffle(wc, rng))
+	shuffled := smoothing.Shuffle(wc, rng)
+	wta, err := a7WinnerTakeAll(rng)
+	if err != nil {
+		return nil, err
+	}
+	rows := []struct {
+		name     string
+		seedFree bool
+		p        *profile.SquareProfile
+	}{
+		{"constant[64]", true, profile.MustNew([]int64{64})},
+		{"constant[4096]", true, profile.MustNew([]int64{4096})},
+		{"M_{8,4}(4^6)", true, wc},
+		{"shuffle(M_{8,4})", false, shuffled},
+		{"winner-take-all (sharedcache)", false, wta},
+	}
+	for _, row := range rows {
+		measure := func() (a7Row, error) { return measureA7Row(row.p) }
+		var r a7Row
+		if row.seedFree {
+			r, err = seedFree("A7 "+row.name, measure)
+		} else {
+			r, err = measure()
+		}
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(row.name, r.meanBox, r.adaptiveIOs, r.obliviousIOs, r.ratio, math.Log2(r.meanBox))
+	}
+	t.Note = "the speedup is the Θ(log M) DAM obstruction of footnote 3, realised: exactly log2(box) on constant profiles, and the duration-weighted log-average in general (the skewed M_{8,4} rows sit below log2 of the mean because most of their I/O-time is in size-1 boxes... precisely: the speedup equals the duration-weighted mean of log2(box)). It is untouched by shuffling (compare the two M_{8,4} rows): profile smoothing rescues a > b algorithms (E3) but cannot buy back the fan-in an a = b algorithm never uses; only explicit adaptation (with its programming burden — the paper's motivation) collects it."
+	return t, nil
+}
 
-	// Winner-take-all contention, as the introduction describes.
+// a7WinnerTakeAll is the sorter's square profile under winner-take-all
+// contention with one rival, as the introduction describes.
+func a7WinnerTakeAll(rng *xrand.Source) (*profile.SquareProfile, error) {
 	allocs, err := sharedcache.Simulate(sharedcache.Config{
 		CacheBlocks: 4096,
 		Horizon:     1 << 17,
@@ -69,29 +95,29 @@ func runA7(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	saw, err := profile.Squarize(allocs[0].M)
-	if err != nil {
-		return nil, err
-	}
-	add("winner-take-all (sharedcache)", saw)
+	return profile.Squarize(allocs[0].M)
+}
 
-	for _, name := range order {
-		p := profiles[name]
-		adaptive, oblivious, ratio, err := memsort.Speedup(n, p)
-		if err != nil {
-			return nil, err
-		}
-		// Duration-weighted mean box size (the I/O-time average the sorter
-		// actually experiences).
-		var dur, weighted float64
-		for i := 0; i < p.Len(); i++ {
-			b := float64(p.Box(i))
-			dur += b
-			weighted += b * b
-		}
-		meanBox := weighted / dur
-		t.AddRow(name, meanBox, adaptive.IOs, oblivious.IOs, ratio, math.Log2(meanBox))
+// a7Row is one A7 row: the profile's duration-weighted mean box and both
+// sorters' IOs and speedup at n = 2^16 blocks.
+type a7Row struct {
+	meanBox                   float64
+	adaptiveIOs, obliviousIOs int64
+	ratio                     float64
+}
+
+func measureA7Row(p *profile.SquareProfile) (a7Row, error) {
+	adaptive, oblivious, ratio, err := memsort.Speedup(1<<16, p)
+	if err != nil {
+		return a7Row{}, err
 	}
-	t.Note = "the speedup is the Θ(log M) DAM obstruction of footnote 3, realised: exactly log2(box) on constant profiles, and the duration-weighted log-average in general (the skewed M_{8,4} rows sit below log2 of the mean because most of their I/O-time is in size-1 boxes... precisely: the speedup equals the duration-weighted mean of log2(box)). It is untouched by shuffling (compare the two M_{8,4} rows): profile smoothing rescues a > b algorithms (E3) but cannot buy back the fan-in an a = b algorithm never uses; only explicit adaptation (with its programming burden — the paper's motivation) collects it."
-	return t, nil
+	// Duration-weighted mean box size (the I/O-time average the sorter
+	// actually experiences).
+	var dur, weighted float64
+	for i := 0; i < p.Len(); i++ {
+		b := float64(p.Box(i))
+		dur += b
+		weighted += b * b
+	}
+	return a7Row{meanBox: weighted / dur, adaptiveIOs: adaptive.IOs, obliviousIOs: oblivious.IOs, ratio: ratio}, nil
 }

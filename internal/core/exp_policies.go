@@ -207,7 +207,11 @@ func runE13(cfg Config) (*Table, error) {
 		}
 	}
 	g := engine.NewGroup().WithContext(cfg.Context())
-	if err := g.Map(len(cells), func(i, _ int) error {
+	// One kernel per (worker, policy), reused across capacities and dims:
+	// RunKernelFixed clears it before each replay, so its dense index is
+	// reserved once per worker rather than once per cell.
+	kernels := make([][]paging.ReplacementPolicy, g.Workers())
+	if err := g.Map(len(cells), func(i, w int) error {
 		c := cells[i]
 		tc := traces[c.di]
 		if c.mi < 0 {
@@ -218,7 +222,19 @@ func runE13(cfg Config) (*Table, error) {
 			copy(tc.faults[c.p], curve[e13SweepLo:])
 			return nil
 		}
-		faults, err := paging.RunPolicyFixed(policies[c.p], tc.tr, e13SweepLo+int64(c.mi))
+		if kernels[w] == nil {
+			kernels[w] = make([]paging.ReplacementPolicy, len(policies))
+		}
+		m := e13SweepLo + int64(c.mi)
+		k := kernels[w][c.p]
+		if k == nil {
+			var err error
+			if k, err = paging.NewReplacementPolicy(policies[c.p], m); err != nil {
+				return err
+			}
+			kernels[w][c.p] = k
+		}
+		faults, err := paging.RunKernelFixed(k, tc.tr, m)
 		if err != nil {
 			return err
 		}

@@ -195,11 +195,11 @@ func PolicyRun(name string, tr *trace.Trace, src profile.Source, maxBoxes int64)
 // RunPolicyFixed replays tr at a fixed capacity by name — a registered
 // kernel, or "opt" for Belady's baseline — and returns the miss count.
 // This is the DAM-model counterpart of Replay, used by the DAM-validation
-// and smoothness experiments. Registry kernels run a bare access loop, the
-// cheapest fixed-capacity replay there is; "opt" records tr and runs
-// OPTRecording.Fixed, the box replay at a constant profile. A caller
-// sweeping many capacities over one trace records it once (RecordOPT) and
-// calls Fixed per capacity instead.
+// and smoothness experiments. Registry kernels run RunKernelFixed on a
+// fresh kernel; "opt" records tr and runs OPTRecording.Fixed, the box
+// replay at a constant profile. A caller sweeping many capacities over one
+// trace records it once (RecordOPT) and calls Fixed per capacity, or keeps
+// one kernel and calls RunKernelFixed per capacity, instead.
 func RunPolicyFixed(name string, tr *trace.Trace, capacity int64) (int64, error) {
 	if name == OPTReplayName {
 		rec, err := RecordOPT(tr.Emit, int64(tr.Len()), tr.MaxBlock())
@@ -212,7 +212,21 @@ func RunPolicyFixed(name string, tr *trace.Trace, capacity int64) (int64, error)
 	if err != nil {
 		return 0, err
 	}
+	return RunKernelFixed(p, tr, capacity)
+}
+
+// RunKernelFixed empties p, sets its capacity, replays tr through it in a
+// bare access loop and returns the replay's misses. p's earlier contents
+// and capacity do not matter (Clear resets the replacement state; the
+// counters are read as a delta), so one kernel serves a whole capacity
+// sweep and reserves its dense index once.
+func RunKernelFixed(p ReplacementPolicy, tr *trace.Trace, capacity int64) (int64, error) {
+	p.Clear()
+	if err := p.SetCapacity(capacity); err != nil {
+		return 0, err
+	}
 	p.Reserve(tr.MaxBlock())
+	before := p.Misses()
 	// The package's own kernels get a loop over their concrete type, so
 	// each access is a direct call rather than an interface dispatch (E13
 	// runs hundreds of these replays); any other registered policy runs
@@ -239,5 +253,5 @@ func RunPolicyFixed(name string, tr *trace.Trace, capacity int64) (int64, error)
 			p.Access(tr.Block(i))
 		}
 	}
-	return p.Misses(), nil
+	return p.Misses() - before, nil
 }

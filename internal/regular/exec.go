@@ -132,8 +132,8 @@ func NewExecWithPolicy(spec Spec, n int64, policy ScanPolicy) (*Exec, error) {
 	for l := 1; l <= e.k; l++ {
 		e.pow[l] = e.pow[l-1] * spec.B
 		e.leaves[l] = e.leaves[l-1] * spec.A
-		e.scan[l] = spec.ScanLen(e.pow[l])
 	}
+	e.scan = scanLens(spec, e.k)
 	e.stack = make([]frame, 0, e.k+1)
 	e.Reset()
 	return e, nil

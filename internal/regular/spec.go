@@ -113,6 +113,19 @@ func (s Spec) ScanLen(n int64) int64 {
 	return int64(math.Ceil(math.Pow(float64(n), s.C)))
 }
 
+// scanLens tables the scan lengths of a problem with k levels: scan[ℓ] =
+// ScanLen(b^ℓ) for ℓ <= k, 0 at ℓ = 0 and past k. The executor and the
+// generators read it per node instead of calling ScanLen, whose math.Pow
+// would otherwise run once per internal node.
+func scanLens(s Spec, k int) (scan [maxLevels]int64) {
+	m := int64(1)
+	for l := 1; l <= k; l++ {
+		m *= s.B
+		scan[l] = s.ScanLen(m)
+	}
+	return scan
+}
+
 // IOCost returns the total number of accesses T(n) of the canonical
 // algorithm: T(1) = 1 and T(n) = a·T(n/b) + ScanLen(n).
 func (s Spec) IOCost(n int64) float64 {

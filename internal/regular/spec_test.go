@@ -106,6 +106,38 @@ func TestScanLen(t *testing.T) {
 	}
 }
 
+// TestScanLensMatchScanLen: the per-level table the executor and the
+// generators read equals ScanLen at every level, for the scan exponents
+// A3 sweeps, up to the largest power of b an int64 holds, and is zero at
+// the base case and past the problem's levels.
+func TestScanLensMatchScanLen(t *testing.T) {
+	for _, b := range []int64{2, 4} {
+		for _, c := range []float64{0, 0.25, 0.5, 0.75, 1} {
+			spec := MustSpec(8, b, c)
+			k := 0
+			for m := int64(1); m <= math.MaxInt64/b; m *= b {
+				k++
+			}
+			for _, levels := range []int{0, 1, k / 2, k} {
+				scan := scanLens(spec, levels)
+				m := int64(1)
+				for l := 0; l < maxLevels; l++ {
+					want := int64(0)
+					if l <= levels {
+						want = spec.ScanLen(m)
+					}
+					if scan[l] != want {
+						t.Fatalf("b=%d c=%v levels=%d: scan[%d] = %d, want %d", b, c, levels, l, scan[l], want)
+					}
+					if l < levels {
+						m *= b
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestIOCost(t *testing.T) {
 	// T(1)=1; T(4) = 8·1 + 4 = 12; T(16) = 8·12 + 16 = 112.
 	s := MMScanSpec

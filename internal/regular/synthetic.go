@@ -44,7 +44,10 @@ func EmitSynthetic(spec Spec, n int64, s trace.Sink) error {
 	if err := validateSynthetic(spec, n); err != nil {
 		return err
 	}
-	emitSynthetic(s, spec, n, 0)
+	st, _ := s.(trace.Stopper)
+	k := spec.Levels(n)
+	g := synthEmitter{s: s, st: st, a: spec.A, b: spec.B, scan: scanLens(spec, k)}
+	g.rec(n, k, 0)
 	return nil
 }
 
@@ -58,48 +61,53 @@ func validateSynthetic(spec Spec, n int64) error {
 	return nil
 }
 
-func emitSynthetic(s trace.Sink, spec Spec, m, off int64) {
-	st, _ := s.(trace.Stopper)
-	emitSyntheticRec(s, st, spec, m, off)
+// synthEmitter carries one emission's fixed state down the recursion: the
+// sink, its Stopper view (nil if it has none) and the spec's per-level
+// scan lengths, tabled once per emission.
+type synthEmitter struct {
+	s    trace.Sink
+	st   trace.Stopper
+	a, b int64
+	scan [maxLevels]int64 // scan[ℓ] = ScanLen(b^ℓ)
 }
 
-// emitSyntheticRec emits the subproblem of size m at off. A node whose
-// children are base cases (m == b) emits its a leaves inline, so the
-// recursion — and the early-stop check — runs once per leaf-parent, not
-// once per leaf. After a stop, at most the current leaf-parent's leaves and
-// scan are still emitted: every larger node checks again before its scan.
-func emitSyntheticRec(s trace.Sink, st trace.Stopper, spec Spec, m, off int64) {
-	if st != nil && st.Stopped() {
+// rec emits the subproblem of size m = b^l at off. A node whose children
+// are base cases (m == b) emits its a leaves inline, so the recursion —
+// and the early-stop check — runs once per leaf-parent, not once per leaf.
+// After a stop, at most the current leaf-parent's leaves and scan are
+// still emitted: every larger node checks again before its scan.
+func (g *synthEmitter) rec(m int64, l int, off int64) {
+	if g.st != nil && g.st.Stopped() {
 		return
 	}
-	child := m / spec.B
+	child := m / g.b
 	switch {
 	case m == 1:
-		s.Access(off)
-		s.EndLeaf()
+		g.s.Access(off)
+		g.s.EndLeaf()
 		return
 	case child == 1:
 		// Child i's slot is i mod b, kept as a wrapping counter rather
 		// than divided out per leaf.
-		for i, slot := int64(0), int64(0); i < spec.A; i++ {
-			s.Access(off + slot)
-			s.EndLeaf()
-			if slot++; slot == spec.B {
+		for i, slot := int64(0), int64(0); i < g.a; i++ {
+			g.s.Access(off + slot)
+			g.s.EndLeaf()
+			if slot++; slot == g.b {
 				slot = 0
 			}
 		}
 	default:
-		for i, slot := int64(0), int64(0); i < spec.A; i++ {
-			emitSyntheticRec(s, st, spec, child, off+slot*child)
-			if slot++; slot == spec.B {
+		for i, slot := int64(0), int64(0); i < g.a; i++ {
+			g.rec(child, l-1, off+slot*child)
+			if slot++; slot == g.b {
 				slot = 0
 			}
 		}
-		if st != nil && st.Stopped() {
+		if g.st != nil && g.st.Stopped() {
 			return
 		}
 	}
-	s.AccessRange(off, spec.ScanLen(m))
+	g.s.AccessRange(off, g.scan[l])
 }
 
 // EmitSyntheticShuffled streams into s the canonical trace with the a
@@ -113,11 +121,13 @@ func EmitSyntheticShuffled(spec Spec, n int64, rng *xrand.Source, s trace.Sink) 
 	if err := validateSynthetic(spec, n); err != nil {
 		return err
 	}
-	emitSyntheticShuffled(s, spec, n, 0, rng)
+	k := spec.Levels(n)
+	scan := scanLens(spec, k)
+	emitSyntheticShuffled(s, spec, &scan, n, k, 0, rng)
 	return nil
 }
 
-func emitSyntheticShuffled(s trace.Sink, spec Spec, m, off int64, rng *xrand.Source) {
+func emitSyntheticShuffled(s trace.Sink, spec Spec, scan *[maxLevels]int64, m int64, l int, off int64, rng *xrand.Source) {
 	if m == 1 {
 		s.Access(off)
 		s.EndLeaf()
@@ -127,7 +137,7 @@ func emitSyntheticShuffled(s trace.Sink, spec Spec, m, off int64, rng *xrand.Sou
 	order := rng.Perm(int(spec.A))
 	for _, i := range order {
 		slot := int64(i) % spec.B
-		emitSyntheticShuffled(s, spec, child, off+slot*child, rng)
+		emitSyntheticShuffled(s, spec, scan, child, l-1, off+slot*child, rng)
 	}
-	s.AccessRange(off, spec.ScanLen(m))
+	s.AccessRange(off, scan[l])
 }

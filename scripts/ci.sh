@@ -86,8 +86,12 @@ echo "== go test -race (short) =="
 # every trial counted as a cell), and the declared-inputs contract of the cache
 # key (register's check, the key moving exactly with declared fields, the
 # pinned full-input key, runTimed's projection, E10's seed read, the JSON
-# names).
-gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers|TestSweep|TestE10HonoursCancellation|TestE4HonoursCancellation|TestE5HonoursCancellation|TestA5HonoursCancellation|TestRegisterRejectsUndeclaredInputs|TestCacheKey$|TestCacheKeyPinnedForFullInputs|TestRunTimedProjectsConfig|TestE10SamplesMoveWithSeed|TestInputNamesMatchConfigTags' \
+# names). Beside them, Lemma 3's per-worker executors at 1 vs 4 workers,
+# and the process-wide memo of A2's and A7's seed-free rows: tables from
+# a memo another seed filled against computing every row, eight
+# concurrent runs racing on cold keys, and a failed computation stored
+# nowhere.
+gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers|TestSweep|TestE10HonoursCancellation|TestE4HonoursCancellation|TestE5HonoursCancellation|TestA5HonoursCancellation|TestRegisterRejectsUndeclaredInputs|TestCacheKey$|TestCacheKeyPinnedForFullInputs|TestRunTimedProjectsConfig|TestE10SamplesMoveWithSeed|TestInputNamesMatchConfigTags|TestCheckLemma3DeterministicAcrossWorkers|TestSeedFreeRowsMatchDirect|TestSeedFreeConcurrentRuns|TestSeedFreeStoresOnlySuccesses' \
     -race -short \
     ./internal/engine/ \
     ./internal/adaptivity/ \
@@ -123,8 +127,9 @@ echo "== go test -race (policy registry + adaptive kernels) =="
 # (capacities around powers of two, FIFO's ring wrapping and growing,
 # ghost hits unlinked mid-queue, windows of E13's trace), and E12's table
 # from one shared opt recording per size against a recording per run, at
-# 4 engine workers.
-gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess|TestFaultCurvesMatchFixedReplays|TestKernelsMatchOracles|TestFIFORingWraps|TestGhostHitsUnlinkFromQueueMiddle|TestE12SharedOPTMatchesPerCall' \
+# 4 engine workers. Last, one kernel reused across E13's capacity sweep on
+# both dims against a fresh kernel per capacity.
+gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestMeasureTracePolicy|TestKernelHitMatchesContainsThenAccess|TestFaultCurvesMatchFixedReplays|TestKernelsMatchOracles|TestFIFORingWraps|TestGhostHitsUnlinkFromQueueMiddle|TestE12SharedOPTMatchesPerCall|TestRunKernelFixedReuseMatchesFresh' \
     -race -short -count=1 \
     ./internal/paging/ \
     ./internal/adaptivity/ \
@@ -132,8 +137,9 @@ gate 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestReplayOPT|TestMeasureTracePolicy|Te
 
 echo "== go test -race (symbolic executor) =="
 # The level-indexed executor against the division-based one it replaced,
-# over every layout and box stream the experiments use.
-gate 'TestExecMatchesDivisionExecutor' -race -count=1 ./internal/regular/
+# over every layout and box stream the experiments use, and the per-level
+# scan-length table it and the generators read against ScanLen.
+gate 'TestExecMatchesDivisionExecutor|TestScanLensMatchScanLen' -race -count=1 ./internal/regular/
 
 echo "== go test -race (square replay) =="
 # The sharded square replay the benchmark's shard probe measures
