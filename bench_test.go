@@ -543,7 +543,11 @@ func BenchmarkGapSampleFresh(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adaptivity.GapSample(regular.MMScanSpec, n, uni, uint64(i)); err != nil {
+		e, err := regular.NewExec(regular.MMScanSpec, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := adaptivity.GapSampleExec(e, uni, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,11 +15,20 @@
 // profiles (Theorem 2). The package also estimates the stopping times f(n)
 // and f'(n) of Section 4 and checks Lemma 3 and Equations 6–8 empirically.
 //
-// Two execution backends are provided: the symbolic executor (faithful to
-// the paper's simplified caching model, which the paper states for c = 1)
-// and the trace/paging backend (ground truth for any c, including the
-// adaptive c < 1 algorithms such as MM-InPlace whose boxes genuinely carry
-// leftover budget past scans).
+// Every gap is measured by one of two primitives, one per execution
+// backend:
+//
+//   - MeasureExec runs the symbolic executor, which is faithful to the
+//     paper's simplified caching model (stated for c = 1).
+//   - MeasureBoxes prices a box replay of a reference stream (the
+//     trace/paging backend). It is the ground truth for any c, including
+//     the adaptive c < 1 algorithms such as MM-InPlace, whose boxes
+//     genuinely carry leftover budget past scans. MeasureTracePolicy is
+//     MeasureBoxes over the canonical synthetic trace.
+//
+// The Monte-Carlo estimators over Split-derived generators (GapOnDist and
+// CheckLemma3's child runs) share a third primitive, one trial fan-out
+// that reuses an executor per engine worker.
 package adaptivity
 
 import (
@@ -70,95 +79,56 @@ func (r RunResult) OpGap() float64 {
 	return float64(r.BoxSizeSum) / r.Spec.IOCost(r.N)
 }
 
-// MeasureSymbolic runs the symbolic executor for spec on a problem of n
-// blocks against boxes from src, up to maxBoxes (0 = unbounded). The
-// symbolic backend implements the paper's simplified caching model, which
-// is exact for c = 1; for c < 1 it is pessimistic (boxes are not credited
-// with budget left over after short scans) — use MeasureTracePolicy for
-// faithful c < 1 numbers.
-func MeasureSymbolic(spec regular.Spec, n int64, src profile.Source, maxBoxes int64) (RunResult, error) {
-	e, err := regular.NewExec(spec, n)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return MeasureSymbolicExec(e, src, maxBoxes)
-}
-
-// MeasureSymbolicExec is MeasureSymbolic against a caller-owned executor,
-// which is Reset before the run. Engine workers use it to reuse one
-// executor's frame stack across every trial of the same (spec, n) instead
-// of allocating a fresh executor per cell. Any mode flags set on e
-// (strict scans, spread scans, ...) carry over.
-func MeasureSymbolicExec(e *regular.Exec, src profile.Source, maxBoxes int64) (RunResult, error) {
+// MeasureExec runs the caller-owned symbolic executor e against boxes from
+// src and returns the run. e is Reset first, so engine workers reuse one
+// executor's frame stack across every trial of the same (spec, n); any
+// mode flags set on e (strict scans, spread scans, ...) carry over. The
+// run is bounded by the largest sound box count: every box completes at
+// least one access of the T(n) total, so T(n)+1 boxes always suffice.
+//
+// The symbolic backend implements the paper's simplified caching model,
+// which is exact for c = 1; for c < 1 it is pessimistic (boxes are not
+// credited with budget left over after short scans) — use
+// MeasureTracePolicy for faithful c < 1 numbers.
+func MeasureExec(e *regular.Exec, src profile.Source) (RunResult, error) {
 	e.Reset()
 	spec, n := e.Spec(), e.N()
 	res := RunResult{Spec: spec, N: n}
 	pot := spec.Potentials(n)
-	err := e.Run(src.Next, maxBoxes, func(box, prog int64) { res.addBox(&pot, box, prog) })
+	err := e.Run(src.Next, int64(spec.IOCost(n))+1, func(box, prog int64) { res.addBox(&pot, box, prog) })
 	return res, err
 }
 
-// MeasureTracePolicy streams the canonical synthetic trace for spec on n
-// blocks through the named replay (paging.ReplayNames) against boxes from
-// src. This is the ground-truth backend; it is exact for every c.
-//
-//   - "square" (or "") is the cleared-cache square semantics. The trace is
-//     never materialized, so memory is O(n) (the residency set) and
-//     problem sizes far beyond SyntheticTrace's materialization ceiling
-//     stream fine.
-//   - A registered kernel (paging.PolicyNames) replays live, with the box
-//     profile driving its capacity.
-//   - "opt" is the clairvoyant box replay. It needs the future, so it
-//     records the stream (RecordTraceOPT), under the same ceiling as
-//     SyntheticTrace, then replays the recording (MeasureOPT).
-func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.Source, maxBoxes int64) (RunResult, error) {
-	switch policy {
-	case "":
-		policy = paging.SquareReplayName
-	case paging.OPTReplayName:
-		rec, err := RecordTraceOPT(spec, n)
-		if err != nil {
-			return RunResult{}, err
-		}
-		return MeasureOPT(spec, n, rec, src, maxBoxes)
-	}
-	return measureBoxes(spec, n, func(fold func(paging.BoxStat)) error {
-		return paging.Replay(policy, syntheticEmit(spec, n), int64(spec.IOCost(n)), n-1, src, maxBoxes, fold)
-	})
-}
-
-// RecordTraceOPT records the canonical synthetic trace for spec on n
-// blocks for the opt replay, refusing traces longer than SyntheticTrace's
-// ceiling before recording anything. The recording is read-only, so every
-// MeasureOPT replay of it may share it, concurrently too.
-func RecordTraceOPT(spec regular.Spec, n int64) (*paging.OPTRecording, error) {
-	return paging.RecordOPT(syntheticEmit(spec, n), int64(spec.IOCost(n)), n-1)
-}
-
-// MeasureOPT is MeasureTracePolicy's "opt" replay over rec, a recording
-// of spec's trace on n blocks (RecordTraceOPT), against boxes from src. A
-// caller measuring one (spec, n) under many profiles records once and
-// calls MeasureOPT per profile.
-func MeasureOPT(spec regular.Spec, n int64, rec *paging.OPTRecording, src profile.Source, maxBoxes int64) (RunResult, error) {
-	return measureBoxes(spec, n, func(fold func(paging.BoxStat)) error {
-		return rec.Replay(src, maxBoxes, fold)
-	})
-}
-
-// syntheticEmit emits the canonical synthetic trace for spec on n blocks.
-func syntheticEmit(spec regular.Spec, n int64) func(trace.Sink) error {
-	return func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
-}
-
-// measureBoxes runs a box replay of spec on n blocks, pricing each box
-// its fold receives into the run.
-func measureBoxes(spec regular.Spec, n int64, replay func(fold func(paging.BoxStat)) error) (RunResult, error) {
+// MeasureBoxes prices a box replay of spec on n blocks: replay passes each
+// box it closes to fold, in box order, and the run sums them. A caller
+// replaying one stream under many profiles (E12's shared opt recordings)
+// or a stream other than the canonical one (A1's shuffled traces) passes
+// its own replay; MeasureTracePolicy covers the canonical stream.
+func MeasureBoxes(spec regular.Spec, n int64, replay func(fold func(paging.BoxStat)) error) (RunResult, error) {
 	res := RunResult{Spec: spec, N: n}
 	pot := spec.Potentials(n)
 	if err := replay(func(b paging.BoxStat) { res.addBox(&pot, b.Size, b.Leaves) }); err != nil {
 		return RunResult{}, err
 	}
 	return res, nil
+}
+
+// MeasureTracePolicy streams the canonical synthetic trace for spec on n
+// blocks through the named replay (paging.Replay, "" meaning "square")
+// against boxes from src, up to maxBoxes (0 = unbounded), and prices it
+// with MeasureBoxes. This is the ground-truth backend; it is exact for
+// every c. The square and kernel replays never materialize the trace, so
+// memory is O(n) and problem sizes far beyond SyntheticTrace's ceiling
+// stream fine; "opt" needs the future, so it records the stream under the
+// same ceiling first.
+func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.Source, maxBoxes int64) (RunResult, error) {
+	if policy == "" {
+		policy = paging.SquareReplayName
+	}
+	emit := func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
+	return MeasureBoxes(spec, n, func(fold func(paging.BoxStat)) error {
+		return paging.Replay(policy, emit, int64(spec.IOCost(n)), n-1, src, maxBoxes, fold)
+	})
 }
 
 // GapOnProfile runs spec on n blocks against prof (cycled if the algorithm
@@ -173,36 +143,22 @@ func GapOnProfile(spec regular.Spec, n int64, prof *profile.SquareProfile) (RunR
 	if err != nil {
 		return RunResult{}, err
 	}
-	return GapOnSourceExec(e, src)
+	return MeasureExec(e, src)
 }
 
-// GapOnSourceExec is GapOnProfile against any box source (a smoothed
-// profile read in place, say) with a caller-owned executor, which is Reset
-// before the run — the allocation-light form for engine workers. The run
-// is bounded by the largest sound box count: every box completes at least
-// one access of the T(n) total, so T(n)+1 boxes always suffice.
-func GapOnSourceExec(e *regular.Exec, src profile.Source) (RunResult, error) {
-	maxBoxes := int64(e.Spec().IOCost(e.N())) + 1
-	return MeasureSymbolicExec(e, src, maxBoxes)
-}
-
-// GapSample runs one Theorem-1 trial — spec on n blocks against i.i.d.
-// boxes from dist under the given seed — and returns the trial's gap. It
-// is the single-cell primitive the experiment engine fans out across
-// (size, trial) cells with xrand.Split-derived seeds.
-func GapSample(spec regular.Spec, n int64, dist xrand.Dist, seed uint64) (float64, error) {
-	e, err := regular.NewExec(spec, n)
-	if err != nil {
-		return 0, err
-	}
-	return GapSampleExec(e, dist, seed)
-}
-
-// GapSampleExec is GapSample against a caller-owned executor.
+// GapSampleExec runs one Theorem-1 trial on the caller-owned executor e —
+// its (spec, n) against i.i.d. boxes from dist under the given seed — and
+// returns the trial's gap. It is the single-cell primitive the experiment
+// engine fans out across (size, trial) cells with xrand.Split-derived
+// seeds.
 func GapSampleExec(e *regular.Exec, dist xrand.Dist, seed uint64) (float64, error) {
-	rng := xrand.New(seed)
-	src := profile.FuncSource(func() int64 { return dist.Sample(rng) })
-	res, err := MeasureSymbolicExec(e, src, 0)
+	return iidGap(e, dist, xrand.New(seed))
+}
+
+// iidGap runs e against i.i.d. boxes from dist drawn from rng and returns
+// the run's gap.
+func iidGap(e *regular.Exec, dist xrand.Dist, rng *xrand.Source) (float64, error) {
+	res, err := MeasureExec(e, profile.FuncSource(func() int64 { return dist.Sample(rng) }))
 	if err != nil {
 		return 0, err
 	}
@@ -218,28 +174,40 @@ func GapOnDist(g *engine.Group, spec regular.Spec, n int64, dist xrand.Dist, see
 	if trials < 1 {
 		return nil, fmt.Errorf("adaptivity: trials = %d < 1", trials)
 	}
-	// Derive the per-trial generators serially (the derivation order is
-	// part of the contract), then run the trials on g.
-	root := xrand.New(seed)
-	rngs := make([]*xrand.Source, trials)
-	for t := range rngs {
-		rngs[t] = root.Split()
-	}
 	gaps := make([]float64, trials)
-	err := g.Map(trials, func(t, _ int) error {
-		rng := rngs[t]
-		src := profile.FuncSource(func() int64 { return dist.Sample(rng) })
-		res, err := MeasureSymbolic(spec, n, src, 0)
-		if err != nil {
-			return err
-		}
-		gaps[t] = res.Gap()
-		return nil
+	err := fanTrials(g, spec, n, seed, trials, func(t int, e *regular.Exec, rng *xrand.Source) error {
+		var err error
+		gaps[t], err = iidGap(e, dist, rng)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return gaps, nil
+}
+
+// fanTrials runs trials on g. Trial t draws from the t-th generator split
+// from xrand.New(seed); the generators are derived serially, before any
+// trial runs, because the derivation order is part of the determinism
+// contract. Each engine worker builds one executor for spec on n blocks at
+// its first trial and hands it to every trial it runs; run resets it.
+func fanTrials(g *engine.Group, spec regular.Spec, n int64, seed uint64, trials int, run func(t int, e *regular.Exec, rng *xrand.Source) error) error {
+	root := xrand.New(seed)
+	rngs := make([]*xrand.Source, trials)
+	for t := range rngs {
+		rngs[t] = root.Split()
+	}
+	execs := make([]*regular.Exec, g.Workers())
+	return g.Map(trials, func(t, w int) error {
+		if execs[w] == nil {
+			e, err := regular.NewExec(spec, n)
+			if err != nil {
+				return err
+			}
+			execs[w] = e
+		}
+		return run(t, execs[w], rngs[t])
+	})
 }
 
 // StoppingTimes holds Monte-Carlo estimates of the paper's f(n) (expected

@@ -566,6 +566,47 @@ func TestTrialsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestGapOnDistMatchesFreshExecs: GapOnDist reuses one executor per
+// engine worker, Reset between trials. At 1 and at 4 workers its gaps
+// must equal a serial loop that builds a fresh executor for every trial
+// from the same Split-derived generators.
+func TestGapOnDistMatchesFreshExecs(t *testing.T) {
+	defer engine.SetSharedWorkers(0)
+	const seed, trials = 31, 24
+	dist := mustUniform(t, 4, 64)
+	for _, c := range []struct {
+		spec regular.Spec
+		n    int64
+	}{{regular.MMScanSpec, 256}, {regular.MustSpec(2, 2, 1), 512}} {
+		root := xrand.New(seed)
+		want := make([]float64, trials)
+		for i := range want {
+			rng := root.Split()
+			e, err := regular.NewExec(c.spec, c.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := MeasureExec(e, profile.FuncSource(func() int64 { return dist.Sample(rng) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res.Gap()
+		}
+		for _, workers := range []int{1, 4} {
+			engine.SetSharedWorkers(workers)
+			got, err := GapOnDist(engine.NewGroup(), c.spec, c.n, dist, seed, trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v n=%d, %d workers, trial %d: reused exec %g, fresh exec %g", c.spec, c.n, workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // The single-trial primitives must agree with their batched counterparts
 // and be executor-reuse safe.
 func TestGapSampleMatchesExecReuse(t *testing.T) {
@@ -576,7 +617,11 @@ func TestGapSampleMatchesExecReuse(t *testing.T) {
 	}
 	for trial := 0; trial < 8; trial++ {
 		seed := xrand.Split(99, "test", int64(trial))
-		fresh, err := GapSample(regular.MMScanSpec, 256, dist, seed)
+		fe, err := regular.NewExec(regular.MMScanSpec, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := GapSampleExec(fe, dist, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,28 +57,10 @@ func CheckLemma3(g *engine.Group, spec regular.Spec, n int64, dist xrand.Dist, s
 	res := Lemma3Result{Spec: spec, N: n, Trials: trials}
 
 	// f(n/b) and q: run the size-n/b subproblem and watch for >= n boxes.
-	// Generators are derived serially (the derivation order is part of the
-	// determinism contract); the trials themselves fan out on the engine.
 	child := n / spec.B
-	root := xrand.New(seed)
-	rngs := make([]*xrand.Source, trials)
-	for t := range rngs {
-		rngs[t] = root.Split()
-	}
 	boxesUsed := make([]int64, trials)
 	sawBig := make([]bool, trials)
-	// One executor per engine worker, Reset between its trials.
-	execs := make([]*regular.Exec, g.Workers())
-	if err := g.Map(trials, func(t, w int) error {
-		rng := rngs[t]
-		e := execs[w]
-		if e == nil {
-			var err error
-			if e, err = regular.NewExec(spec, child); err != nil {
-				return err
-			}
-			execs[w] = e
-		}
+	if err := fanTrials(g, spec, child, seed, trials, func(t int, e *regular.Exec, rng *xrand.Source) error {
 		e.Reset()
 		for !e.Done() {
 			box := dist.Sample(rng)

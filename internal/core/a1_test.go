@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/adaptivity"
 	"repro/internal/matrix"
 	"repro/internal/paging"
 	"repro/internal/profile"
@@ -14,12 +15,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// a1MaterializedPath is A1 computed the materialized way: each real
-// MM-Scan trace, canonical and shuffled, is built once (the shuffled one
-// drawing its orders from rng a single time) and its eight fresh-address
-// repetitions are replayed from memory into an unbounded square replay,
-// counting what the profile's boxes serve. It is the oracle for runA1's
-// re-emitted shuffled traces.
+// a1MaterializedPath is A1 computed the materialized way: every trace,
+// canonical and shuffled, is built once (a shuffled one drawing its orders
+// from rng a single time) and replayed from memory. A synthetic trace is
+// replayed once into the square cache and its boxes priced; a real
+// MM-Scan trace's eight fresh-address repetitions are replayed into an
+// unbounded square replay, counting what the profile's boxes serve. It is
+// the oracle for runA1's re-emitted shuffled traces.
 func a1MaterializedPath(cfg Config) (*Table, error) {
 	cfg = clampMaterializedK(cfg)
 	spec := regular.MMScanSpec
@@ -40,11 +42,21 @@ func a1MaterializedPath(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		gapOf := func(emit func(trace.Sink) error) (float64, error) {
+			tr, err := trace.Materialize(emit)
+			if err != nil {
+				return 0, err
+			}
 			src, err := profile.NewSliceSource(wc)
 			if err != nil {
 				return 0, err
 			}
-			return squareGap(spec, n, emit, src)
+			res, err := adaptivity.MeasureBoxes(spec, n, func(fold func(paging.BoxStat)) error {
+				return paging.Replay(paging.SquareReplayName, tr.Emit, int64(tr.Len()), tr.MaxBlock(), src, 0, fold)
+			})
+			if err != nil {
+				return 0, err
+			}
+			return res.Gap(), nil
 		}
 		canon, err := gapOf(func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) })
 		if err != nil {

@@ -1,8 +1,9 @@
 // Package core is the public face of the reproduction: it wires the
 // substrates (profiles, the symbolic executor, the paging/trace backend,
-// smoothing operators, real algorithms) into the eleven named experiments
-// E1–E11 that regenerate the paper's figure and theorem-level claims, and
-// formats their results as tables.
+// smoothing operators, real algorithms) into thirteen named experiments
+// E1–E13, which regenerate the paper's figure and theorem-level claims,
+// and seven ablations A1–A7, which probe beyond them, and formats their
+// results as tables.
 //
 // Every experiment is deterministic in the Config fields it declares as
 // its Inputs (a subset of Seed, Trials and MaxK); EXPERIMENTS.md records

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/adaptivity"
 	"repro/internal/matrix"
 	"repro/internal/paging"
 	"repro/internal/profile"
@@ -68,7 +69,7 @@ func runA1(cfg Config) (*Table, error) {
 
 	// Part 1: the synthetic canonical trace, where same-slot siblings share
 	// their entire working set.
-	var ks, means []float64
+	var curve gapCurve
 	for k := 3; k <= maxK; k++ {
 		n := profile.Pow(4, k)
 		wc, err := profile.WorstCase(8, 4, n)
@@ -82,7 +83,13 @@ func runA1(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			return squareGap(spec, n, emit, src)
+			res, err := adaptivity.MeasureBoxes(spec, n, func(fold func(paging.BoxStat)) error {
+				return paging.Replay(paging.SquareReplayName, emit, int64(spec.IOCost(n)), n-1, src, 0, fold)
+			})
+			if err != nil {
+				return 0, err
+			}
+			return res.Gap(), nil
 		}
 
 		canon, err := gapOf(func(s trace.Sink) error {
@@ -101,12 +108,10 @@ func runA1(cfg Config) (*Table, error) {
 			}
 			gaps = append(gaps, g)
 		}
-		s := stats.Summarize(gaps)
+		s := curve.add(k, gaps)
 		t.AddRow("synthetic (full sibling overlap)", fmt.Sprintf("n=4^%d", k), "gap", canon, s.Mean, s.CI95())
-		ks = append(ks, float64(k))
-		means = append(means, s.Mean)
 	}
-	fit, err := stats.LinearFit(ks, means)
+	fit, err := curve.slope()
 	if err != nil {
 		return nil, err
 	}
@@ -234,21 +239,6 @@ func measureA2Row(raw func() (profile.Raw, error)) (a2Row, error) {
 	return a2Row{lruMisses: lruMisses, boxes: sq.Len(), sqIOs: sqIOs}, nil
 }
 
-// squareGap replays a generated n-block stream under square semantics
-// against src and returns its gap: the boxes' summed bounded potential
-// over n^{log_b a}.
-func squareGap(spec regular.Spec, n int64, emit func(trace.Sink) error, src profile.Source) (float64, error) {
-	pot := spec.Potentials(n)
-	var sum float64
-	err := paging.Replay(paging.SquareReplayName, emit, int64(spec.IOCost(n)), n-1, src, 0, func(b paging.BoxStat) {
-		sum += pot.Of(b.Size)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return sum / spec.Potential(n), nil
-}
-
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a
@@ -273,7 +263,7 @@ func runA3(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var ks, gaps []float64
+		var curve gapCurve
 		for k := 3; k <= maxK; k++ {
 			n := profile.Pow(4, k)
 			wc, err := profile.WorstCase(8, 4, n)
@@ -284,15 +274,15 @@ func runA3(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			gap, err := squareGap(spec, n, func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }, src)
+			res, err := adaptivity.MeasureTracePolicy(spec, n, paging.SquareReplayName, src, 0)
 			if err != nil {
 				return nil, err
 			}
+			gap := res.Gap()
 			t.AddRow(fmt.Sprintf("%.2f", c), k, n, gap)
-			ks = append(ks, float64(k))
-			gaps = append(gaps, gap)
+			curve.add(k, []float64{gap})
 		}
-		fit, err := stats.LinearFit(ks, gaps)
+		fit, err := curve.slope()
 		if err != nil {
 			return nil, err
 		}

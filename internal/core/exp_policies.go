@@ -53,7 +53,8 @@ func runE12(cfg Config) (*Table, error) {
 	// shared read-only recording.
 	recs := make([]*paging.OPTRecording, kMax+1)
 	for k := kMin; k <= kMax; k++ {
-		rec, err := adaptivity.RecordTraceOPT(spec, profile.Pow(4, k))
+		n := profile.Pow(4, k)
+		rec, err := paging.RecordOPT(func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }, int64(spec.IOCost(n)), n-1)
 		if err != nil {
 			return nil, fmt.Errorf("E12 opt k=%d: %w", k, err)
 		}
@@ -61,7 +62,9 @@ func runE12(cfg Config) (*Table, error) {
 	}
 	return e12Table(cfg, func(pol string, k int, src profile.Source) (adaptivity.RunResult, error) {
 		if pol == paging.OPTReplayName {
-			return adaptivity.MeasureOPT(spec, profile.Pow(4, k), recs[k], src, 0)
+			return adaptivity.MeasureBoxes(spec, profile.Pow(4, k), func(fold func(paging.BoxStat)) error {
+				return recs[k].Replay(src, 0, fold)
+			})
 		}
 		return adaptivity.MeasureTracePolicy(spec, profile.Pow(4, k), pol, src, 0)
 	})

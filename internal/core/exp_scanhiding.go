@@ -96,7 +96,7 @@ func runA6(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := adaptivity.GapOnSourceExec(e, src)
+			res, err := adaptivity.MeasureExec(e, src)
 			return res.Gap(), err
 		}
 

@@ -169,7 +169,7 @@ func runE3(cfg Config) (*Table, error) {
 			}
 			rng := xrand.New(xrand.Split(cfg.Seed, "E3/shuffle", int64(k), int64(trial)))
 			ws.shuffled.Reset(shIdx[k], rng)
-			res, err := adaptivity.GapOnSourceExec(e, &ws.shuffled)
+			res, err := adaptivity.MeasureExec(e, &ws.shuffled)
 			return res.Gap(), err
 		})
 	if err != nil {
@@ -215,7 +215,7 @@ func runE6(cfg Config) (*Table, error) {
 			if err := ws.perturbed.Reset(wcs[k], rng, factors[r]); err != nil {
 				return 0, err
 			}
-			res, err := adaptivity.GapOnSourceExec(e, &ws.perturbed)
+			res, err := adaptivity.MeasureExec(e, &ws.perturbed)
 			return res.Gap(), err
 		})
 	if err != nil {
@@ -284,7 +284,7 @@ func runE7(cfg Config) (*Table, error) {
 			}
 			rng := xrand.New(xrand.Split(cfg.Seed, "E7", int64(k), int64(trial)))
 			ws.rotated.Reset(rotIdx[k], rng)
-			res, err := adaptivity.GapOnSourceExec(e, &ws.rotated)
+			res, err := adaptivity.MeasureExec(e, &ws.rotated)
 			return res.Gap(), err
 		})
 	if err != nil {
@@ -352,7 +352,7 @@ func runE8(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := adaptivity.GapOnSourceExec(e, src)
+			res, err := adaptivity.MeasureExec(e, src)
 			if err != nil {
 				return nil, err
 			}

@@ -22,7 +22,7 @@ import (
 //
 // FIFO, ARC and 2Q are not stack algorithms (their Belady anomalies are
 // the point of measuring them), so their curves take one replay per
-// capacity (RunPolicyFixed).
+// capacity (RunKernelFixed).
 
 // newCurve carves a curve of maxCapacity+1 counters and a stack of
 // maxCapacity entries from one allocation.

@@ -196,6 +196,87 @@ func TestNoCatchupLemma(t *testing.T) {
 	}
 }
 
+// squareRunOracle is SquareRunFrom by brute force: each box starts with an
+// empty cache and serves references until the next one would bring in a
+// block beyond the box's size.
+func squareRunOracle(blocks []int64, start int, boxes []int64) int {
+	i := start
+	for _, size := range boxes {
+		seen := map[int64]bool{}
+		for i < len(blocks) && (seen[blocks[i]] || int64(len(seen)) < size) {
+			seen[blocks[i]] = true
+			i++
+		}
+	}
+	return i
+}
+
+// restrictedGrowth calls visit with every string of length n over labels
+// 0..k-1 in which each label first appears after all smaller ones: every
+// trace of n references to at most k blocks, up to relabelling.
+func restrictedGrowth(n, k int, visit func([]int64)) {
+	s := make([]int64, n)
+	var grow func(i int, next int64)
+	grow = func(i int, next int64) {
+		if i == n {
+			visit(s)
+			return
+		}
+		for b := int64(0); b <= next && b < int64(k); b++ {
+			s[i] = b
+			grow(i+1, max(next, b+1))
+		}
+	}
+	grow(0, 0)
+}
+
+// TestNoCatchupExhaustive checks the No-Catch-up Lemma (Lemma 2)
+// exhaustively on small cases: for every trace of up to 8 references to
+// at most 4 blocks (up to relabelling) and every sequence of 1–3 boxes of
+// sizes 1–4, SquareRunFrom's end index never decreases as the start index
+// grows, and it equals the brute-force oracle at every start. -short stops
+// at 7 references.
+func TestNoCatchupExhaustive(t *testing.T) {
+	maxLen := 8
+	if testing.Short() {
+		maxLen = 7
+	}
+	var seqs [][]int64
+	for n := 1; n <= 3; n++ {
+		for code := 0; code < 1<<(2*n); code++ { // n base-4 digits
+			seq := make([]int64, n)
+			for i := range seq {
+				seq[i] = int64(code>>(2*i)&3) + 1
+			}
+			seqs = append(seqs, seq)
+		}
+	}
+	runs := 0
+	for n := 0; n <= maxLen; n++ {
+		restrictedGrowth(n, 4, func(blocks []int64) {
+			tr := buildTrace(blocks, nil)
+			for _, boxes := range seqs {
+				prev := -1
+				for start := 0; start <= n; start++ {
+					end, err := SquareRunFrom(tr, start, boxes)
+					if err != nil {
+						t.Fatalf("trace %v, boxes %v, start %d: %v", blocks, boxes, start, err)
+					}
+					if want := squareRunOracle(blocks, start, boxes); end != want {
+						t.Fatalf("trace %v, boxes %v, start %d: end %d, oracle %d", blocks, boxes, start, end, want)
+					}
+					if end < prev {
+						t.Fatalf("trace %v, boxes %v: start %d ends at %d, start %d at %d", blocks, boxes, start-1, prev, start, end)
+					}
+					prev = end
+					runs++
+				}
+			}
+		})
+	}
+	t.Logf("%d runs", runs)
+}
+
 // --- LRU ---------------------------------------------------------------------
 
 func TestLRUBasics(t *testing.T) {

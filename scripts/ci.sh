@@ -86,12 +86,13 @@ echo "== go test -race (short) =="
 # every trial counted as a cell), and the declared-inputs contract of the cache
 # key (register's check, the key moving exactly with declared fields, the
 # pinned full-input key, runTimed's projection, E10's seed read, the JSON
-# names). Beside them, Lemma 3's per-worker executors at 1 vs 4 workers,
-# and the process-wide memo of A2's and A7's seed-free rows: tables from
+# names). Beside them, Lemma 3's and GapOnDist's per-worker executors at
+# 1 vs 4 workers (GapOnDist's against a fresh executor per trial), and the
+# process-wide memo of A2's and A7's seed-free rows: tables from
 # a memo another seed filled against computing every row, eight
 # concurrent runs racing on cold keys, and a failed computation stored
 # nowhere.
-gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers|TestSweep|TestE10HonoursCancellation|TestE4HonoursCancellation|TestE5HonoursCancellation|TestA5HonoursCancellation|TestRegisterRejectsUndeclaredInputs|TestCacheKey$|TestCacheKeyPinnedForFullInputs|TestRunTimedProjectsConfig|TestE10SamplesMoveWithSeed|TestInputNamesMatchConfigTags|TestCheckLemma3DeterministicAcrossWorkers|TestSeedFreeRowsMatchDirect|TestSeedFreeConcurrentRuns|TestSeedFreeStoresOnlySuccesses' \
+gate 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers|TestSweep|TestE10HonoursCancellation|TestE4HonoursCancellation|TestE5HonoursCancellation|TestA5HonoursCancellation|TestRegisterRejectsUndeclaredInputs|TestCacheKey$|TestCacheKeyPinnedForFullInputs|TestRunTimedProjectsConfig|TestE10SamplesMoveWithSeed|TestInputNamesMatchConfigTags|TestCheckLemma3DeterministicAcrossWorkers|TestGapOnDistMatchesFreshExecs|TestSeedFreeRowsMatchDirect|TestSeedFreeConcurrentRuns|TestSeedFreeStoresOnlySuccesses' \
     -race -short \
     ./internal/engine/ \
     ./internal/adaptivity/ \
@@ -148,8 +149,9 @@ echo "== go test -race (square replay) =="
 # pool; beside it the serial repeated replay and the worst-case completion
 # count built on it (Completions, and its edge cases), the shared box-size
 # error text, the box-limit early-stop regressions and the square
-# MeasureTrace replays.
-gate 'TestSquareRunParallel|TestSquareEmitParallel|FuzzParallelMatchesSerial|TestServedRepeat|TestServedEmitRepeat|TestCompletions|TestBoxSizeErrorParity|TestReplayRangeHalts|TestServedEmitRepeatHalts|TestDefaultShards|TestMeasureTrace' \
+# MeasureTrace replays. Last, the exhaustive No-Catch-up (Lemma 2) check
+# of SquareRunFrom against a brute-force square replay.
+gate 'TestSquareRunParallel|TestSquareEmitParallel|FuzzParallelMatchesSerial|TestServedRepeat|TestServedEmitRepeat|TestCompletions|TestBoxSizeErrorParity|TestReplayRangeHalts|TestServedEmitRepeatHalts|TestDefaultShards|TestMeasureTrace|TestNoCatchupExhaustive' \
     -race -short \
     ./internal/paging/ \
     ./internal/adaptivity/
